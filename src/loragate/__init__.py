@@ -18,11 +18,10 @@ from .autodiff import Tape, Tensor, heaviside, jumprelu, threshold_pseudograd
 from .config import ExperimentConfig, Method, load_config, parse_config_text
 from .data import TaskStream, generate_task_stream
 from .ella import EllaState, EllaVariant, ella_penalty, make_ella_state, update_past
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ConfigError, ShapeError, StateError, StoreError
 from .harness import RunResult, evaluate, run_stream, train_task
 from .metrics import (
     AccuracyMatrix,
-    SupportMask,
     backward_transfer,
     forward_transfer,
     jaccard_overlap,

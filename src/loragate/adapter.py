@@ -11,11 +11,10 @@ from __future__ import annotations
 import enum
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import arrayio
 from .autodiff import Tensor, add, jumprelu, matmul, neg, scale, sub
 from .errors import ConfigError, ShapeError, StateError
 
@@ -36,7 +35,6 @@ class Adapter:
     rank: int
     alpha: float
     scaling: float
-    layer_id: str = ""
 
     @property
     def d_in(self) -> int:
@@ -72,7 +70,6 @@ def init_adapter(
     rank: int,
     alpha: float,
     seed: int,
-    layer_id: str = "",
     dtype=np.float32,
 ) -> Adapter:
     """Fresh adapter: down factor Kaiming-uniform over fan-in, up factor zero.
@@ -100,7 +97,6 @@ def init_adapter(
         rank=rank,
         alpha=float(alpha),
         scaling=float(alpha) / rank,
-        layer_id=layer_id,
     )
 
 
@@ -179,44 +175,3 @@ def merge(w_base: Tensor, dw_final, scaling: float) -> Tensor:
         raise ShapeError(f"merge shapes differ: {w_base.data.shape} vs {dw.shape}")
     return Tensor(w_base.data + float(scaling) * dw)
 
-
-def save_adapter(directory, adapter: Adapter, gate: JumpGate | None,
-                 mask: np.ndarray | None) -> None:
-    """Checkpoint an adapter (and its gate binding) in the raw-array format."""
-    arrays = {"down": adapter.down.data, "up": adapter.up.data}
-    if mask is not None:
-        arrays["mask"] = np.asarray(mask, dtype=np.float32)
-    meta = {
-        "layer_id": adapter.layer_id,
-        "d_in": adapter.d_in,
-        "d_out": adapter.d_out,
-        "rank": adapter.rank,
-        "alpha": adapter.alpha,
-        "threshold": float(gate.threshold.data.reshape(())) if gate else None,
-        "scope": gate.scope.value if gate else None,
-        "bandwidth": gate.bandwidth if gate else None,
-        "initialized": gate.initialized if gate else None,
-    }
-    arrayio.save_arrays(directory, arrays, meta)
-
-
-def load_adapter(directory) -> tuple[Adapter, JumpGate | None, np.ndarray | None]:
-    arrays, meta = arrayio.load_arrays(directory)
-    adapter = Adapter(
-        down=Tensor(arrays["down"], requires_grad=True),
-        up=Tensor(arrays["up"], requires_grad=True),
-        rank=int(meta["rank"]),
-        alpha=float(meta["alpha"]),
-        scaling=float(meta["alpha"]) / int(meta["rank"]),
-        layer_id=meta["layer_id"],
-    )
-    gate = None
-    if meta.get("threshold") is not None:
-        gate = JumpGate(
-            threshold=Tensor(np.asarray(meta["threshold"], dtype=arrays["down"].dtype),
-                             requires_grad=True),
-            bandwidth=float(meta["bandwidth"]),
-            scope=GateScope(meta["scope"]),
-            initialized=bool(meta["initialized"]),
-        )
-    return adapter, gate, arrays.get("mask")

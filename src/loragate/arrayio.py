@@ -7,7 +7,9 @@ Layout of a store directory:
   the array, nothing else.
 
 Round trips are bit-exact: bytes are written with ``ndarray.tobytes`` and read
-back with ``frombuffer`` at the recorded dtype and shape.
+back with ``frombuffer`` at the recorded dtype and shape. Two names that map
+to the same file are rejected on save, and a manifest entry whose file lies
+outside the store directory is rejected on load.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import StoreError
+
 _SAFE = re.compile(r"[^A-Za-z0-9._-]")
 
 
@@ -26,13 +30,18 @@ def _filename(name: str) -> str:
 
 
 def save_arrays(directory, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
+    files: dict[str, str] = {}
+    for name in sorted(arrays):
+        other = files.setdefault(_filename(name), name)
+        if other != name:
+            raise StoreError(f"array names {other!r} and {name!r} both map to "
+                             f"file {_filename(name)!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {"arrays": {}, "meta": meta or {}}
-    for name in sorted(arrays):
+    for fname, name in files.items():
         arr = np.ascontiguousarray(arrays[name])
         little = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-        fname = _filename(name)
         (directory / fname).write_bytes(little.tobytes(order="C"))
         manifest["arrays"][name] = {
             "file": fname,
@@ -48,9 +57,14 @@ def load_arrays(directory) -> tuple[dict[str, np.ndarray], dict]:
     directory = Path(directory)
     with open(directory / "manifest.json") as fh:
         manifest = json.load(fh)
+    root = directory.resolve()
     arrays = {}
     for name, entry in manifest["arrays"].items():
-        raw = (directory / entry["file"]).read_bytes()
+        path = (directory / entry["file"]).resolve()
+        if path.parent != root:
+            raise StoreError(f"manifest entry {name!r} points outside the store: "
+                             f"{entry['file']!r}")
+        raw = path.read_bytes()
         dtype = np.dtype(entry["dtype"]).newbyteorder("<")
         arr = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"])
         arrays[name] = arr.astype(np.dtype(entry["dtype"]), copy=True)

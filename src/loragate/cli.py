@@ -6,32 +6,17 @@ import argparse
 import multiprocessing
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 
 from . import arrayio
-from .adapter import init_adapter, make_gate, GateScope, jump_update, dense_update
-from .autodiff import (
-    Tape,
-    Tensor,
-    cross_entropy,
-    frobenius_sq,
-    jumprelu,
-    layer_norm,
-    matmul,
-    mean,
-    mul,
-    relu,
-    scale,
-    softmax,
-)
 from .config import ExperimentConfig, format_config, load_config, parse_config_text
 from .data import generate_task_stream
-from .ella import ella_penalty
 from .errors import ConfigError
-from .gradcheck import numeric_grad, rel_error
-from .harness import evaluate, inject_adapters, resolve_order, run_stream, train_task
+from .gradcheck import run_gradcheck
+from .harness import resolve_order, run_stream
 from .metrics import (
     backward_transfer,
     forward_transfer,
@@ -40,146 +25,8 @@ from .metrics import (
     overall_accuracy,
     sparsity,
 )
-from .model import build_model
 
 ENV_OUTPUT_ROOT = "LORAGATE_OUTPUT_ROOT"
-
-
-# ---------------------------------------------------------------------------
-# gradcheck
-
-
-def _fd_checks() -> list[tuple[str, float, float]]:
-    """Finite-difference suite over every differentiable primitive.
-
-    Returns (name, max relative error, tolerance) per check; all oracles run
-    in float64 with the inputs kept away from non-smooth points.
-    """
-    rng = np.random.default_rng(20240901)
-    results = []
-
-    def run(name, builder, arrays, wrt, tol=1e-4):
-        worst = 0.0
-        for i in wrt:
-            tensors = [Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
-            with Tape() as tape:
-                out = builder(*tensors)
-                tape.backward(out)
-            def forward(*arr):
-                return builder(*[Tensor(a, dtype=np.float64) for a in arr]).item()
-            worst = max(worst, rel_error(tensors[i].grad, numeric_grad(forward, arrays, i)))
-        results.append((name, worst, tol))
-
-    a, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 4))
-    run("matmul", lambda x, y: mean(matmul(x, y)), [a, b], (0, 1), tol=1e-6)
-    run("frobenius_sq", lambda x: frobenius_sq(x), [rng.normal(size=(4, 4))], (0,), tol=1e-6)
-    run("relu", lambda x: mean(relu(x)),
-        [np.where(np.abs(z := rng.normal(size=(6, 6))) < 0.05, 0.2, z)], (0,))
-    run("softmax", lambda x: frobenius_sq(softmax(x)), [rng.normal(size=(5, 7))], (0,))
-    run("layer_norm", lambda x, g, c: frobenius_sq(layer_norm(x, g, c)),
-        [rng.normal(size=(4, 6)), rng.normal(size=6), rng.normal(size=6)], (0, 1, 2))
-    run("mean_axis", lambda x: frobenius_sq(mean(x, axis=1)),
-        [rng.normal(size=(3, 5, 4))], (0,))
-    run("mul", lambda x, y: frobenius_sq(mul(x, y)),
-        [rng.normal(size=(4, 4)), rng.normal(size=(4, 4))], (0, 1))
-
-    labels = rng.integers(0, 5, size=8)
-    run("cross_entropy", lambda x: cross_entropy(x, labels),
-        [rng.normal(size=(8, 5))], (0,))
-
-    # jump gate input gradient, sampled off the kernel band
-    eps = 1e-3
-    tau = 0.5
-    x = rng.normal(size=(6, 6))
-    x = np.where(np.abs(np.abs(x) - tau) < 10 * eps, x + 0.2, x)
-    run("jumprelu_input",
-        lambda t, th: frobenius_sq(jumprelu(t, th, eps)),
-        [x, np.asarray(tau)], (0,))
-    return results
-
-
-def _psi_casewise_check(points: int = 10_000) -> tuple[str, float, float]:
-    """Compare the implemented threshold gradient against the closed-form
-    kernel value on a grid: -threshold/bandwidth inside (-1/2, 1/2], else 0."""
-    eps = 1e-3
-    rng = np.random.default_rng(7)
-    side = int(np.sqrt(points))
-    taus = rng.uniform(0.05, 1.5, size=side)
-    worst = 0.0
-    for tau in taus:
-        x = np.concatenate([
-            rng.uniform(-2, 2, size=side - side // 2),
-            tau + eps * rng.uniform(-1.0, 1.0, size=side // 2),  # stress the band
-        ])
-        got = np.empty_like(x)
-        for i, xi in enumerate(x):
-            th = Tensor(np.asarray(tau), requires_grad=True)
-            with Tape() as tape:
-                out = jumprelu(Tensor(np.asarray([xi])), th, eps)
-                tape.backward(mean(out))
-            got[i] = 0.0 if th.grad is None else float(th.grad)
-        u = (x - tau) / eps
-        inside = ((u > -0.5) & (u <= 0.5))
-        want = np.where(inside, -(tau / eps), 0.0)
-        err = np.abs(got - want).max(initial=0.0)
-        ulp = np.spacing(np.abs(want).max(initial=1.0))
-        worst = max(worst, err / ulp)
-    return ("threshold_pseudograd_casewise", worst, 1.0)
-
-
-def _model_gradient_checks() -> list[tuple[str, float, float]]:
-    """End-to-end factor, threshold, and penalty gradients on a small model."""
-    rng = np.random.default_rng(3)
-    model = build_model(vocab_size=16, d_model=16, n_heads=2, n_blocks=1,
-                        max_seq_len=8, num_classes=3, seed=5, dtype=np.float64)
-    tokens = rng.integers(0, 16, size=(4, 6))
-    labels = rng.integers(0, 3, size=4)
-    lid = "blk0.q"
-    adapter = init_adapter(16, 16, 2, 8.0, seed=11, layer_id=lid, dtype=np.float64)
-    adapter.up.data = rng.normal(scale=0.2, size=adapter.up.shape)
-    results = []
-
-    def loss_fn(down, up):
-        ad = Tensor(down, dtype=np.float64)
-        au = Tensor(up, dtype=np.float64)
-        return cross_entropy(model.forward(
-            tokens, {lid: matmul(ad, au)}, 4.0), labels).item()
-
-    with Tape() as tape:
-        out = cross_entropy(model.forward(
-            tokens, {lid: matmul(adapter.down, adapter.up)}, 4.0), labels)
-        tape.backward(out)
-    analytic = {0: adapter.down.grad.copy(), 1: adapter.up.grad.copy()}
-    adapter.down.zero_grad()
-    adapter.up.zero_grad()
-    for name, idx in (("model_down_factor", 0), ("model_up_factor", 1)):
-        numeric = numeric_grad(loss_fn, [adapter.down.data, adapter.up.data], idx)
-        results.append((name, rel_error(analytic[idx], numeric), 1e-4))
-
-    past = rng.normal(size=(16, 16))
-    def pen_fn(down, up):
-        dw = matmul(Tensor(down, dtype=np.float64), Tensor(up, dtype=np.float64))
-        return ella_penalty(dw, None, past, 2.0, step=0, start_step=5).item()
-    with Tape() as tape:
-        dw = matmul(adapter.down, adapter.up)
-        tape.backward(ella_penalty(dw, None, past, 2.0, step=0, start_step=5))
-    numeric = numeric_grad(pen_fn, [adapter.down.data, adapter.up.data], 1)
-    results.append(("overlap_penalty", rel_error(adapter.up.grad, numeric), 1e-4))
-    return results
-
-
-def run_gradcheck(verbose: bool = True) -> int:
-    checks = _fd_checks() + [_psi_casewise_check()] + _model_gradient_checks()
-    failed = 0
-    for name, err, tol in checks:
-        ok = err < tol
-        failed += 0 if ok else 1
-        if verbose:
-            unit = "ulp" if name.endswith("casewise") else "rel_err"
-            print(f"{'PASS' if ok else 'FAIL'}  {name:32s} max_{unit}={err:.3e}  tol={tol:.0e}")
-    if verbose:
-        print(f"{len(checks) - failed}/{len(checks)} gradient checks passed")
-    return 0 if failed == 0 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +107,15 @@ def _run_single(payload) -> dict:
     }
 
 
+def _run_grid_point(payload):
+    """Summary of one (order, seed) run, or (order, seed, repr(exc)) if it raised."""
+    try:
+        return _run_single(payload)
+    except Exception as exc:  # noqa: BLE001 - one failed run must not lose the grid
+        traceback.print_exc()
+        return (payload[1], payload[2], repr(exc))
+
+
 def cmd_run(config_path: str, jobs: int = 1) -> int:
     try:
         cfg = load_config(config_path)
@@ -273,20 +129,14 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
     cfg_text = format_config(cfg)
     payloads = [(cfg_text, o, s, str(out))
                 for o in range(cfg.n_orders) for s in cfg.seeds]
-    summaries = []
-    failures = []
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            outcomes = pool.map(_run_single, payloads)
-        summaries.extend(outcomes)
+            outcomes = pool.map(_run_grid_point, payloads)
     else:
-        for payload in payloads:
-            try:
-                summaries.append(_run_single(payload))
-            except Exception as exc:  # noqa: BLE001 - flag partial artifacts
-                failures.append((payload[1], payload[2], repr(exc)))
-
-    summaries.sort(key=lambda r: (r["order"], r["seed"]))
+        outcomes = list(map(_run_grid_point, payloads))
+    failures = [r for r in outcomes if isinstance(r, tuple)]
+    summaries = sorted((r for r in outcomes if isinstance(r, dict)),
+                       key=lambda r: (r["order"], r["seed"]))
     metric_lines = ["metric,order,seed,value"]
     for r in summaries:
         for name in ("oa", "bwt", "fwt", "mean_sparsity", "mean_pairwise_jaccard"):
@@ -390,7 +240,8 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run the configured experiment grid")
     p_run.add_argument("--config", required=True, help="path to a key = value config file")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes for (order, seed) runs")
+                       help="parallel worker processes for (order, seed) runs; "
+                            "a failed run is reported in report.txt at any job count")
 
     sub.add_parser("gradcheck", help="finite-difference and kernel gradient checks")
 

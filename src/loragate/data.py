@@ -8,7 +8,7 @@ attention pathways while the tasks themselves stay separable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,7 +24,6 @@ class Task:
     task_id: int
     classes: list[int]  # global class ids, disjoint across the stream
     splits: dict[str, Split]
-    signature_tokens: dict[int, list[int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -135,7 +134,6 @@ def generate_task_stream(
             order = rng.permutation(len(labels))
             splits[split] = (tokens[order].astype(np.int64),
                              (labels[order] + classes[0]).astype(np.int64))
-        tasks.append(Task(task_id=t, classes=classes, splits=splits,
-                          signature_tokens=signatures))
+        tasks.append(Task(task_id=t, classes=classes, splits=splits))
     return TaskStream(tasks=tasks, vocab_size=vocab_size, seq_len=seq_len,
                       num_classes=n_tasks * classes_per_task)

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import arrayio
 from .autodiff import Tensor, frobenius_sq, mul, scale
 from .errors import ConfigError, ShapeError, StateError
 
@@ -19,15 +18,14 @@ class EllaVariant(enum.Enum):
 
 @dataclass
 class EllaState:
-    """Accumulated past updates per adapted layer, plus the per-task weights."""
+    """Accumulated past updates per adapted layer."""
 
     past: dict[str, np.ndarray]
-    penalty_weights: list[float] = field(default_factory=list)
 
 
-def make_ella_state(layer_shapes: dict[str, tuple], weights, dtype=np.float32) -> EllaState:
+def make_ella_state(layer_shapes: dict[str, tuple], dtype=np.float32) -> EllaState:
     past = {lid: np.zeros(shape, dtype=dtype) for lid, shape in layer_shapes.items()}
-    return EllaState(past=past, penalty_weights=[float(w) for w in weights])
+    return EllaState(past=past)
 
 
 def ella_penalty(
@@ -65,12 +63,3 @@ def update_past(state: EllaState, dw_final: np.ndarray, layer_id: str) -> EllaSt
     state.past[layer_id] = current + dw
     return state
 
-
-def save_ella_state(directory, state: EllaState) -> None:
-    arrayio.save_arrays(directory, dict(state.past),
-                        {"penalty_weights": state.penalty_weights})
-
-
-def load_ella_state(directory) -> EllaState:
-    arrays, meta = arrayio.load_arrays(directory)
-    return EllaState(past=arrays, penalty_weights=list(meta.get("penalty_weights", [])))

@@ -11,3 +11,7 @@ class ConfigError(ValueError):
 
 class StateError(RuntimeError):
     """An object was used in a way its lifecycle does not allow."""
+
+
+class StoreError(ValueError):
+    """An array store's names or manifest entries are not usable as files."""

@@ -31,15 +31,15 @@ from .adapter import (
     merge,
 )
 from .autodiff import Tape, add, cross_entropy
-from .config import ExperimentConfig, Method
+from .config import ExperimentConfig
 from .data import TaskStream
 from .ella import EllaState, EllaVariant, ella_penalty, make_ella_state, update_past
-from .errors import ConfigError
+from .errors import ConfigError, StateError
 from .metrics import AccuracyMatrix
 from .model import TinyTransformer, build_model
 from .optim import AdamW
 from .rng import named_rng, named_seed
-from .schedule import Schedule, gamma, schedule_from_fractions
+from .schedule import gamma, schedule_from_fractions
 
 log = logging.getLogger(__name__)
 
@@ -71,9 +71,9 @@ def inject_adapters(
     config: ExperimentConfig,
     run_seed: int,
     task_id: int,
-    gating: bool,
 ) -> tuple[dict[str, Adapter], Optional[dict[str, JumpGate]]]:
-    """Fresh adapters for every adapted layer, plus shared gates when gating.
+    """Fresh adapters for every adapted layer, plus shared gates when the
+    configured method is gated.
 
     Adapter seeds are derived from (run seed, task id, layer id), so the same
     task gets bit-identical initialization in stream and isolated runs.
@@ -84,9 +84,8 @@ def inject_adapters(
         adapters[lid] = init_adapter(
             d_in, d_out, config.rank, config.alpha,
             seed=named_seed(run_seed, f"adapter/task{task_id}/{lid}"),
-            layer_id=lid,
         )
-    if not gating:
+    if not config.method.gated:
         return adapters, None
     gates: dict[str, JumpGate] = {}
     if config.gate_scope is GateScope.GLOBAL:
@@ -101,8 +100,7 @@ def inject_adapters(
     return adapters, gates
 
 
-def _scope_units(adapters: dict[str, Adapter],
-                 gates: dict[str, JumpGate]) -> dict[int, tuple[JumpGate, list[str]]]:
+def _scope_units(gates: dict[str, JumpGate]) -> dict[int, tuple[JumpGate, list[str]]]:
     units: dict[int, tuple[JumpGate, list[str]]] = {}
     for lid, gate in gates.items():
         units.setdefault(id(gate), (gate, []))[1].append(lid)
@@ -110,7 +108,7 @@ def _scope_units(adapters: dict[str, Adapter],
 
 
 def _initialize_gates(adapters: dict[str, Adapter], gates: dict[str, JumpGate]) -> None:
-    for gate, lids in _scope_units(adapters, gates).values():
+    for gate, lids in _scope_units(gates).values():
         updates = [adapters[lid].down.data @ adapters[lid].up.data for lid in lids]
         budget = sum(adapters[lid].budget() for lid in lids)
         gate.threshold.data = np.asarray(init_threshold(updates, budget),
@@ -127,13 +125,14 @@ def train_task(
     config: ExperimentConfig,
     penalty_weight: float = 0.0,
     ella_state: Optional[EllaState] = None,
-    variant: EllaVariant = EllaVariant.SPARSE,
     run_seed: int = 0,
 ) -> TaskLog:
     """One epoch over the task's training split, exactly the per-step recipe:
     threshold init at the schedule start, interpolation factor update, dense /
     gated / interpolated updates, forward, loss plus optional overlap penalty,
-    and an optimizer step over the factors and thresholds."""
+    and an optimizer step over the factors and thresholds.
+
+    A non-finite loss raises ``StateError`` naming the task and the step."""
     tokens, labels = stream.fetch(task_id, "train")
     n = len(labels)
     if n == 0:
@@ -142,18 +141,14 @@ def train_task(
     total_steps = math.ceil(n / batch)
     sched = schedule_from_fractions(total_steps, config.start_frac, config.end_frac)
     gating = gates is not None
+    sparse_penalty = config.ella_variant is EllaVariant.SPARSE
     scaling = config.alpha / config.rank
 
     params = []
     for lid in model.adapted_layers:
         params.extend((adapters[lid].down, adapters[lid].up))
-    thresholds = []
-    if gating:
-        seen = set()
-        for gate in gates.values():
-            if id(gate) not in seen:
-                seen.add(id(gate))
-                thresholds.append(gate.threshold)
+    thresholds = ([gate.threshold for gate, _ in _scope_units(gates).values()]
+                  if gating else [])
     opt = AdamW(params + thresholds, lr=config.learning_rate,
                 weight_decay=config.weight_decay, no_decay=thresholds,
                 warmup_steps=config.warmup_steps)
@@ -182,7 +177,7 @@ def train_task(
                 if gating and gates[lid].initialized:
                     dj = jump_update(dw, gates[lid])
                     di = interpolate_update(dw, dj, g)
-                    gated_for_penalty[lid] = dj if variant is EllaVariant.SPARSE else di
+                    gated_for_penalty[lid] = dj if sparse_penalty else di
                 else:
                     di = dw
                     gated_for_penalty[lid] = None
@@ -198,12 +193,13 @@ def train_task(
                                        penalty_weight, s, sched.start_step)
                     loss = add(loss, pen)
             losses[s] = loss.item()
+            if not np.isfinite(losses[s]):
+                raise StateError(f"task {task_id}: non-finite loss {losses[s]} at step {s}")
             tape.backward(loss)
         opt.step()
         opt.zero_grad()
-        if gating:
-            for th in thresholds:
-                th.data = np.maximum(th.data, np.asarray(THRESHOLD_FLOOR, th.dtype))
+        for th in thresholds:
+            th.data = np.maximum(th.data, np.asarray(THRESHOLD_FLOOR, th.dtype))
 
     if gating and init_step is None:
         # schedule never reached its start inside this epoch
@@ -240,13 +236,12 @@ def resolve_order(n_tasks: int, order_index: int, data_seed: int) -> list[int]:
     return [int(t) for t in rng.permutation(n_tasks)]
 
 
-def _finish_task(model, adapters, gates, config, gating, scaling,
-                 ella_state, penalty_scaled):
+def _finish_task(model, adapters, gates, scaling, ella_state, penalty_scaled):
     """Hard-threshold, merge, mask, and accumulate the past-update state."""
     masks = {}
     merged = {}
     for lid in model.adapted_layers:
-        if gating:
+        if gates is not None:
             dw_final = final_sparse_update(adapters[lid], gates[lid])
         else:
             dw_final = adapters[lid].down.data @ adapters[lid].up.data
@@ -259,77 +254,67 @@ def _finish_task(model, adapters, gates, config, gating, scaling,
     return masks, merged
 
 
+def _train_and_merge(model, stream, task_id, config, seed, penalty_weight=0.0,
+                     ella_state=None):
+    """Train one task on fresh adapters, then merge them into ``model``.
+
+    Returns the task log plus the support mask and merged update per layer.
+    """
+    adapters, gates = inject_adapters(model, config, seed, task_id)
+    task_log = train_task(model, adapters, gates, stream, task_id, config,
+                          penalty_weight=penalty_weight, ella_state=ella_state,
+                          run_seed=seed)
+    masks, merged = _finish_task(model, adapters, gates, config.alpha / config.rank,
+                                 ella_state, config.ella_scale_past)
+    return task_log, masks, merged
+
+
 def run_stream(
     stream: TaskStream,
     config: ExperimentConfig,
     seed: int,
     order: Optional[list[int]] = None,
-    *,
-    gating: Optional[bool] = None,
-    penalty_weights: Optional[list[float]] = None,
-    variant: Optional[EllaVariant] = None,
 ) -> RunResult:
-    """Full stream pass plus per-task isolated runs.
-
-    The keyword axes override the method presets so degenerate modes (gating
-    off, zero penalty) can be compared against the named baselines directly.
-    """
-    if gating is None:
-        gating = config.method.gated
-    if penalty_weights is None:
-        penalty_weights = (config.penalty_weights() if config.method.penalized
-                           else [0.0] * len(stream))
-    if variant is None:
-        variant = config.ella_variant
+    """Full stream pass plus per-task isolated runs."""
+    penalty_weights = (config.penalty_weights() if config.method.penalized
+                       else [0.0] * len(stream))
     if len(penalty_weights) != len(stream):
         raise ConfigError(
             f"{len(penalty_weights)} penalty weights for {len(stream)} tasks"
         )
     order = list(range(len(stream))) if order is None else list(order)
-    scaling = config.alpha / config.rank
     hasher = hashlib.sha256()
 
     base = build_model(config.vocab_size, config.d_model, config.n_heads,
                        config.n_blocks, config.max_seq_len, stream.num_classes,
                        seed=seed)
 
-    use_penalty = any(w > 0 for w in penalty_weights)
-    layer_shapes = {lid: base.layer_shape(lid) for lid in base.adapted_layers}
-
     model = base.clone()
-    ella_state = make_ella_state(layer_shapes, penalty_weights) if use_penalty else None
+    ella_state = None
+    if any(w > 0 for w in penalty_weights):
+        ella_state = make_ella_state({lid: base.layer_shape(lid)
+                                      for lid in base.adapted_layers})
     matrix = AccuracyMatrix(len(stream))
     masks: dict[tuple[int, str], np.ndarray] = {}
     logs: list[TaskLog] = []
 
     for pos, tid in enumerate(order):
-        adapters, gates = inject_adapters(model, config, seed, tid, gating)
-        task_log = train_task(model, adapters, gates, stream, tid, config,
-                              penalty_weight=penalty_weights[pos],
-                              ella_state=ella_state, variant=variant,
-                              run_seed=seed)
+        task_log, task_masks, merged = _train_and_merge(
+            model, stream, tid, config, seed, penalty_weights[pos], ella_state)
         task_log.position = pos
         logs.append(task_log)
-        task_masks, merged = _finish_task(model, adapters, gates, config, gating,
-                                          scaling, ella_state,
-                                          config.ella_scale_past)
         for lid in model.adapted_layers:
             masks[(pos, lid)] = task_masks[lid]
         hasher.update(task_log.losses.tobytes())
         for lid in sorted(merged):
             hasher.update(merged[lid].tobytes())
-        del adapters, gates  # adapters leave the model after the merge
         for j in range(pos + 1):
             matrix.set(pos + 1, j, evaluate(model, stream, order[j]))
 
+    # An isolated run starts from an empty past, which never adds a penalty.
     for pos, tid in enumerate(order):
         iso = base.clone()
-        adapters, gates = inject_adapters(iso, config, seed, tid, gating)
-        iso_state = make_ella_state(layer_shapes, penalty_weights) if use_penalty else None
-        train_task(iso, adapters, gates, stream, tid, config,
-                   penalty_weight=penalty_weights[pos], ella_state=iso_state,
-                   variant=variant, run_seed=seed)
-        _finish_task(iso, adapters, gates, config, gating, scaling, None, False)
+        _train_and_merge(iso, stream, tid, config, seed)
         matrix.set_isolated(pos, evaluate(iso, stream, tid))
 
     hasher.update(matrix.grid.tobytes())

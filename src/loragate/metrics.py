@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,22 +43,6 @@ class AccuracyMatrix:
     def final_row(self) -> np.ndarray:
         return self.grid[self.n_tasks]
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AccuracyMatrix)
-                and np.array_equal(self.grid, other.grid, equal_nan=True))
-
-
-@dataclass(frozen=True)
-class SupportMask:
-    """Binary support of one task's merged update for one adapted layer."""
-
-    layer_id: str
-    task_index: int
-    mask: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mask", np.asarray(self.mask) != 0)
-
 
 def overall_accuracy(acc: AccuracyMatrix) -> float:
     """Mean accuracy over all tasks after the final task finished training."""
@@ -93,19 +76,15 @@ def forward_transfer(acc: AccuracyMatrix) -> float:
     return float(np.mean(diffs))
 
 
-def _mask_array(m) -> np.ndarray:
-    return m.mask if isinstance(m, SupportMask) else np.asarray(m) != 0
-
-
 def sparsity(mask) -> float:
     """Fraction of entries zeroed out of the update."""
-    arr = _mask_array(mask)
+    arr = np.asarray(mask) != 0
     return float((arr.size - np.count_nonzero(arr)) / arr.size)
 
 
 def jaccard_overlap(m1, m2) -> float:
     """Intersection over union of two supports; 0 when both are empty."""
-    a, b = _mask_array(m1), _mask_array(m2)
+    a, b = np.asarray(m1) != 0, np.asarray(m2) != 0
     if a.shape != b.shape:
         raise ShapeError(f"mask shapes differ: {a.shape} vs {b.shape}")
     union = np.count_nonzero(a | b)

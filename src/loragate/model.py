@@ -15,7 +15,6 @@ import numpy as np
 from .autodiff import (
     Tensor,
     add,
-    cross_entropy,
     embed,
     layer_norm,
     matmul,
@@ -60,11 +59,6 @@ class TinyTransformer:
         return TinyTransformer(self.vocab_size, self.d_model, self.n_heads,
                                self.n_blocks, self.max_seq_len, self.num_classes,
                                params)
-
-    def apply_merge(self, layer_id: str, dw_final: np.ndarray, scaling: float) -> None:
-        """Fold a finished task's update into the frozen base weight."""
-        w = self.params[layer_id]
-        w.data = w.data + float(scaling) * np.asarray(dw_final, dtype=w.dtype)
 
     def forward(
         self,
@@ -111,13 +105,6 @@ class TinyTransformer:
             return base
         return add(base, scale(updates[layer_id], scaling))
 
-    def loss(self, tokens: np.ndarray, labels: np.ndarray,
-             updates=None, scaling: float = 0.0) -> Tensor:
-        return cross_entropy(self.forward(tokens, updates, scaling), labels)
-
-    def param_count(self) -> int:
-        return sum(t.data.size for t in self.params.values())
-
 
 def build_model(
     vocab_size: int = 64,
@@ -163,12 +150,3 @@ def build_model(
     return TinyTransformer(vocab_size, d_model, n_heads, n_blocks, max_seq_len,
                            num_classes, params)
 
-
-def expected_param_count(vocab_size, d_model, n_heads, n_blocks, max_seq_len,
-                         num_classes) -> int:
-    """Closed-form parameter count matching ``build_model``."""
-    per_block = 4 * d_model * d_model + 2 * MLP_RATIO * d_model * d_model + 4 * d_model
-    return ((vocab_size + max_seq_len) * d_model
-            + n_blocks * per_block
-            + 2 * d_model
-            + d_model * num_classes)

@@ -4,7 +4,6 @@ import pytest
 from loragate.adapter import (
     Adapter,
     GateScope,
-    JumpGate,
     THRESHOLD_FLOOR,
     dense_update,
     final_sparse_update,
@@ -12,12 +11,10 @@ from loragate.adapter import (
     init_threshold,
     interpolate_update,
     jump_update,
-    load_adapter,
     make_gate,
     merge,
-    save_adapter,
 )
-from loragate.autodiff import Tape, Tensor, frobenius_sq, mean
+from loragate.autodiff import Tape, Tensor, frobenius_sq
 from loragate.errors import ConfigError, ShapeError, StateError
 
 
@@ -255,20 +252,3 @@ class TestFinalUpdateAndMerge:
         changed = merged.data != 0
         assert changed.sum() == 2 and merged.data[0, 0] == 2.0 and merged.data[3, 3] == 4.0
 
-
-class TestCheckpointRoundTrip:
-    def test_bit_exact(self, tmp_path, rng):
-        ad = init_adapter(12, 8, 4, 16.0, seed=21, layer_id="blk1.v")
-        ad.up.data = rng.normal(size=(4, 8)).astype(np.float32)
-        gate = gate_with(0.123456789, scope=GateScope.PER_BLOCK)
-        mask = (rng.random((12, 8)) > 0.5).astype(np.float32)
-        save_adapter(tmp_path / "ckpt", ad, gate, mask)
-        back, gate2, mask2 = load_adapter(tmp_path / "ckpt")
-        np.testing.assert_array_equal(back.down.data, ad.down.data)
-        np.testing.assert_array_equal(back.up.data, ad.up.data)
-        np.testing.assert_array_equal(mask2, mask)
-        assert back.layer_id == "blk1.v"
-        assert back.rank == 4 and back.alpha == 16.0 and back.scaling == 4.0
-        assert gate2.threshold.data == gate.threshold.data
-        assert gate2.scope is GateScope.PER_BLOCK
-        assert gate2.initialized

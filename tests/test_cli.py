@@ -1,11 +1,9 @@
-from pathlib import Path
-
-import numpy as np
 import pytest
 
 import loragate.autodiff as autodiff
 import loragate.cli as cli
 from loragate.cli import cmd_analyze, cmd_run, main, run_gradcheck
+from loragate.errors import StateError
 
 TINY = """\
 vocab_size = 24
@@ -92,6 +90,31 @@ class TestRun:
         cmd_run(str(write_config(tmp_path, text=text, out=par_out)), jobs=2)
         for name in ("metrics.csv", "accuracy_o0_s42.csv", "accuracy_o0_s43.csv"):
             assert (serial_out / name).read_bytes() == (par_out / name).read_bytes()
+
+    def test_failed_run_reported_alike_at_any_job_count(self, tmp_path, monkeypatch):
+        run_stream = cli.run_stream
+
+        def fail_seed_43(stream, config, seed, order=None):
+            if seed == 43:
+                raise StateError("injected failure")
+            return run_stream(stream, config, seed, order=order)
+
+        # pool workers fork from this process, so they see the patch too
+        monkeypatch.setattr(cli, "run_stream", fail_seed_43)
+        text = TINY.replace("seeds = 42", "seeds = 42,43")
+        outs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            cfg = tmp_path / f"jobs{jobs}.cfg"
+            cfg.write_text(text.format(out=out))
+            assert cmd_run(str(cfg), jobs=jobs) == 1
+            outs.append(out)
+        for name in ("report.txt", "metrics.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        report = (outs[0] / "report.txt").read_text()
+        assert "order 0 seed 42: OA=" in report
+        assert "INCOMPLETE: some runs failed" in report
+        assert "order 0 seed 43: StateError('injected failure')" in report
 
 
 class TestGradcheck:

@@ -39,12 +39,14 @@ class TestGeneration:
 
     def test_signature_bands_disjoint_across_tasks(self):
         stream = generate_task_stream(2, 4, samples_per_class=8)
+        background = stream.vocab_size // 2  # tokens below it are shared by all tasks
         seen = set()
         for task in stream.tasks:
-            band = {tok for sig in task.signature_tokens.values() for tok in sig}
+            band = {int(tok) for tokens, _ in task.splits.values()
+                    for tok in tokens[tokens >= background]}
+            assert band
             assert not (band & seen)
             seen |= band
-        assert min(seen) >= stream.vocab_size // 2  # background pool stays shared
 
     def test_splits_disjoint_within_task(self):
         stream = generate_task_stream(3, 2, samples_per_class=32)

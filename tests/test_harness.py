@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+import loragate.harness as harness
 from loragate.adapter import final_sparse_update
 from loragate.config import ExperimentConfig, Method
 from loragate.data import generate_task_stream
-from loragate.ella import EllaVariant
-from loragate.errors import ConfigError
+from loragate.errors import ConfigError, StateError
 from loragate.harness import (
     evaluate,
     inject_adapters,
@@ -41,7 +41,7 @@ class TestTrainTask:
         cfg = tiny_config(samples_per_class=48, batch_size=8)  # 12 steps
         stream = stream_for(cfg)
         model = fresh_model(cfg, stream, 42)
-        adapters, gates = inject_adapters(model, cfg, 42, 0, gating=True)
+        adapters, gates = inject_adapters(model, cfg, 42, 0)
         log = train_task(model, adapters, gates, stream, 0, cfg, run_seed=42)
         total = log.total_steps
         assert total == 12
@@ -68,7 +68,7 @@ class TestTrainTask:
         model = fresh_model(cfg, stream, 42)
         accessed = []
         stream.on_access = lambda tid, split: accessed.append((tid, split))
-        adapters, gates = inject_adapters(model, cfg, 42, 1, gating=True)
+        adapters, gates = inject_adapters(model, cfg, 42, 1)
         train_task(model, adapters, gates, stream, 1, cfg, run_seed=42)
         assert accessed == [(1, "train")]
 
@@ -78,9 +78,18 @@ class TestTrainTask:
         empty = (np.zeros((0, cfg.seq_len), dtype=np.int64), np.zeros(0, dtype=np.int64))
         stream.tasks[0].splits["train"] = empty
         model = fresh_model(cfg, stream, 42)
-        adapters, gates = inject_adapters(model, cfg, 42, 0, gating=True)
+        adapters, gates = inject_adapters(model, cfg, 42, 0)
         with pytest.raises(ConfigError):
             train_task(model, adapters, gates, stream, 0, cfg, run_seed=42)
+
+    def test_nonfinite_loss_raises_naming_task_and_step(self):
+        cfg = tiny_config()
+        stream = stream_for(cfg)
+        model = fresh_model(cfg, stream, 42)
+        model.params["head"].data[0, 0] = np.nan
+        adapters, gates = inject_adapters(model, cfg, 42, 1)
+        with pytest.raises(StateError, match=r"task 1: non-finite loss nan at step 0"):
+            train_task(model, adapters, gates, stream, 1, cfg, run_seed=42)
 
 
 class TestEvaluate:
@@ -126,7 +135,7 @@ class TestRunStream:
         result = run_stream(stream, cfg, seed=42)
         # reconstruct task 0 exactly: same model seed, adapter seeds, data order
         model = fresh_model(cfg, stream, 42)
-        adapters, gates = inject_adapters(model, cfg, 42, 0, gating=True)
+        adapters, gates = inject_adapters(model, cfg, 42, 0)
         train_task(model, adapters, gates, stream, 0, cfg, run_seed=42)
         for lid in model.adapted_layers:
             dwf = final_sparse_update(adapters[lid], gates[lid])
@@ -190,21 +199,32 @@ class TestRunStream:
 
 class TestDegenerateModes:
     def test_gating_off_zero_penalty_is_inclora(self):
-        cfg_axes = tiny_config(method=Method.JUMP_ELLA, ella_lambda=[0.0])
+        cfg_ella = tiny_config(method=Method.ELLA, ella_lambda=[0.0])
         cfg_base = tiny_config(method=Method.INCLORA)
-        r_axes = run_stream(stream_for(cfg_axes), cfg_axes, seed=42,
-                            gating=False, penalty_weights=[0.0, 0.0])
+        r_ella = run_stream(stream_for(cfg_ella), cfg_ella, seed=42)
         r_base = run_stream(stream_for(cfg_base), cfg_base, seed=42)
-        assert r_axes.trace_hash == r_base.trace_hash
+        assert r_ella.trace_hash == r_base.trace_hash
 
-    def test_gating_off_with_penalty_is_ella(self):
-        weights = [0.0, 50.0]
-        cfg_axes = tiny_config(method=Method.JUMP_ELLA, ella_lambda=weights)
-        cfg_base = tiny_config(method=Method.ELLA, ella_lambda=weights)
-        r_axes = run_stream(stream_for(cfg_axes), cfg_axes, seed=42,
-                            gating=False, penalty_weights=weights)
-        r_base = run_stream(stream_for(cfg_base), cfg_base, seed=42)
-        assert r_axes.trace_hash == r_base.trace_hash
+    def test_penalty_applies_only_to_stream_tasks_after_the_first(self, monkeypatch):
+        logs = []
+        train = harness.train_task
+
+        def recording_train_task(*args, **kwargs):
+            logs.append(train(*args, **kwargs))
+            return logs[-1]
+
+        monkeypatch.setattr(harness, "train_task", recording_train_task)
+        losses = {}
+        for method, lam in ((Method.ELLA, 50.0), (Method.INCLORA, 0.0)):
+            cfg = tiny_config(method=method, ella_lambda=[lam])
+            logs.clear()
+            run_stream(stream_for(cfg), cfg, seed=42)
+            losses[method] = [log.losses for log in logs]  # 2 stream, then 2 isolated
+        ella, base = losses[Method.ELLA], losses[Method.INCLORA]
+        np.testing.assert_array_equal(ella[0], base[0])  # the past is still empty
+        assert not np.array_equal(ella[1], base[1])
+        for e, b in zip(ella[2:], base[2:]):  # isolated runs start from an empty past
+            np.testing.assert_array_equal(e, b)
 
     def test_gated_methods_diverge_only_after_gamma_turns_on(self):
         cfg_inc = tiny_config(method=Method.INCLORA, samples_per_class=48, batch_size=8)

@@ -4,7 +4,6 @@ import pytest
 from loragate.errors import ShapeError, StateError
 from loragate.metrics import (
     AccuracyMatrix,
-    SupportMask,
     backward_transfer,
     forward_transfer,
     jaccard_overlap,
@@ -142,10 +141,6 @@ class TestSparsity:
         mask = np.ones(10)
         mask[:3] = 0
         assert sparsity(mask) == pytest.approx(0.3)
-
-    def test_support_mask_wrapper(self):
-        sm = SupportMask(layer_id="blk0.q", task_index=0, mask=np.array([1, 0, 1, 0]))
-        assert sparsity(sm) == 0.5
 
     def test_nondecreasing_in_threshold(self, rng):
         dw = rng.normal(size=(20, 20))
