@@ -33,8 +33,6 @@ class Adapter:
     down: Tensor  # [d_in, r]
     up: Tensor    # [r, d_out]
     rank: int
-    alpha: float
-    scaling: float
 
     @property
     def d_in(self) -> int:
@@ -53,22 +51,20 @@ class Adapter:
 class JumpGate:
     threshold: Tensor  # scalar, learnable
     bandwidth: float
-    scope: GateScope
     initialized: bool = False
 
 
-def make_gate(bandwidth: float, scope: GateScope, dtype=np.float32) -> JumpGate:
+def make_gate(bandwidth: float, dtype=np.float32) -> JumpGate:
     if bandwidth <= 0:
         raise ConfigError(f"gate bandwidth must be positive, got {bandwidth}")
     threshold = Tensor(np.zeros((), dtype=dtype), requires_grad=True)
-    return JumpGate(threshold=threshold, bandwidth=bandwidth, scope=scope)
+    return JumpGate(threshold=threshold, bandwidth=bandwidth)
 
 
 def init_adapter(
     d_in: int,
     d_out: int,
     rank: int,
-    alpha: float,
     seed: int,
     dtype=np.float32,
 ) -> Adapter:
@@ -79,8 +75,6 @@ def init_adapter(
     """
     if d_in < 1 or d_out < 1 or rank < 1:
         raise ConfigError(f"dimensions must be positive, got ({d_in}, {d_out}, {rank})")
-    if alpha <= 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
     if rank > min(d_in, d_out):
         warnings.warn(
             f"rank {rank} exceeds min(d_in, d_out) = {min(d_in, d_out)}; "
@@ -95,8 +89,6 @@ def init_adapter(
         down=Tensor(down, requires_grad=True),
         up=Tensor(up, requires_grad=True),
         rank=rank,
-        alpha=float(alpha),
-        scaling=float(alpha) / rank,
     )
 
 

@@ -28,6 +28,10 @@ from .metrics import (
 
 ENV_OUTPUT_ROOT = "LORAGATE_OUTPUT_ROOT"
 
+# Isolated accuracies per (config text, seed), shared by the orders of one
+# grid; ``cmd_run`` clears it, and each pool worker fills its own copy.
+_ISOLATED: dict[tuple[str, int], dict[int, float]] = {}
+
 
 # ---------------------------------------------------------------------------
 # run
@@ -78,7 +82,8 @@ def _run_single(payload) -> dict:
                                   cfg.difficulty, cfg.classes_per_task,
                                   cfg.seq_len, cfg.vocab_size)
     order = resolve_order(cfg.n_tasks, order_index, cfg.data_seed)
-    result = run_stream(stream, cfg, seed, order=order)
+    result = run_stream(stream, cfg, seed, order=order,
+                        isolated=_ISOLATED.setdefault((cfg_text, seed), {}))
 
     _write_accuracy_csv(out / f"accuracy_o{order_index}_s{seed}.csv", result.matrix)
     mask_root = out / "masks" / f"o{order_index}_s{seed}"
@@ -129,6 +134,7 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
     cfg_text = format_config(cfg)
     payloads = [(cfg_text, o, s, str(out))
                 for o in range(cfg.n_orders) for s in cfg.seeds]
+    _ISOLATED.clear()
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             outcomes = pool.map(_run_grid_point, payloads)
@@ -241,7 +247,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True, help="path to a key = value config file")
     p_run.add_argument("--jobs", type=int, default=1,
                        help="parallel worker processes for (order, seed) runs; "
-                            "a failed run is reported in report.txt at any job count")
+                            "isolated runs are shared only among the runs of one "
+                            "worker; a failed run is reported in report.txt at any "
+                            "job count")
 
     sub.add_parser("gradcheck", help="finite-difference and kernel gradient checks")
 

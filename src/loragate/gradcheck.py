@@ -157,7 +157,7 @@ def _model_gradient_checks() -> list[tuple[str, float, float]]:
     tokens = rng.integers(0, 16, size=(4, 6))
     labels = rng.integers(0, 3, size=4)
     lid = "blk0.q"
-    adapter = init_adapter(16, 16, 2, 8.0, seed=11, dtype=np.float64)
+    adapter = init_adapter(16, 16, 2, seed=11, dtype=np.float64)
     adapter.up.data = rng.normal(scale=0.2, size=adapter.up.shape)
     results = []
 

@@ -4,6 +4,17 @@ For each task: inject fresh adapters, train one epoch with the gated update
 interpolation, hard-threshold and merge the final update, record the support
 mask, optionally accumulate the overlap-penalty state, then drop the adapters.
 Isolated single-task runs fill the reference row of the accuracy matrix.
+
+An isolated run depends only on (config, stream, seed, task id), so a caller
+that runs several orders of one stream can pass ``run_stream`` one dict of
+isolated accuracies and have each task trained alone at most once. Two
+invariants make that exact:
+
+- the isolated run of a task trains the same adapters (seeded from the run seed
+  and task id) on the same shuffle from a clone of the same base model,
+  whichever order asked for it;
+- stream position 0 is such a run: an all-zero past never adds the overlap
+  penalty, so its accuracy after training is the isolated accuracy.
 """
 
 from __future__ import annotations
@@ -82,18 +93,18 @@ def inject_adapters(
     for lid in model.adapted_layers:
         d_in, d_out = model.layer_shape(lid)
         adapters[lid] = init_adapter(
-            d_in, d_out, config.rank, config.alpha,
+            d_in, d_out, config.rank,
             seed=named_seed(run_seed, f"adapter/task{task_id}/{lid}"),
         )
     if not config.method.gated:
         return adapters, None
     gates: dict[str, JumpGate] = {}
     if config.gate_scope is GateScope.GLOBAL:
-        shared = make_gate(config.bandwidth, GateScope.GLOBAL)
+        shared = make_gate(config.bandwidth)
         for lid in model.adapted_layers:
             gates[lid] = shared
     else:
-        per_block = {i: make_gate(config.bandwidth, GateScope.PER_BLOCK)
+        per_block = {i: make_gate(config.bandwidth)
                      for i in range(model.n_blocks)}
         for lid in model.adapted_layers:
             gates[lid] = per_block[model.block_of(lid)]
@@ -220,6 +231,8 @@ def evaluate(model: TinyTransformer, stream: TaskStream, task_id: int,
              chunk: int = 256) -> float:
     """Task-agnostic test accuracy: argmax over the full union class head."""
     tokens, labels = stream.fetch(task_id, "test")
+    if len(labels) == 0:
+        raise ConfigError(f"task {task_id} has no test data")
     correct = 0
     for lo in range(0, len(labels), chunk):
         logits = model.forward(tokens[lo:lo + chunk]).data
@@ -274,8 +287,20 @@ def run_stream(
     config: ExperimentConfig,
     seed: int,
     order: Optional[list[int]] = None,
+    isolated: Optional[dict[int, float]] = None,
 ) -> RunResult:
-    """Full stream pass plus per-task isolated runs."""
+    """Full stream pass plus per-task isolated runs.
+
+    ``isolated`` maps task id to the accuracy of that task trained alone under
+    this config, stream and seed; the caller owns it and may pass the same dict
+    to runs of other orders. Stream position 0 fills the entry of ``order[0]``
+    if it is missing, every other missing task is trained alone from the base
+    model and written back, and row 0 of the matrix is read from the dict. With
+    ``isolated=None`` a fresh dict is used. The results are the same as when
+    every task is trained alone, by the two invariants in the module
+    docstring: an isolated run does not depend on the order, and stream
+    position 0 is one. All stream trainings come before the isolated ones.
+    """
     penalty_weights = (config.penalty_weights() if config.method.penalized
                        else [0.0] * len(stream))
     if len(penalty_weights) != len(stream):
@@ -283,6 +308,7 @@ def run_stream(
             f"{len(penalty_weights)} penalty weights for {len(stream)} tasks"
         )
     order = list(range(len(stream))) if order is None else list(order)
+    isolated = {} if isolated is None else isolated
     hasher = hashlib.sha256()
 
     base = build_model(config.vocab_size, config.d_model, config.n_heads,
@@ -311,11 +337,16 @@ def run_stream(
         for j in range(pos + 1):
             matrix.set(pos + 1, j, evaluate(model, stream, order[j]))
 
-    # An isolated run starts from an empty past, which never adds a penalty.
+    # Position 0 started from the base with an empty past, which never adds a
+    # penalty, so it was the isolated run of order[0].
+    isolated.setdefault(order[0], float(matrix.grid[1, 0]))
+    for tid in order:
+        if tid not in isolated:
+            iso = base.clone()
+            _train_and_merge(iso, stream, tid, config, seed)
+            isolated[tid] = evaluate(iso, stream, tid)
     for pos, tid in enumerate(order):
-        iso = base.clone()
-        _train_and_merge(iso, stream, tid, config, seed)
-        matrix.set_isolated(pos, evaluate(iso, stream, tid))
+        matrix.set_isolated(pos, isolated[tid])
 
     hasher.update(matrix.grid.tobytes())
     return RunResult(order=order, matrix=matrix, masks=masks, logs=logs,

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from loragate.adapter import (
     Adapter,
-    GateScope,
     THRESHOLD_FLOOR,
     dense_update,
     final_sparse_update,
@@ -17,49 +19,49 @@ from loragate.adapter import (
 from loragate.autodiff import Tape, Tensor, frobenius_sq
 from loragate.errors import ConfigError, ShapeError, StateError
 
+PROPERTY = settings(max_examples=60, deadline=None)
+ENTRIES = st.floats(-4.0, 4.0, width=32)
+UPDATES = arrays(np.float32, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                 elements=ENTRIES)
 
-def gate_with(tau, bandwidth=1e-3, scope=GateScope.GLOBAL):
-    g = make_gate(bandwidth, scope)
+
+def gate_with(tau, bandwidth=1e-3):
+    g = make_gate(bandwidth)
     g.threshold.data = np.asarray(tau, dtype=np.float32)
     g.initialized = True
     return g
 
 
 class TestInitAdapter:
-    def test_scaling_from_rank_and_alpha(self):
-        ad = init_adapter(16, 16, 8, 32.0, seed=0)
-        assert ad.scaling == 4.0
-        assert ad.alpha / ad.rank == ad.scaling
-
     def test_up_factor_starts_at_zero(self):
-        ad = init_adapter(12, 10, 4, 8.0, seed=3)
+        ad = init_adapter(12, 10, 4, seed=3)
         assert not ad.up.data.any()
         np.testing.assert_array_equal(dense_update(ad).data, np.zeros((12, 10)))
 
     def test_down_factor_bound_is_pinned(self):
-        ad = init_adapter(64, 64, 8, 32.0, seed=5)
+        ad = init_adapter(64, 64, 8, seed=5)
         bound = np.sqrt(6.0 / 64)
         assert np.abs(ad.down.data).max() <= bound
         # a draw this size should come close to the bound
         assert np.abs(ad.down.data).max() > 0.9 * bound
 
     def test_same_seed_bit_identical(self):
-        a1 = init_adapter(32, 24, 8, 32.0, seed=77)
-        a2 = init_adapter(32, 24, 8, 32.0, seed=77)
+        a1 = init_adapter(32, 24, 8, seed=77)
+        a2 = init_adapter(32, 24, 8, seed=77)
         np.testing.assert_array_equal(a1.down.data, a2.down.data)
 
     def test_bad_dimensions_rejected(self):
         with pytest.raises(ConfigError):
-            init_adapter(0, 4, 2, 8.0, seed=0)
+            init_adapter(0, 4, 2, seed=0)
         with pytest.raises(ConfigError):
-            init_adapter(4, 4, 2, 0.0, seed=0)
+            init_adapter(4, 4, 0, seed=0)
 
     def test_oversized_rank_warns(self):
         with pytest.warns(UserWarning):
-            init_adapter(4, 4, 8, 8.0, seed=0)
+            init_adapter(4, 4, 8, seed=0)
 
     def test_factors_require_grad(self):
-        ad = init_adapter(8, 8, 2, 4.0, seed=1)
+        ad = init_adapter(8, 8, 2, seed=1)
         assert ad.down.requires_grad and ad.up.requires_grad
 
 
@@ -67,11 +69,11 @@ class TestDenseUpdate:
     def test_rank_one_product(self):
         ad = Adapter(down=Tensor([[1.0], [0.0]], requires_grad=True),
                      up=Tensor([[2.0, 3.0]], requires_grad=True),
-                     rank=1, alpha=1.0, scaling=1.0)
+                     rank=1)
         np.testing.assert_array_equal(dense_update(ad).data, [[2.0, 3.0], [0.0, 0.0]])
 
     def test_matches_independent_matmul(self, rng):
-        ad = init_adapter(9, 7, 3, 6.0, seed=2)
+        ad = init_adapter(9, 7, 3, seed=2)
         ad.up.data = rng.normal(size=(3, 7)).astype(np.float32)
         np.testing.assert_array_equal(dense_update(ad).data, ad.down.data @ ad.up.data)
 
@@ -107,13 +109,19 @@ class TestJumpUpdate:
         for lo, hi in zip(supports, supports[1:]):
             assert np.all(lo | ~hi)  # support(hi tau) is a subset of support(lo tau)
 
+    @PROPERTY
+    @given(dw=UPDATES, tau=st.floats(0.0, 4.0, width=32, exclude_min=True))
+    def test_equals_magnitude_mask_for_positive_threshold(self, dw, tau):
+        out = jump_update(Tensor(dw), gate_with(tau))
+        np.testing.assert_array_equal(out.data, dw * (np.abs(dw) > tau))
+
     def test_uninitialized_gate_rejected(self):
-        gate = make_gate(1e-3, GateScope.GLOBAL)
+        gate = make_gate(1e-3)
         with pytest.raises(StateError):
             jump_update(Tensor(np.ones((2, 2))), gate)
 
     def test_gradient_reaches_factors_and_threshold(self, rng):
-        ad = init_adapter(6, 6, 2, 4.0, seed=4)
+        ad = init_adapter(6, 6, 2, seed=4)
         ad.up.data = rng.normal(scale=0.5, size=(2, 6)).astype(np.float32)
         gate = gate_with(0.05)
         gate.threshold.requires_grad = True
@@ -203,10 +211,18 @@ class TestInitThreshold:
         assert tau == np.float32(0.5)
         assert (np.abs(vals.data) > tau).sum() <= 2
 
+    @PROPERTY
+    @given(pool=st.lists(UPDATES, min_size=1, max_size=3), data=st.data())
+    def test_at_most_budget_entries_above_threshold(self, pool, data):
+        # ties, zeros and several updates in one scope included
+        budget = data.draw(st.integers(0, sum(u.size for u in pool)))
+        tau = init_threshold(pool, budget)
+        assert sum(int((np.abs(u) > tau).sum()) for u in pool) <= budget
+
 
 class TestFinalUpdateAndMerge:
     def test_equals_gated_update(self, rng):
-        ad = init_adapter(10, 10, 3, 6.0, seed=9)
+        ad = init_adapter(10, 10, 3, seed=9)
         ad.up.data = rng.normal(scale=0.3, size=(3, 10)).astype(np.float32)
         dw = dense_update(ad)
         tau = float(np.median(np.abs(dw.data)))
@@ -215,13 +231,13 @@ class TestFinalUpdateAndMerge:
                                       jump_update(dw, gate).data)
 
     def test_huge_threshold_gives_zero(self, rng):
-        ad = init_adapter(6, 6, 2, 4.0, seed=9)
+        ad = init_adapter(6, 6, 2, seed=9)
         ad.up.data = rng.normal(size=(2, 6)).astype(np.float32)
         gate = gate_with(1e6)
         assert not final_sparse_update(ad, gate).any()
 
     def test_floor_threshold_keeps_large_entries(self, rng):
-        ad = init_adapter(6, 6, 2, 4.0, seed=10)
+        ad = init_adapter(6, 6, 2, seed=10)
         ad.up.data = rng.normal(size=(2, 6)).astype(np.float32)
         dw = ad.down.data @ ad.up.data
         out = final_sparse_update(ad, gate_with(THRESHOLD_FLOOR))

@@ -2,6 +2,7 @@ import pytest
 
 import loragate.autodiff as autodiff
 import loragate.cli as cli
+import loragate.harness as harness
 from loragate.cli import cmd_analyze, cmd_run, main, run_gradcheck
 from loragate.errors import StateError
 
@@ -94,10 +95,10 @@ class TestRun:
     def test_failed_run_reported_alike_at_any_job_count(self, tmp_path, monkeypatch):
         run_stream = cli.run_stream
 
-        def fail_seed_43(stream, config, seed, order=None):
+        def fail_seed_43(stream, config, seed, **kwargs):
             if seed == 43:
                 raise StateError("injected failure")
-            return run_stream(stream, config, seed, order=order)
+            return run_stream(stream, config, seed, **kwargs)
 
         # pool workers fork from this process, so they see the patch too
         monkeypatch.setattr(cli, "run_stream", fail_seed_43)
@@ -115,6 +116,34 @@ class TestRun:
         assert "order 0 seed 42: OA=" in report
         assert "INCOMPLETE: some runs failed" in report
         assert "order 0 seed 43: StateError('injected failure')" in report
+
+    def test_isolated_runs_trained_once_per_grid(self, tmp_path, monkeypatch):
+        text = TINY.replace("seeds = 42", "seeds = 42\nn_orders = 2")
+        artifacts = ["metrics.csv", "accuracy_o0_s42.csv", "accuracy_o1_s42.csv"]
+        run_stream = cli.run_stream
+
+        def unshared(stream, config, seed, order=None, isolated=None):
+            return run_stream(stream, config, seed, order=order)
+
+        monkeypatch.setattr(cli, "run_stream", unshared)
+        ref = tmp_path / "unshared"
+        cmd_run(str(write_config(tmp_path, text=text, out=ref)))
+        monkeypatch.setattr(cli, "run_stream", run_stream)
+
+        calls = []
+        train_task = harness.train_task
+
+        def counting_train_task(*args, **kwargs):
+            calls.append(1)
+            return train_task(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_task", counting_train_task)
+        out = tmp_path / "shared"
+        assert cmd_run(str(write_config(tmp_path, text=text, out=out)), jobs=1) == 0
+        n_orders, n_tasks = 2, 2
+        assert len(calls) == n_orders * n_tasks + n_tasks - 1
+        for name in artifacts:
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
 class TestGradcheck:

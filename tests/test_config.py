@@ -99,6 +99,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="ella_lambda"):
             parse_config_text("method = ella\nn_tasks = 3\nella_lambda = 0,1\n")
 
+    def test_nonpositive_alpha_rejected(self):
+        for alpha in ("0", "-8"):
+            with pytest.raises(ConfigError, match="alpha"):
+                parse_config_text(f"alpha = {alpha}\n")
+
     def test_fraction_ordering(self):
         with pytest.raises(ConfigError):
             parse_config_text("start_frac = 0.9\nend_frac = 0.5\n")

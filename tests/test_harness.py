@@ -115,6 +115,14 @@ class TestEvaluate:
         model = fresh_model(cfg, stream, 42)
         assert evaluate(model, stream, 0) == evaluate(model, stream, 0)
 
+    def test_empty_test_split_rejected(self):
+        cfg = tiny_config()
+        stream = stream_for(cfg)
+        empty = (np.zeros((0, cfg.seq_len), dtype=np.int64), np.zeros(0, dtype=np.int64))
+        stream.tasks[1].splits["test"] = empty
+        with pytest.raises(ConfigError, match="task 1 has no test data"):
+            evaluate(fresh_model(cfg, stream, 42), stream, 1)
+
 
 class TestRunStream:
     def test_structure_and_masks(self):
@@ -148,11 +156,15 @@ class TestRunStream:
         assert backward_transfer(result.matrix) is None
 
     def test_isolated_row_matches_first_position(self):
-        cfg = tiny_config()
+        # row 0 takes order[0]'s entry from stream position 0, which trains
+        # with the overlap penalty on; training that task alone must agree
+        cfg = tiny_config(method=Method.JUMP_ELLA, ella_lambda=[50.0])
         stream = stream_for(cfg)
-        result = run_stream(stream, cfg, seed=42)
-        # the first stream task sees exactly the isolated conditions
-        assert result.matrix.grid[0, 0] == result.matrix.grid[1, 0]
+        order = [1, 0]
+        result = run_stream(stream, cfg, seed=42, order=order)
+        iso = fresh_model(cfg, stream, 42)
+        harness._train_and_merge(iso, stream, order[0], cfg, 42)
+        assert result.matrix.grid[0, 0] == evaluate(iso, stream, order[0])
 
     def test_deterministic_matrix_and_hash(self):
         cfg = tiny_config()
@@ -169,18 +181,42 @@ class TestRunStream:
         r2 = run_stream(stream_for(cfg), cfg, seed=43)
         assert r1.trace_hash != r2.trace_hash
 
-    def test_each_task_trained_twice_total(self):
-        # once in the stream pass, once isolated; never any other task's train data
+    def test_first_stream_task_trained_once_others_twice(self):
+        # stream position 0 doubles as its task's isolated run; every other task
+        # trains in the stream and alone; no other task's train data is read
         cfg = tiny_config()
         stream = stream_for(cfg)
         accesses = []
         stream.on_access = lambda tid, split: accesses.append((tid, split))
-        run_stream(stream, cfg, seed=42)
+        run_stream(stream, cfg, seed=42, order=[1, 0])
         train_counts = {}
         for tid, split in accesses:
             if split == "train":
                 train_counts[tid] = train_counts.get(tid, 0) + 1
-        assert train_counts == {0: 2, 1: 2}
+        assert train_counts == {1: 1, 0: 2}
+
+    def test_shared_isolated_accuracies_are_exact(self, monkeypatch):
+        trained = []
+        train = harness.train_task
+
+        def counting_train_task(model, adapters, gates, stream, task_id, *args, **kwargs):
+            trained.append(task_id)
+            return train(model, adapters, gates, stream, task_id, *args, **kwargs)
+
+        cfg = tiny_config(n_tasks=3)
+        alone = [run_stream(stream_for(cfg), cfg, seed=42, order=order)
+                 for order in ([0, 1, 2], [2, 0, 1])]
+        monkeypatch.setattr(harness, "train_task", counting_train_task)
+        isolated = {}
+        shared = [run_stream(stream_for(cfg), cfg, seed=42, order=order,
+                             isolated=isolated)
+                  for order in ([0, 1, 2], [2, 0, 1])]
+        # the first order trains tasks 1 and 2 alone; the second trains none
+        assert trained == [0, 1, 2, 1, 2] + [2, 0, 1]
+        assert sorted(isolated) == [0, 1, 2]
+        for a, b in zip(alone, shared):
+            np.testing.assert_array_equal(a.matrix.grid, b.matrix.grid)
+            assert a.trace_hash == b.trace_hash
 
     def test_merges_applied_per_task(self):
         cfg = tiny_config()
@@ -219,7 +255,7 @@ class TestDegenerateModes:
             cfg = tiny_config(method=method, ella_lambda=[lam])
             logs.clear()
             run_stream(stream_for(cfg), cfg, seed=42)
-            losses[method] = [log.losses for log in logs]  # 2 stream, then 2 isolated
+            losses[method] = [log.losses for log in logs]  # 2 stream, then 1 isolated
         ella, base = losses[Method.ELLA], losses[Method.INCLORA]
         np.testing.assert_array_equal(ella[0], base[0])  # the past is still empty
         assert not np.array_equal(ella[1], base[1])

@@ -49,7 +49,7 @@ class TestForward:
         base = model.forward(tokens).data
         updates = {}
         for lid in model.adapted_layers:
-            ad = init_adapter(16, 16, 4, 8.0, seed=11)
+            ad = init_adapter(16, 16, 4, seed=11)
             updates[lid] = dense_update(ad)  # up factor is zero, so update is zero
         with_adapters = model.forward(tokens, updates, scaling=2.0).data
         np.testing.assert_array_equal(base, with_adapters)

@@ -1,0 +1,68 @@
+"""The benchmark's timing hooks still fit the package they wrap.
+
+``perfbench/instrument.py`` replaces package functions by name and binds their
+arguments by signature, so a renamed function or a changed signature breaks the
+benchmark without breaking any other test. This loads that file as it is and
+runs a tiny stream under its hooks.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import loragate.harness as harness
+from loragate import autodiff, model, optim
+from loragate.config import ExperimentConfig, Method
+from loragate.data import generate_task_stream
+
+INSTRUMENT = Path(__file__).resolve().parents[1] / "perfbench" / "instrument.py"
+
+
+def load_instrument():
+    spec = importlib.util.spec_from_file_location("perfbench_instrument", INSTRUMENT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def tiny_run(**kwargs):
+    cfg = ExperimentConfig(vocab_size=24, d_model=16, n_heads=2, n_blocks=2,
+                           max_seq_len=10, n_tasks=2, classes_per_task=2,
+                           samples_per_class=32, seq_len=8, batch_size=16,
+                           warmup_steps=2, method=Method.JUMP_ELLA, ella_lambda=[50.0])
+    stream = generate_task_stream(cfg.data_seed, cfg.n_tasks, cfg.samples_per_class,
+                                  cfg.difficulty, cfg.classes_per_task,
+                                  cfg.seq_len, cfg.vocab_size)
+    # looked up at call time, so the hooks' binding is the one called
+    return harness.run_stream(stream, cfg, 42, **kwargs)
+
+
+def bindings(instrument) -> dict:
+    owners = (*instrument.MODULES, optim, optim.AdamW, autodiff.Tape,
+              model.TinyTransformer)
+    return {(owner.__name__, name): value
+            for owner in owners for name, value in vars(owner).items()}
+
+
+def test_hooks_keep_trace_hash_and_uninstall_restores_bindings():
+    instrument = load_instrument()
+    before = bindings(instrument)
+    plain = tiny_run(order=[1, 0])
+
+    probe = instrument.Probe().install()
+    tracer = instrument.Tracer().install()
+    try:
+        hooked = tiny_run(order=[1, 0], isolated={})
+    finally:
+        tracer.uninstall()
+        probe.uninstall()
+
+    after = bindings(instrument)
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []
+
+    assert hooked.trace_hash == plain.trace_hash
+    layers, _ = instrument.layer_metrics([tracer.state()])
+    assert layers["harness.train_task_calls"] == 3  # 2 stream trainings, 1 isolated
+    assert layers["harness.isolated_train_s"] > 0
+    assert probe.train_samples > 0 and probe.eval_samples > 0
+    assert len(probe.train_ce) == len(probe.step_ms) > 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loragate.errors import ConfigError
 from loragate.schedule import Schedule, gamma, schedule_from_fractions
@@ -30,6 +32,15 @@ class TestGamma:
     def test_monotone_and_bounded(self, start, final, total):
         sched = Schedule(start, final, total)
         values = [gamma(s, sched) for s in range(total + 1)]
+        assert all(0.0 <= v <= 1.0 for v in values)
+        assert all(b >= a for a, b in zip(values, values[1:]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(total=st.integers(1, 300),
+           fracs=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+    def test_bounded_and_nondecreasing_for_any_fractions(self, total, fracs):
+        sched = schedule_from_fractions(total, min(fracs), max(fracs))
+        values = [gamma(s, sched) for s in range(-1, total + 2)]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(b >= a for a, b in zip(values, values[1:]))
 
