@@ -66,7 +66,7 @@ class Tensor:
         arr = np.asarray(data)
         if dtype is not None:
             arr = arr.astype(dtype)
-        elif not np.issubdtype(arr.dtype, np.floating):
+        elif arr.dtype.kind != "f":
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -143,6 +143,19 @@ def _tracked(inputs: Sequence[Tensor]) -> bool:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
+
+
+def _row_max(v: np.ndarray) -> np.ndarray:
+    """``v.max(axis=-1, keepdims=True)`` by pairwise ``np.maximum`` over halves
+    of the last axis: the same values (a maximum is exact in any order), at
+    about half the cost of numpy's reduction over a short last axis."""
+    while v.shape[-1] > 1:
+        half = v.shape[-1] // 2
+        m = np.maximum(v[..., :half], v[..., half:2 * half])
+        if v.shape[-1] % 2:
+            np.maximum(m[..., :1], v[..., -1:], out=m[..., :1])
+        v = m
+    return v
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -286,17 +299,19 @@ def relu(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Softmax along the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    # in place on fresh arrays: the same arithmetic with fewer temporaries
+    y = x.data - _row_max(x.data)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y, requires_grad=_tracked((x,)))
     if out.requires_grad:
         def backward():
             g = out.grad
             if g is None:
                 return
-            inner = (g * y).sum(axis=-1, keepdims=True)
-            _accumulate(x, y * (g - inner))
+            gx = g - (g * y).sum(axis=-1, keepdims=True)
+            gx *= y
+            _accumulate(x, gx)
         Tape.active().record(backward)
     return out
 
@@ -305,11 +320,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if gain.data.shape != (x.data.shape[-1],) or bias.data.shape != (x.data.shape[-1],):
         raise ShapeError("layer_norm: gain/bias must match the last axis of x")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gain.data + bias.data, requires_grad=_tracked((x, gain, bias)))
+    # the same arithmetic as np.var, sharing its mean and its centred copy
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    y = xhat * gain.data
+    y += bias.data
+    out = Tensor(y, requires_grad=_tracked((x, gain, bias)))
     if out.requires_grad:
         d = x.data.shape[-1]
         gain_data = gain.data
@@ -324,8 +341,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             if x.requires_grad:
                 gx = g * gain_data
                 m1 = gx.mean(axis=-1, keepdims=True)
-                m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-                _accumulate(x, (gx - m1 - xhat * m2) * inv)
+                tmp = gx * xhat
+                m2 = tmp.mean(axis=-1, keepdims=True)
+                np.multiply(xhat, m2, out=tmp)
+                gx -= m1
+                gx -= tmp
+                gx *= inv
+                _accumulate(x, gx)
         Tape.active().record(backward)
     return out
 

@@ -122,6 +122,9 @@ def _run_grid_point(payload):
 
 
 def cmd_run(config_path: str, jobs: int = 1) -> int:
+    if jobs < 1:
+        print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
+        return 2
     try:
         cfg = load_config(config_path)
     except (ConfigError, OSError) as exc:
@@ -135,8 +138,9 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
     payloads = [(cfg_text, o, s, str(out))
                 for o in range(cfg.n_orders) for s in cfg.seeds]
     _ISOLATED.clear()
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
+    workers = min(jobs, len(payloads))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             outcomes = pool.map(_run_grid_point, payloads)
     else:
         outcomes = list(map(_run_grid_point, payloads))
@@ -246,10 +250,11 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run the configured experiment grid")
     p_run.add_argument("--config", required=True, help="path to a key = value config file")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes for (order, seed) runs; "
-                            "isolated runs are shared only among the runs of one "
-                            "worker; a failed run is reported in report.txt at any "
-                            "job count")
+                       help="parallel worker processes for (order, seed) runs, "
+                            "at most one per run; each worker runs on one BLAS "
+                            "thread, so N workers use N cores; isolated runs are "
+                            "shared only among the runs of one worker; a failed "
+                            "run is reported in report.txt at any job count")
 
     sub.add_parser("gradcheck", help="finite-difference and kernel gradient checks")
 

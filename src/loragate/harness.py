@@ -42,6 +42,7 @@ from .adapter import (
     merge,
 )
 from .autodiff import Tape, add, cross_entropy
+from .blas import one_blas_thread
 from .config import ExperimentConfig
 from .data import TaskStream
 from .ella import EllaState, EllaVariant, ella_penalty, make_ella_state, update_past
@@ -282,6 +283,7 @@ def _train_and_merge(model, stream, task_id, config, seed, penalty_weight=0.0,
     return task_log, masks, merged
 
 
+@one_blas_thread()
 def run_stream(
     stream: TaskStream,
     config: ExperimentConfig,
@@ -300,6 +302,9 @@ def run_stream(
     every task is trained alone, by the two invariants in the module
     docstring: an isolated run does not depend on the order, and stream
     position 0 is one. All stream trainings come before the isolated ones.
+
+    The run uses one BLAS thread and restores the caller's count on return
+    (see ``blas``).
     """
     penalty_weights = (config.penalty_weights() if config.method.penalized
                        else [0.0] * len(stream))

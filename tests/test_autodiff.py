@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loragate.autodiff import (
     Tape,
@@ -37,6 +39,11 @@ class TestTensor:
 
     def test_float64_arrays_keep_dtype(self):
         assert Tensor(np.zeros(3, dtype=np.float64)).dtype == np.float64
+
+    @pytest.mark.parametrize("data", [7, np.arange(3), np.array([True, False]),
+                                      [[True], [False]]])
+    def test_ints_and_bools_become_float32(self, data):
+        assert Tensor(data).dtype == np.float32
 
     def test_item_rejects_non_scalar(self):
         with pytest.raises(ShapeError):
@@ -356,3 +363,54 @@ class TestNetworkOps:
             y = permute(reshape(tx, (6, 4)), (1, 0))
             tape.backward(frobenius_sq(y))
         np.testing.assert_allclose(tx.grad, 2 * x)
+
+
+# The kernels below compute what the plain numpy formulas compute, bit for bit:
+# each test compares against those formulas with ``np.array_equal``.
+EXACT = settings(max_examples=80, deadline=None)
+DTYPES = st.sampled_from([np.float32, np.float64])
+SEEDS = st.integers(0, 2**32 - 1)
+# leading dims, then a last axis that is often odd or 1
+SHAPES = st.lists(st.integers(1, 5), min_size=0, max_size=3).flatmap(
+    lambda lead: st.integers(1, 17).map(lambda last: (*lead, last)))
+
+
+def sample(seed, shape, dtype, spread=4.0):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=spread, size=shape)
+    # repeated entries, so ties in the row maximum occur
+    x.reshape(-1)[::3] = np.round(x.reshape(-1)[::3])
+    return x.astype(dtype)
+
+
+class TestExactKernels:
+    @EXACT
+    @given(seed=SEEDS, shape=SHAPES, dtype=DTYPES)
+    def test_softmax_matches_max_reduction(self, seed, shape, dtype):
+        x = sample(seed, shape, dtype)
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        assert np.array_equal(softmax(Tensor(x)).data, e / e.sum(axis=-1, keepdims=True))
+
+    @EXACT
+    @given(seed=SEEDS, shape=SHAPES, dtype=DTYPES)
+    def test_layer_norm_matches_var_formula(self, seed, shape, dtype):
+        x = sample(seed, shape, dtype)
+        d = shape[-1]
+        gain, bias = sample(seed + 1, (d,), dtype), sample(seed + 2, (d,), dtype)
+        tx, tg, tb = (Tensor(a, requires_grad=True) for a in (x, gain, bias))
+        with Tape() as tape:
+            out = layer_norm(tx, tg, tb)
+            tape.backward(frobenius_sq(out))
+
+        mu = x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+        xhat = (x - mu) * inv
+        ref = xhat * gain + bias
+        g = 2.0 * ref
+        gx = g * gain
+        m1 = gx.mean(axis=-1, keepdims=True)
+        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+        assert np.array_equal(out.data, ref)
+        assert np.array_equal(tx.grad, (gx - m1 - xhat * m2) * inv)
+        assert np.array_equal(tg.grad, (g * xhat).reshape(-1, d).sum(axis=0))
+        assert np.array_equal(tb.grad, g.reshape(-1, d).sum(axis=0))

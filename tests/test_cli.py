@@ -92,6 +92,28 @@ class TestRun:
         for name in ("metrics.csv", "accuracy_o0_s42.csv", "accuracy_o0_s43.csv"):
             assert (serial_out / name).read_bytes() == (par_out / name).read_bytes()
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_nonpositive_jobs_rejected(self, tmp_path, capsys, jobs):
+        out = tmp_path / "artifacts"
+        assert cmd_run(str(write_config(tmp_path, out=out)), jobs=jobs) == 2
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pool_no_larger_than_the_grid(self, tmp_path, monkeypatch):
+        sizes = []
+        pool = cli.multiprocessing.Pool
+
+        def recording_pool(processes):
+            sizes.append(processes)
+            return pool(processes)
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", recording_pool)
+        two_runs = TINY.replace("seeds = 42", "seeds = 42,43")
+        assert cmd_run(str(write_config(tmp_path, text=two_runs,
+                                        out=tmp_path / "two")), jobs=8) == 0
+        assert cmd_run(str(write_config(tmp_path, out=tmp_path / "one")), jobs=4) == 0
+        assert sizes == [2]  # one run needs no pool
+
     def test_failed_run_reported_alike_at_any_job_count(self, tmp_path, monkeypatch):
         run_stream = cli.run_stream
 
