@@ -14,7 +14,7 @@ from .adapter import (
     make_gate,
     merge,
 )
-from .autodiff import Tape, Tensor, heaviside, jumprelu, threshold_pseudograd
+from .autodiff import Tape, Tensor, jumprelu, threshold_pseudograd
 from .config import ExperimentConfig, Method, load_config, parse_config_text
 from .data import TaskStream, generate_task_stream
 from .ella import EllaState, EllaVariant, ella_penalty, make_ella_state, update_past

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, jumprelu, matmul, neg, scale, sub
+from .autodiff import Tensor, add, jumprelu, matmul, scale
 from .errors import ConfigError, ShapeError, StateError
 
 log = logging.getLogger(__name__)
@@ -98,17 +98,15 @@ def dense_update(adapter: Adapter) -> Tensor:
 
 
 def jump_update(dw: Tensor, gate: JumpGate) -> Tensor:
-    """Magnitude-gated update: the jump gate applied symmetrically.
+    """Magnitude-gated update ``dw * H(|dw| - threshold)``: one ``jumprelu``.
 
-    For a positive threshold this equals ``dw * (|dw| > threshold)``; gradient
-    reaches the factors through active entries and the threshold through the
-    straight-through kernel of both gate applications.
+    It equals ``dw * (|dw| > threshold)``, so a threshold of zero or below
+    keeps every entry. Gradient reaches the factors through active entries
+    and the threshold through the straight-through kernel at +/-threshold.
     """
     if not gate.initialized:
         raise StateError("jump gate used before its threshold was initialized")
-    pos = jumprelu(dw, gate.threshold, gate.bandwidth)
-    neg_side = jumprelu(neg(dw), gate.threshold, gate.bandwidth)
-    return sub(pos, neg_side)
+    return jumprelu(dw, gate.threshold, gate.bandwidth)
 
 
 def interpolate_update(dw: Tensor, dw_jump: Tensor, gamma: float) -> Tensor:

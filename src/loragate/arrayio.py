@@ -9,7 +9,8 @@ Layout of a store directory:
 Round trips are bit-exact: bytes are written with ``ndarray.tobytes`` and read
 back with ``frombuffer`` at the recorded dtype and shape. Two names that map
 to the same file are rejected on save, and a manifest entry whose file lies
-outside the store directory is rejected on load.
+outside the store directory or whose byte length does not match its shape and
+dtype is rejected on load.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ def load_arrays(directory) -> tuple[dict[str, np.ndarray], dict]:
                              f"{entry['file']!r}")
         raw = path.read_bytes()
         dtype = np.dtype(entry["dtype"]).newbyteorder("<")
+        if len(raw) != int(np.prod(entry["shape"])) * dtype.itemsize:
+            raise StoreError(f"array {name!r}: {entry['file']!r} holds {len(raw)} bytes, "
+                             f"not shape {entry['shape']} of {entry['dtype']}")
         arr = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"])
         arrays[name] = arr.astype(np.dtype(entry["dtype"]), copy=True)
     return arrays, manifest.get("meta", {})

@@ -21,7 +21,6 @@ __all__ = [
     "Tape",
     "add",
     "sub",
-    "neg",
     "mul",
     "scale",
     "matmul",
@@ -33,7 +32,6 @@ __all__ = [
     "mean",
     "embed",
     "cross_entropy",
-    "heaviside",
     "jumprelu",
     "frobenius_sq",
     "threshold_pseudograd",
@@ -225,10 +223,6 @@ def scale(x: Tensor, s: float) -> Tensor:
             _accumulate(x, g * s)
         Tape.active().record(backward)
     return out
-
-
-def neg(x: Tensor) -> Tensor:
-    return scale(x, -1.0)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -437,35 +431,32 @@ def _step(v: np.ndarray) -> np.ndarray:
     return (v > 0).astype(v.dtype)
 
 
-def heaviside(x: Tensor) -> Tensor:
-    """Elementwise unit step; exactly 0 at 0. Never carries gradient."""
-    return Tensor(_step(x.data))
-
-
 def threshold_pseudograd(x: np.ndarray, threshold: float, bandwidth: float) -> np.ndarray:
-    """Straight-through estimate of d jumprelu(x) / d threshold.
+    """Straight-through estimate of d(x * H(x - threshold)) / d threshold.
 
     A rectangular kernel of width ``bandwidth`` around the threshold: the
     estimate is -threshold/bandwidth where (x - threshold)/bandwidth falls in
-    (-1/2, 1/2] and zero everywhere else.
+    (-1/2, 1/2] and zero everywhere else. This is one side of the gate;
+    ``jumprelu`` applies it at x and at -x.
     """
     u = (x - threshold) / bandwidth
     return -(threshold / bandwidth) * (_step(u + 0.5) - _step(u - 0.5))
 
 
 def jumprelu(x: Tensor, threshold: Tensor, bandwidth: float) -> Tensor:
-    """Gate x by the unit step at a learnable threshold: x * H(x - threshold).
+    """Magnitude gate at a learnable threshold: x * H(|x| - threshold).
 
-    Backward passes the incoming gradient through active entries only, and
-    routes the straight-through kernel estimate (``threshold_pseudograd``)
-    summed over entries to the threshold.
+    Backward passes the incoming gradient through active entries only. The
+    threshold gets the straight-through kernel (``threshold_pseudograd``) of
+    each side, -g * psi(-x) then g * psi(x), as two sums over entries: where
+    the bands overlap (threshold < bandwidth / 2) one sum would round differently.
     """
     if bandwidth <= 0:
         raise ConfigError(f"bandwidth must be positive, got {bandwidth}")
     if threshold.data.size != 1:
         raise ShapeError("threshold must be a scalar tensor")
     t = float(threshold.data.reshape(()))
-    active = _step(x.data - t)
+    active = _step(np.abs(x.data) - t)
     out = Tensor(x.data * active, requires_grad=_tracked((x, threshold)))
     if out.requires_grad:
         x_data = x.data
@@ -476,9 +467,10 @@ def jumprelu(x: Tensor, threshold: Tensor, bandwidth: float) -> Tensor:
             if x.requires_grad:
                 _accumulate(x, g * active)
             if threshold.requires_grad:
-                contrib = (g * threshold_pseudograd(x_data, t, bandwidth)).sum()
-                _accumulate(threshold, np.asarray(contrib, dtype=threshold.dtype)
-                            .reshape(threshold.data.shape))
+                for side in (((-g) * threshold_pseudograd(-x_data, t, bandwidth)).sum(),
+                             (g * threshold_pseudograd(x_data, t, bandwidth)).sum()):
+                    _accumulate(threshold, np.asarray(side, dtype=threshold.dtype)
+                                .reshape(threshold.data.shape))
         Tape.active().record(backward)
     return out
 

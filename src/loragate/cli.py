@@ -210,12 +210,13 @@ def cmd_analyze(directory: str, layer: str = "all") -> int:
     for run_dir in sorted(mask_root.iterdir()):
         if not run_dir.is_dir():
             continue
-        task_dirs = sorted(run_dir.glob("task*"),
-                           key=lambda p: int(p.name.removeprefix("task")))
-        per_task: list[dict[str, np.ndarray]] = []
-        for td in task_dirs:
-            arrays, _ = arrayio.load_arrays(td)
-            per_task.append(arrays)
+        try:  # a ValueError here is a bad task directory name or store entry
+            task_dirs = sorted(run_dir.glob("task*"),
+                               key=lambda p: int(p.name.removeprefix("task")))
+            per_task = [arrayio.load_arrays(td)[0] for td in task_dirs]
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read mask dumps in {run_dir}: {exc}", file=sys.stderr)
+            return 2
         if not per_task:
             continue
         layer_ids = sorted(per_task[0])

@@ -122,7 +122,9 @@ def _fd_checks() -> list[tuple[str, float, float]]:
 
 def _psi_casewise_check(points: int = 10_000) -> tuple[str, float, float]:
     """Compare the implemented threshold gradient against the closed-form
-    kernel value on a grid: -threshold/bandwidth inside (-1/2, 1/2], else 0."""
+    kernel value on a grid: -threshold/bandwidth where (x - threshold)/bandwidth
+    lies in (-1/2, 1/2], +threshold/bandwidth where (-x - threshold)/bandwidth
+    does (the bands are disjoint here), else 0."""
     eps = 1e-3
     rng = np.random.default_rng(7)
     side = int(np.sqrt(points))
@@ -130,8 +132,9 @@ def _psi_casewise_check(points: int = 10_000) -> tuple[str, float, float]:
     worst = 0.0
     for tau in taus:
         x = np.concatenate([
-            rng.uniform(-2, 2, size=side - side // 2),
-            tau + eps * rng.uniform(-1.0, 1.0, size=side // 2),  # stress the band
+            rng.uniform(-2, 2, size=side - 2 * (side // 3)),
+            tau + eps * rng.uniform(-1.0, 1.0, size=side // 3),  # stress both bands
+            -tau + eps * rng.uniform(-1.0, 1.0, size=side // 3),
         ])
         got = np.empty_like(x)
         for i, xi in enumerate(x):
@@ -140,9 +143,9 @@ def _psi_casewise_check(points: int = 10_000) -> tuple[str, float, float]:
                 out = jumprelu(Tensor(np.asarray([xi])), th, eps)
                 tape.backward(mean(out))
             got[i] = 0.0 if th.grad is None else float(th.grad)
-        u = (x - tau) / eps
-        inside = ((u > -0.5) & (u <= 0.5))
-        want = np.where(inside, -(tau / eps), 0.0)
+        u = np.stack([x - tau, -x - tau]) / eps
+        inside = (u > -0.5) & (u <= 0.5)
+        want = np.where(inside[0], -(tau / eps), np.where(inside[1], tau / eps, 0.0))
         err = np.abs(got - want).max(initial=0.0)
         ulp = np.spacing(np.abs(want).max(initial=1.0))
         worst = max(worst, err / ulp)

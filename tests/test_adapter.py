@@ -16,7 +16,7 @@ from loragate.adapter import (
     make_gate,
     merge,
 )
-from loragate.autodiff import Tape, Tensor, frobenius_sq
+from loragate.autodiff import Tape, Tensor, add, frobenius_sq, threshold_pseudograd
 from loragate.errors import ConfigError, ShapeError, StateError
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -25,11 +25,31 @@ UPDATES = arrays(np.float32, st.tuples(st.integers(1, 6), st.integers(1, 6)),
                  elements=ENTRIES)
 
 
-def gate_with(tau, bandwidth=1e-3):
-    g = make_gate(bandwidth)
-    g.threshold.data = np.asarray(tau, dtype=np.float32)
+def gate_with(tau, bandwidth=1e-3, dtype=np.float32):
+    g = make_gate(bandwidth, dtype=dtype)
+    g.threshold.data = np.asarray(tau, dtype=dtype)
     g.initialized = True
     return g
+
+
+def composite_gate(x, tau, bandwidth, c):
+    """The gate as the composite x*H(x - tau) - (-x)*H(-x - tau), under the
+    loss ||out + c||^2: output, x-gradient and threshold gradient, computed
+    in the order of its four backward rules (sub, the -x side, the negation,
+    the +x side)."""
+    one = np.ones((), dtype=x.dtype)
+    neg_x = x * -1.0
+    active_pos = (x - tau > 0).astype(x.dtype)
+    active_neg = (neg_x - tau > 0).astype(x.dtype)
+    out = x * active_pos - neg_x * active_neg
+    g = 2.0 * (out + c) * one
+    grad_x = ((-g) * active_neg) * -1.0
+    grad_t = np.asarray(((-g) * threshold_pseudograd(neg_x, tau, bandwidth)).sum(),
+                        dtype=x.dtype)
+    grad_x = grad_x + g * active_pos
+    grad_t = grad_t + np.asarray((g * threshold_pseudograd(x, tau, bandwidth)).sum(),
+                                 dtype=x.dtype)
+    return out, grad_x, grad_t
 
 
 class TestInitAdapter:
@@ -114,6 +134,44 @@ class TestJumpUpdate:
     def test_equals_magnitude_mask_for_positive_threshold(self, dw, tau):
         out = jump_update(Tensor(dw), gate_with(tau))
         np.testing.assert_array_equal(out.data, dw * (np.abs(dw) > tau))
+
+    @PROPERTY
+    @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+           tau=st.floats(0.0, 4.0, width=32, exclude_min=True),
+           bandwidth=st.sampled_from([1e-3, 0.1, 1.0, 8.0]))
+    def test_matches_the_two_sided_composite(self, data, dtype, tau, bandwidth):
+        # wide bandwidths put entries in both kernel bands, which overlap
+        # when tau < bandwidth / 2
+        dw = data.draw(arrays(dtype, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                              elements=ENTRIES))
+        c = np.linspace(-1.0, 1.0, dw.size).reshape(dw.shape).astype(dtype)
+        gate = gate_with(tau, bandwidth, dtype)
+        x = Tensor(dw, requires_grad=True)
+        with Tape() as tape:
+            out = jump_update(x, gate)
+            tape.backward(frobenius_sq(add(out, Tensor(c))))
+        want_out, want_gx, want_gt = composite_gate(dw, float(gate.threshold.data),
+                                                    bandwidth, c)
+        assert np.array_equal(out.data, want_out)
+        assert np.array_equal(x.grad, want_gx)
+        assert np.array_equal(gate.threshold.grad, want_gt)
+        assert x.grad.dtype == gate.threshold.grad.dtype == dtype
+
+    @PROPERTY
+    @given(dw=UPDATES, tau=st.floats(-4.0, 0.0, width=32))
+    def test_nonpositive_threshold_keeps_every_entry(self, dw, tau):
+        x = Tensor(dw, requires_grad=True)
+        with Tape() as tape:
+            out = jump_update(x, gate_with(tau))
+            tape.backward(frobenius_sq(out))
+        np.testing.assert_array_equal(out.data, dw)
+        np.testing.assert_array_equal(x.grad, 2.0 * dw)
+
+    def test_one_tape_record(self):
+        x = Tensor(np.ones((3, 4), dtype=np.float32), requires_grad=True)
+        with Tape() as tape:
+            jump_update(x, gate_with(0.5))
+            assert len(tape) == 1
 
     def test_uninitialized_gate_rejected(self):
         gate = make_gate(1e-3)

@@ -41,3 +41,13 @@ def test_manifest_file_outside_store_rejected(tmp_path, escape):
     (store / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(StoreError, match="outside the store"):
         load_arrays(store)
+
+
+@pytest.mark.parametrize("length", [0, 17, 23, 28])
+def test_file_length_must_match_shape(tmp_path, length):
+    store = tmp_path / "store"
+    save_arrays(store, {"blk0.q": np.zeros((2, 3), dtype=np.float32)})  # 24 bytes
+    path = store / "blk0.q.bin"
+    path.write_bytes((path.read_bytes() + bytes(8))[:length])
+    with pytest.raises(StoreError, match="'blk0.q'.* bytes, not shape"):
+        load_arrays(store)

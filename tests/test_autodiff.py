@@ -10,7 +10,6 @@ from loragate.autodiff import (
     cross_entropy,
     embed,
     frobenius_sq,
-    heaviside,
     jumprelu,
     layer_norm,
     matmul,
@@ -136,34 +135,13 @@ class TestElementwise:
         assert rel_err(tb.grad, fd_grad(f, [a, b], 1)) < 1e-6
 
 
-class TestHeaviside:
-    def test_casewise_definition(self):
-        out = heaviside(t64([-1.0, 0.0, 2.0]))
-        np.testing.assert_array_equal(out.data, [0.0, 0.0, 1.0])
-
-    def test_all_negative(self):
-        out = heaviside(t64([-3.0, -0.5, -1e-9]))
-        np.testing.assert_array_equal(out.data, np.zeros(3))
-
-    def test_symmetry_partition(self, rng):
-        x = rng.normal(size=200)
-        x = x[x != 0]
-        total = heaviside(t64(x)).data + heaviside(t64(-x)).data
-        np.testing.assert_array_equal(total, np.ones_like(x))
-
-    def test_never_carries_gradient(self):
-        x = t64([1.0, -1.0], grad=True)
-        with Tape() as tape:
-            out = heaviside(x)
-            assert not out.requires_grad
-            assert len(tape) == 0
-
-
 class TestJumpRelu:
     def test_casewise_values(self):
         th = t64(1.0)
         assert jumprelu(t64([2.0]), th, 1e-3).data[0] == 2.0
         assert jumprelu(t64([0.5]), th, 1e-3).data[0] == 0.0
+        assert jumprelu(t64([-0.5]), th, 1e-3).data[0] == 0.0
+        assert jumprelu(t64([-2.0]), th, 1e-3).data[0] == -2.0
 
     def test_threshold_kernel_spot_values(self):
         # inside the kernel band: -tau/eps; far outside: exactly zero
@@ -180,14 +158,14 @@ class TestJumpRelu:
         x = rng.normal(size=(17, 13))
         tau = 0.4
         got = jumprelu(t64(x), t64(tau), 1e-3).data
-        want = x * heaviside(t64(x - tau)).data
+        want = x * (np.abs(x) > tau)
         np.testing.assert_array_equal(got, want)
 
     def test_input_gradient_matches_fd_away_from_jump(self, rng):
         eps = 1e-3
         tau = 0.5
         x = rng.normal(size=(8, 8))
-        x = np.where(np.abs(x - tau) < 10 * eps, x + 0.5, x)
+        x = np.where(np.abs(np.abs(x) - tau) < 10 * eps, x + 0.5, x)
         tx = t64(x, grad=True)
         with Tape() as tape:
             tape.backward(frobenius_sq(jumprelu(tx, t64(tau), eps)))
@@ -228,6 +206,17 @@ class TestJumpRelu:
                 tape.backward(mean(out))
             got = 0.0 if th.grad is None else float(th.grad)
             assert got == float(threshold_pseudograd(np.asarray(xi), tau, eps))
+
+    def test_threshold_gradient_wiring_negative_side(self, rng):
+        # near -tau the gate's negative side contributes -psi(-x) = +tau/eps
+        eps = 1e-3
+        for _ in range(20):
+            tau = float(rng.uniform(0.1, 1.0))
+            xi = float(rng.uniform(-tau - 2 * eps, -tau + 2 * eps))
+            th = t64(tau, grad=True)
+            with Tape() as tape:
+                tape.backward(mean(jumprelu(t64([xi]), th, eps)))
+            assert float(th.grad) == -float(threshold_pseudograd(np.asarray(-xi), tau, eps))
 
     def test_backward_is_deterministic(self, rng):
         x = rng.normal(size=(6, 6))

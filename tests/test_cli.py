@@ -240,6 +240,25 @@ class TestAnalyze:
         assert cmd_analyze(str(tmp_path), "all") == 2
         assert "mask" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["no_manifest", "no_bin", "truncated_bin",
+                                        "bad_task_dir"])
+    def test_damaged_store_rejected(self, tmp_path, capsys, damage):
+        out = self.run_once(tmp_path)
+        task = out / "masks" / "o0_s42" / "task1"
+        if damage == "no_manifest":
+            (task / "manifest.json").unlink()
+        elif damage == "no_bin":
+            (task / "blk0.q.bin").unlink()
+        elif damage == "truncated_bin":
+            raw = (task / "blk0.q.bin").read_bytes()
+            (task / "blk0.q.bin").write_bytes(raw[:-3])
+        else:
+            (task.parent / "taskX").mkdir()
+        assert main(["analyze", "--dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read mask dumps in ")
+        assert "Traceback" not in err
+
     def test_idempotent(self, tmp_path):
         out = self.run_once(tmp_path)
         cmd_analyze(str(out), "all")
