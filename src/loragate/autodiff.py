@@ -5,10 +5,17 @@ scalars), an explicit gradient tape, and hand-written backward rules for the
 primitives the rest of the package needs. The jump gate's threshold receives a
 straight-through gradient estimated with a rectangular kernel of configurable
 bandwidth; everything else is exact.
+
+The transformer block runs on three fused primitives, ``linear``,
+``attention`` and ``mlp``, each one tape record with a closed-form backward.
+Each evaluates the same numpy expressions on the same operand views as the
+chain of small primitives it replaces, so its results are bit for bit those
+of that chain.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -24,6 +31,9 @@ __all__ = [
     "mul",
     "scale",
     "matmul",
+    "linear",
+    "attention",
+    "mlp",
     "reshape",
     "permute",
     "relu",
@@ -156,6 +166,15 @@ def _row_max(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _row_mean(v: np.ndarray) -> np.ndarray:
+    """``v.mean(axis=-1, keepdims=True)`` without ``np.mean``'s wrapper: the
+    same sum, then a division in the array's own precision, which rounds as
+    ``np.mean``'s wider one does (exactly, for float32 and float64)."""
+    m = np.add.reduce(v, axis=-1, keepdims=True)
+    m /= v.shape[-1]
+    return m
+
+
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
@@ -252,6 +271,123 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def linear(x: Tensor, w: Tensor, dw: Optional[Tensor] = None, s: float = 0.0) -> Tensor:
+    """``x @ (w + s * dw)`` for a 2-D ``x``: a projection plus its scaled
+    update in one record; without ``dw`` it is ``x @ w``."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"linear: cannot multiply {x.data.shape} by {w.data.shape}")
+    if dw is None:
+        w_eff, inputs = w.data, (x, w)
+    else:
+        _same_shape(w, dw, "linear")
+        s = float(s)
+        w_eff, inputs = w.data + dw.data * s, (x, w, dw)
+    out = Tensor(x.data @ w_eff, requires_grad=_tracked(inputs))
+    if out.requires_grad:
+        x_data = x.data
+        dw_grad = dw is not None and dw.requires_grad
+        def backward():
+            g = out.grad
+            if g is None:
+                return
+            if x.requires_grad:
+                _accumulate(x, g @ w_eff.T)
+            if w.requires_grad or dw_grad:
+                gw = x_data.T @ g
+                if w.requires_grad:
+                    _accumulate(w, gw)
+                if dw_grad:
+                    _accumulate(dw, gw * s)
+        Tape.active().record(backward)
+    return out
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int) -> Tensor:
+    """Scaled dot-product softmax attention over flat ``[batch * seq, d]``
+    projections, split into ``heads`` heads of ``d / heads``; returns the
+    context flat again.
+
+    Per head: ``softmax(q @ k^T / sqrt(hd)) @ v``. The products take the
+    permuted views of ``q``, ``k`` and ``v``, as the chain of reshape, permute
+    and matmul records did, with no C-order copies.
+    """
+    _same_shape(q, k, "attention")
+    _same_shape(q, v, "attention")
+    if q.data.ndim != 2:
+        raise ShapeError(f"attention expects flat [batch * seq, d], got {q.data.shape}")
+    n, d = q.data.shape
+    if batch < 1 or heads < 1 or n % batch or d % heads:
+        raise ShapeError(f"attention: {q.data.shape} does not split into "
+                         f"{batch} sequences of {heads} heads")
+    seq, hd = n // batch, d // heads
+
+    def split(a):  # [batch, heads, seq, hd] view
+        return a.reshape(batch, seq, heads, hd).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    c = 1.0 / math.sqrt(hd)
+    # the softmax in place on the fresh scores, as in ``softmax``
+    p = qh @ kh.transpose(0, 1, 3, 2)
+    p *= c
+    p -= _row_max(p)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    ctx = p @ vh
+    out = Tensor(ctx.transpose(0, 2, 1, 3).reshape(n, d),
+                 requires_grad=_tracked((q, k, v)))
+    if out.requires_grad:
+        def backward():
+            g = out.grad
+            if g is None:
+                return
+            gc = split(g)
+            if v.requires_grad:
+                gv = np.swapaxes(p, -1, -2) @ gc
+                _accumulate(v, gv.transpose(0, 2, 1, 3).reshape(n, d))
+            if not (q.requires_grad or k.requires_grad):
+                return
+            gs = gc @ np.swapaxes(vh, -1, -2)
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= c
+            if q.requires_grad:
+                gq = gs @ kh
+                _accumulate(q, gq.transpose(0, 2, 1, 3).reshape(n, d))
+            if k.requires_grad:
+                gk = np.swapaxes(qh, -1, -2) @ gs  # [batch, heads, hd, seq]
+                _accumulate(k, gk.transpose(0, 3, 1, 2).reshape(n, d))
+        Tape.active().record(backward)
+    return out
+
+
+def mlp(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
+    """``relu(x @ w1) @ w2`` for a 2-D ``x``, in one record."""
+    if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
+            or x.data.shape[1] != w1.data.shape[0] or w1.data.shape[1] != w2.data.shape[0]):
+        raise ShapeError(f"mlp: cannot chain {x.data.shape} @ {w1.data.shape} "
+                         f"@ {w2.data.shape}")
+    h = x.data @ w1.data
+    np.maximum(h, 0, out=h)  # relu in place on the fresh hidden array
+    out = Tensor(h @ w2.data, requires_grad=_tracked((x, w1, w2)))
+    if out.requires_grad:
+        x_data, w1_data, w2_data = x.data, w1.data, w2.data
+        def backward():
+            g = out.grad
+            if g is None:
+                return
+            if w2.requires_grad:
+                _accumulate(w2, h.T @ g)
+            if x.requires_grad or w1.requires_grad:
+                gh = g @ w2_data.T
+                gh *= h > 0  # relu(z) > 0 exactly where z > 0
+                if x.requires_grad:
+                    _accumulate(x, gh @ w1_data.T)
+                if w1.requires_grad:
+                    _accumulate(w1, x_data.T @ gh)
+        Tape.active().record(backward)
+    return out
+
+
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     out = Tensor(x.data.reshape(shape), requires_grad=_tracked((x,)))
     if out.requires_grad:
@@ -310,38 +446,26 @@ def softmax(x: Tensor) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    if gain.data.shape != (x.data.shape[-1],) or bias.data.shape != (x.data.shape[-1],):
-        raise ShapeError("layer_norm: gain/bias must match the last axis of x")
+def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance (no affine)."""
     # the same arithmetic as np.var, sharing its mean and its centred copy
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat = x.data - _row_mean(x.data)
+    inv = 1.0 / np.sqrt(_row_mean(xhat * xhat) + eps)
     xhat *= inv
-    y = xhat * gain.data
-    y += bias.data
-    out = Tensor(y, requires_grad=_tracked((x, gain, bias)))
+    out = Tensor(xhat, requires_grad=_tracked((x,)))
     if out.requires_grad:
-        d = x.data.shape[-1]
-        gain_data = gain.data
         def backward():
             g = out.grad
             if g is None:
                 return
-            if gain.requires_grad:
-                _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-            if bias.requires_grad:
-                _accumulate(bias, g.reshape(-1, d).sum(axis=0))
-            if x.requires_grad:
-                gx = g * gain_data
-                m1 = gx.mean(axis=-1, keepdims=True)
-                tmp = gx * xhat
-                m2 = tmp.mean(axis=-1, keepdims=True)
-                np.multiply(xhat, m2, out=tmp)
-                gx -= m1
-                gx -= tmp
-                gx *= inv
-                _accumulate(x, gx)
+            m1 = _row_mean(g)
+            tmp = g * xhat
+            m2 = _row_mean(tmp)
+            np.multiply(xhat, m2, out=tmp)
+            gx = g - m1
+            gx -= tmp
+            gx *= inv
+            _accumulate(x, gx)
         Tape.active().record(backward)
     return out
 

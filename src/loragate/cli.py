@@ -220,6 +220,12 @@ def cmd_analyze(directory: str, layer: str = "all") -> int:
         if not per_task:
             continue
         layer_ids = sorted(per_task[0])
+        for td, arrays in zip(task_dirs, per_task):
+            if sorted(arrays) != layer_ids:
+                print(f"error: cannot read mask dumps in {run_dir}: {td.name} holds "
+                      f"layers {sorted(arrays)}, {task_dirs[0].name} holds {layer_ids}",
+                      file=sys.stderr)
+                return 2
         try:
             chosen = _select_layers(layer, layer_ids, cfg.n_blocks)
         except ConfigError as exc:

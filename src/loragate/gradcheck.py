@@ -20,12 +20,15 @@ from .adapter import init_adapter
 from .autodiff import (
     Tape,
     Tensor,
+    attention,
     cross_entropy,
     frobenius_sq,
     jumprelu,
     layer_norm,
+    linear,
     matmul,
     mean,
+    mlp,
     mul,
     relu,
     softmax,
@@ -98,8 +101,23 @@ def _fd_checks() -> list[tuple[str, float, float]]:
     run("relu", lambda x: mean(relu(x)),
         [np.where(np.abs(z := rng.normal(size=(6, 6))) < 0.05, 0.2, z)], (0,))
     run("softmax", lambda x: frobenius_sq(softmax(x)), [rng.normal(size=(5, 7))], (0,))
-    run("layer_norm", lambda x, g, c: frobenius_sq(layer_norm(x, g, c)),
-        [rng.normal(size=(4, 6)), rng.normal(size=6), rng.normal(size=6)], (0, 1, 2))
+    # weighted, since the squared norm of a normalized row hardly moves
+    r = Tensor(rng.normal(size=(4, 6)), dtype=np.float64)
+    run("layer_norm", lambda x: frobenius_sq(mul(layer_norm(x), r)),
+        [rng.normal(size=(4, 6))], (0,))
+    w = rng.normal(size=(6, 5))
+    run("linear", lambda x, y: frobenius_sq(linear(x, y)),
+        [rng.normal(size=(4, 6)), w], (0, 1), tol=1e-6)
+    run("linear_update", lambda x, y, z: frobenius_sq(linear(x, y, z, 0.7)),
+        [rng.normal(size=(4, 6)), w, rng.normal(size=(6, 5))], (0, 1, 2), tol=1e-6)
+    # 2 sequences of 3 positions, 2 heads of width 2
+    run("attention", lambda q, k, v: frobenius_sq(attention(q, k, v, 2, 2)),
+        [rng.normal(size=(6, 4)) for _ in range(3)], (0, 1, 2))
+    x, w1 = rng.normal(size=(5, 4)), rng.normal(size=(4, 7))
+    while np.abs(x @ w1).min() < 0.05:  # keep the hidden units off the relu kink
+        x, w1 = rng.normal(size=(5, 4)), rng.normal(size=(4, 7))
+    run("mlp", lambda a, b, c: frobenius_sq(mlp(a, b, c)),
+        [x, w1, rng.normal(size=(7, 3))], (0, 1, 2))
     run("mean_axis", lambda x: frobenius_sq(mean(x, axis=1)),
         [rng.normal(size=(3, 5, 4))], (0,))
     run("mul", lambda x, y: frobenius_sq(mul(x, y)),

@@ -51,3 +51,24 @@ def test_file_length_must_match_shape(tmp_path, length):
     path.write_bytes((path.read_bytes() + bytes(8))[:length])
     with pytest.raises(StoreError, match="'blk0.q'.* bytes, not shape"):
         load_arrays(store)
+
+
+@pytest.mark.parametrize("manifest", [
+    [],
+    "arrays",
+    {},
+    {"arrays": []},
+    {"arrays": {"x": "x.bin"}},
+    {"arrays": {"x": {"shape": [2], "dtype": "float64"}}},
+    {"arrays": {"x": {"file": "x.bin", "dtype": "float64"}}},
+    {"arrays": {"x": {"file": "x.bin", "shape": [2]}}},
+    {"arrays": {"x": {"file": "x.bin", "shape": 2, "dtype": "float64"}}},
+    {"arrays": {"x": {"file": "x.bin", "shape": [-2], "dtype": "float64"}}},
+    {"arrays": {"x": {"file": "x.bin", "shape": [2], "dtype": "no-such-type"}}},
+])
+def test_malformed_manifest_rejected(tmp_path, manifest):
+    store = tmp_path / "store"
+    save_arrays(store, {"x": np.zeros(2)})
+    (store / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(StoreError, match="manifest"):
+        load_arrays(store)

@@ -1,19 +1,24 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loragate.autodiff import (
     Tape,
     Tensor,
     add,
+    attention,
     cross_entropy,
     embed,
     frobenius_sq,
     jumprelu,
     layer_norm,
+    linear,
     matmul,
     mean,
+    mlp,
     mul,
     permute,
     relu,
@@ -265,19 +270,17 @@ class TestNetworkOps:
         assert rel_err(tx.grad, fd_grad(f, [x], 0)) < 1e-4
 
     def test_layer_norm_gradient(self, rng):
-        x, g, b = rng.normal(size=(3, 5)), rng.normal(size=5), rng.normal(size=5)
-        tx, tg, tb = t64(x, grad=True), t64(g, grad=True), t64(b, grad=True)
+        x = rng.normal(size=(3, 5))
+        tx = t64(x, grad=True)
         with Tape() as tape:
-            tape.backward(frobenius_sq(layer_norm(tx, tg, tb)))
+            tape.backward(frobenius_sq(layer_norm(tx)))
 
-        def f(ax, ag, ab):
+        def f(ax):
             mu = ax.mean(axis=-1, keepdims=True)
             var = ax.var(axis=-1, keepdims=True)
-            y = (ax - mu) / np.sqrt(var + 1e-5) * ag + ab
-            return float((y ** 2).sum())
+            return float((((ax - mu) / np.sqrt(var + 1e-5)) ** 2).sum())
 
-        for i, t in enumerate((tx, tg, tb)):
-            assert rel_err(t.grad, fd_grad(f, [x, g, b], i)) < 1e-4
+        assert rel_err(tx.grad, fd_grad(f, [x], 0)) < 1e-4
 
     def test_relu_gradient_away_from_kink(self, rng):
         x = rng.normal(size=(5, 5))
@@ -384,22 +387,135 @@ class TestExactKernels:
     @given(seed=SEEDS, shape=SHAPES, dtype=DTYPES)
     def test_layer_norm_matches_var_formula(self, seed, shape, dtype):
         x = sample(seed, shape, dtype)
-        d = shape[-1]
-        gain, bias = sample(seed + 1, (d,), dtype), sample(seed + 2, (d,), dtype)
-        tx, tg, tb = (Tensor(a, requires_grad=True) for a in (x, gain, bias))
+        tx = Tensor(x, requires_grad=True)
         with Tape() as tape:
-            out = layer_norm(tx, tg, tb)
+            out = layer_norm(tx)
             tape.backward(frobenius_sq(out))
 
         mu = x.mean(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
-        xhat = (x - mu) * inv
-        ref = xhat * gain + bias
+        ref = (x - mu) * inv
         g = 2.0 * ref
-        gx = g * gain
-        m1 = gx.mean(axis=-1, keepdims=True)
-        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+        m1 = g.mean(axis=-1, keepdims=True)
+        m2 = (g * ref).mean(axis=-1, keepdims=True)
         assert np.array_equal(out.data, ref)
-        assert np.array_equal(tx.grad, (gx - m1 - xhat * m2) * inv)
-        assert np.array_equal(tg.grad, (g * xhat).reshape(-1, d).sum(axis=0))
-        assert np.array_equal(tb.grad, g.reshape(-1, d).sum(axis=0))
+        assert np.array_equal(tx.grad, (g - m1 - ref * m2) * inv)
+
+
+# The fused block primitives against the numpy of the chain of records they
+# replace: the forward of each record, then each backward in reverse order.
+# With ``frobenius_sq`` as the loss the upstream gradient is exactly 2 * out.
+SIZES = st.integers(1, 5)
+NEEDS = st.tuples(st.booleans(), st.booleans(), st.booleans()).filter(any)
+
+
+def backprop(fn, arrays, needs):
+    tensors = [Tensor(a, requires_grad=r) for a, r in zip(arrays, needs)]
+    with Tape() as tape:
+        out = fn(*tensors)
+        tape.backward(frobenius_sq(out))
+    return out.data, [t.grad for t in tensors]
+
+
+def assert_grads_equal(got, want, needs):
+    for g, w, r in zip(got, want, needs):
+        if r:
+            assert np.array_equal(g, w)
+        else:
+            assert g is None
+
+
+def attention_chain(q, k, v, batch, heads):
+    """reshape/permute per head, q @ k^T, scale, softmax, @ v, permute, reshape."""
+    n, d = q.shape
+    seq, hd = n // batch, d // heads
+
+    def split(a):
+        return np.transpose(a.reshape(batch, seq, heads, hd), (0, 2, 1, 3))
+
+    def merge(a):
+        return np.transpose(a, (0, 2, 1, 3)).reshape(n, d)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    kt = np.transpose(kh, (0, 1, 3, 2))
+    c = 1.0 / math.sqrt(hd)
+    scores = (qh @ kt) * c
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = merge(p @ vh)
+    gc = np.transpose((2.0 * out).reshape(batch, seq, heads, hd), (0, 2, 1, 3))
+    gp = gc @ np.swapaxes(vh, -1, -2)
+    gvh = np.swapaxes(p, -1, -2) @ gc
+    gscores = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * c
+    gqh = gscores @ np.swapaxes(kt, -1, -2)
+    gkh = np.transpose(np.swapaxes(qh, -1, -2) @ gscores, (0, 1, 3, 2))
+    return out, [merge(gqh), merge(gkh), merge(gvh)]
+
+
+class TestFusedKernels:
+    @EXACT
+    @given(seed=SEEDS, batch=SIZES, seq=SIZES, heads=st.integers(1, 3),
+           hd=st.integers(1, 4), dtype=DTYPES, needs=NEEDS)
+    def test_attention_matches_chain(self, seed, batch, seq, heads, hd, dtype, needs):
+        shape = (batch * seq, heads * hd)
+        q, k, v = (sample(seed + i, shape, dtype) for i in range(3))
+        out, grads = backprop(lambda a, b, c: attention(a, b, c, batch, heads),
+                              (q, k, v), needs)
+        ref, ref_grads = attention_chain(q, k, v, batch, heads)
+        assert out.dtype == dtype and np.array_equal(out, ref)
+        assert_grads_equal(grads, ref_grads, needs)
+
+    @EXACT
+    @given(seed=SEEDS, rows=st.integers(1, 9), inner=st.integers(1, 9),
+           cols=st.integers(1, 9), dtype=DTYPES, needs=NEEDS,
+           update=st.booleans(), s=st.sampled_from([0.0, 0.5, 4.0, -3.0]))
+    def test_linear_matches_chain(self, seed, rows, inner, cols, dtype, needs, update, s):
+        """matmul(x, add(w, scale(dw, s))), or matmul(x, w) without an update."""
+        assume(update or any(needs[:2]))
+        x, w, dw = (sample(seed + i, shape, dtype) for i, shape in
+                    enumerate([(rows, inner), (inner, cols), (inner, cols)]))
+        if update:
+            out, grads = backprop(lambda a, b, c: linear(a, b, c, s), (x, w, dw), needs)
+            w_eff = w + dw * s
+        else:
+            needs = needs[:2]
+            out, grads = backprop(linear, (x, w), needs)
+            w_eff = w
+        ref = x @ w_eff
+        g = 2.0 * ref
+        gw = np.swapaxes(x, -1, -2) @ g
+        assert out.dtype == dtype and np.array_equal(out, ref)
+        assert_grads_equal(grads, [g @ np.swapaxes(w_eff, -1, -2), gw, gw * s], needs)
+
+    @EXACT
+    @given(seed=SEEDS, rows=st.integers(1, 9), d=st.integers(1, 9),
+           hidden=st.integers(1, 9), dtype=DTYPES, needs=NEEDS)
+    def test_mlp_matches_chain(self, seed, rows, d, hidden, dtype, needs):
+        """matmul(relu(matmul(x, w1)), w2)."""
+        x, w1, w2 = (sample(seed + i, shape, dtype) for i, shape in
+                     enumerate([(rows, d), (d, hidden), (hidden, d)]))
+        out, grads = backprop(mlp, (x, w1, w2), needs)
+        pre = x @ w1
+        h = np.maximum(pre, 0)
+        ref = h @ w2
+        g = 2.0 * ref
+        gpre = (g @ np.swapaxes(w2, -1, -2)) * (pre > 0).astype(dtype)
+        want = [gpre @ np.swapaxes(w1, -1, -2), np.swapaxes(x, -1, -2) @ gpre,
+                np.swapaxes(h, -1, -2) @ g]
+        assert out.dtype == dtype and np.array_equal(out, ref)
+        assert_grads_equal(grads, want, needs)
+
+    def test_shapes_checked(self):
+        a = Tensor(np.zeros((6, 4)))
+        with pytest.raises(ShapeError):
+            attention(a, a, Tensor(np.zeros((6, 2))), 2, 2)
+        with pytest.raises(ShapeError):
+            attention(a, a, a, 4, 2)  # 6 rows are not 4 sequences
+        with pytest.raises(ShapeError):
+            attention(a, a, a, 2, 3)  # width 4 is not 3 heads
+        with pytest.raises(ShapeError):
+            linear(a, Tensor(np.zeros((3, 2))))
+        with pytest.raises(ShapeError):
+            linear(a, Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 4))), 1.0)
+        with pytest.raises(ShapeError):
+            mlp(a, Tensor(np.zeros((4, 5))), Tensor(np.zeros((4, 4))))

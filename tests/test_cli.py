@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import loragate.autodiff as autodiff
@@ -241,12 +247,22 @@ class TestAnalyze:
         assert "mask" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["no_manifest", "no_bin", "truncated_bin",
-                                        "bad_task_dir"])
+                                        "bad_task_dir", "no_arrays", "entry_without_file",
+                                        "fewer_layers"])
     def test_damaged_store_rejected(self, tmp_path, capsys, damage):
         out = self.run_once(tmp_path)
         task = out / "masks" / "o0_s42" / "task1"
+        manifest = json.loads((task / "manifest.json").read_text())
         if damage == "no_manifest":
             (task / "manifest.json").unlink()
+        elif damage == "no_arrays":
+            (task / "manifest.json").write_text("{}")
+        elif damage == "entry_without_file":
+            del manifest["arrays"]["blk0.q"]["file"]
+            (task / "manifest.json").write_text(json.dumps(manifest))
+        elif damage == "fewer_layers":
+            del manifest["arrays"]["blk0.v"]
+            (task / "manifest.json").write_text(json.dumps(manifest))
         elif damage == "no_bin":
             (task / "blk0.q.bin").unlink()
         elif damage == "truncated_bin":
@@ -275,3 +291,12 @@ class TestMain:
     def test_gradcheck_subcommand(self, capsys):
         assert main(["gradcheck"]) == 0
         capsys.readouterr()
+
+    def test_runs_as_module(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "loragate", "gradcheck"],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "gradient checks passed" in done.stdout

@@ -1,8 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 
+from loragate import autodiff, harness
 from loragate.adapter import GateScope, dense_update, init_adapter
-from loragate.autodiff import Tensor
+from loragate.autodiff import (
+    Tape,
+    Tensor,
+    add,
+    cross_entropy,
+    embed,
+    layer_norm,
+    matmul,
+    mean,
+    permute,
+    relu,
+    reshape,
+    scale,
+    softmax,
+)
 from loragate.config import ExperimentConfig, Method
 from loragate.data import generate_task_stream
 from loragate.errors import ConfigError
@@ -127,3 +144,98 @@ class TestTrainingInvariants:
         assert len({id(g) for g in gates.values()}) == cfg.n_blocks
         assert id(gates["blk0.q"]) == id(gates["blk0.v"])
         assert id(gates["blk0.q"]) != id(gates["blk1.q"])
+
+
+def chain_forward(model, tokens, updates, scaling):
+    """The forward pass as it was before the block was fused: a [batch, seq, d]
+    residual, and attention, projections and MLP as chains of small records."""
+    p = model.params
+    x = embed(tokens, p["tok_emb"], p["pos_emb"])
+    batch, seq = tokens.shape
+    d, h = model.d_model, model.n_heads
+    hd = d // h
+
+    def effective(lid):
+        return add(p[lid], scale(updates[lid], scaling)) if lid in updates else p[lid]
+
+    def heads(t):
+        return permute(reshape(t, (batch, seq, h, hd)), (0, 2, 1, 3))
+
+    for i in range(model.n_blocks):
+        flat = reshape(layer_norm(x), (batch * seq, d))
+        q = matmul(flat, effective(f"blk{i}.q"))
+        k = matmul(flat, p[f"blk{i}.k"])
+        v = matmul(flat, effective(f"blk{i}.v"))
+        q, k, v = heads(q), heads(k), heads(v)
+        scores = scale(matmul(q, permute(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
+        ctx = reshape(permute(matmul(softmax(scores), v), (0, 2, 1, 3)), (batch * seq, d))
+        x = add(x, reshape(matmul(ctx, p[f"blk{i}.o"]), (batch, seq, d)))
+        hidden = relu(matmul(reshape(layer_norm(x), (batch * seq, d)), p[f"blk{i}.mlp1"]))
+        x = add(x, reshape(matmul(hidden, p[f"blk{i}.mlp2"]), (batch, seq, d)))
+    return matmul(mean(layer_norm(x), axis=1), p["head"])
+
+
+class TestFusedBlock:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, batch, seq", [
+        (SMALL, 5, 7),
+        (dict(SMALL, n_heads=1, n_blocks=1), 1, 1),
+        ({}, 32, 16),  # the default model and batch
+    ])
+    def test_matches_chain_of_small_primitives(self, dtype, shape, batch, seq):
+        model = build_model(seed=4, dtype=dtype, **shape)
+        rng = np.random.default_rng(9)
+        tokens = rng.integers(0, model.vocab_size, size=(batch, seq))
+        labels = rng.integers(0, model.num_classes, size=batch)
+        d = model.d_model
+        # every adapted layer but the last, so one projection runs without update
+        lids = model.adapted_layers[:-1]
+        factors = {lid: (Tensor(rng.normal(scale=0.3, size=(d, 4)).astype(dtype), True),
+                         Tensor(rng.normal(scale=0.3, size=(4, d)).astype(dtype), True))
+                   for lid in lids}
+        results = []
+        for forward in (model.forward, lambda *a: chain_forward(model, *a)):
+            with Tape() as tape:
+                updates = {lid: matmul(a, b) for lid, (a, b) in factors.items()}
+                logits = forward(tokens, updates, 4.0)
+                tape.backward(cross_entropy(logits, labels))
+            results.append((logits.data, [t.grad for f in factors.values() for t in f]))
+            for a, b in factors.values():
+                a.zero_grad()
+                b.zero_grad()
+        (fused, fused_grads), (chain, chain_grads) = results
+        assert fused.dtype == dtype and np.array_equal(fused, chain)
+        for got, want in zip(fused_grads, chain_grads):
+            assert np.array_equal(got, want)
+
+    def test_forward_records(self, rng):
+        model = build_model(seed=0)
+        updates = {lid: Tensor(np.zeros((64, 64), np.float32), True)
+                   for lid in model.adapted_layers}
+        with Tape() as tape:
+            model.forward(rng.integers(0, 64, size=(2, 5)), updates, 1.0)
+        # block 0 (its input needs no gradient, so its norm and the key
+        # projection are not recorded): q, v, attention, o, add, norm, mlp,
+        # add; every later block adds the norm and k; then norm, reshape,
+        # mean and head
+        assert len(tape) == 8 + 10 * (model.n_blocks - 1) + 4
+
+    def test_training_step_records(self, monkeypatch):
+        lengths = []
+        backward = autodiff.Tape.backward
+
+        def counting(tape, root):
+            lengths.append(len(tape))
+            backward(tape, root)
+
+        monkeypatch.setattr(autodiff.Tape, "backward", counting)
+        cfg = ExperimentConfig(method=Method.JUMP_ELLA, ella_lambda=[1.0], n_tasks=2,
+                               samples_per_class=32)
+        stream = generate_task_stream(cfg.data_seed, cfg.n_tasks, cfg.samples_per_class,
+                                      cfg.difficulty, cfg.classes_per_task,
+                                      cfg.seq_len, cfg.vocab_size)
+        harness.run_stream(stream, cfg, 42)
+        # a gated, penalised step of the default model: 42 forward records,
+        # 1 loss, 8 dense updates, 32 gate and interpolation records and
+        # 32 penalty records (198 while the block was a chain of small records)
+        assert max(lengths) == 115
