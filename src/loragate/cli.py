@@ -13,10 +13,10 @@ import numpy as np
 
 from . import arrayio
 from .config import ExperimentConfig, format_config, load_config, parse_config_text
-from .data import generate_task_stream
+from .data import TaskStream, generate_task_stream
 from .errors import ConfigError
 from .gradcheck import run_gradcheck
-from .harness import resolve_order, run_stream
+from .harness import SoloRun, resolve_order, run_stream
 from .metrics import (
     backward_transfer,
     forward_transfer,
@@ -28,9 +28,11 @@ from .metrics import (
 
 ENV_OUTPUT_ROOT = "LORAGATE_OUTPUT_ROOT"
 
-# Isolated accuracies per (config text, seed), shared by the orders of one
-# grid; ``cmd_run`` clears it, and each pool worker fills its own copy.
-_ISOLATED: dict[tuple[str, int], dict[int, float]] = {}
+# Solo runs per (config text, seed) and the task stream per config text,
+# shared by the runs of one grid; ``cmd_run`` clears both, and each pool worker
+# fills its own copies.
+_ISOLATED: dict[tuple[str, int], dict[int, SoloRun]] = {}
+_STREAMS: dict[str, TaskStream] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +80,11 @@ def _run_single(payload) -> dict:
     cfg_text, order_index, seed, out_str = payload
     cfg = parse_config_text(cfg_text)
     out = Path(out_str)
-    stream = generate_task_stream(cfg.data_seed, cfg.n_tasks, cfg.samples_per_class,
-                                  cfg.difficulty, cfg.classes_per_task,
-                                  cfg.seq_len, cfg.vocab_size)
+    stream = _STREAMS.get(cfg_text)
+    if stream is None:
+        stream = _STREAMS[cfg_text] = generate_task_stream(
+            cfg.data_seed, cfg.n_tasks, cfg.samples_per_class, cfg.difficulty,
+            cfg.classes_per_task, cfg.seq_len, cfg.vocab_size)
     order = resolve_order(cfg.n_tasks, order_index, cfg.data_seed)
     result = run_stream(stream, cfg, seed, order=order,
                         isolated=_ISOLATED.setdefault((cfg_text, seed), {}))
@@ -138,6 +142,7 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
     payloads = [(cfg_text, o, s, str(out))
                 for o in range(cfg.n_orders) for s in cfg.seeds]
     _ISOLATED.clear()
+    _STREAMS.clear()
     workers = min(jobs, len(payloads))
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
@@ -259,9 +264,10 @@ def main(argv=None) -> int:
     p_run.add_argument("--jobs", type=int, default=1,
                        help="parallel worker processes for (order, seed) runs, "
                             "at most one per run; each worker runs on one BLAS "
-                            "thread, so N workers use N cores; isolated runs are "
-                            "shared only among the runs of one worker; a failed "
-                            "run is reported in report.txt at any job count")
+                            "thread, so N workers use N cores; single-task runs "
+                            "and the task stream are shared only among the runs "
+                            "of one worker; a failed run is reported in "
+                            "report.txt at any job count")
 
     sub.add_parser("gradcheck", help="finite-difference and kernel gradient checks")
 

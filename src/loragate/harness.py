@@ -7,18 +7,24 @@ Isolated single-task runs fill the reference row of the accuracy matrix.
 
 An isolated run depends only on (config, stream, seed, task id), so a caller
 that runs several orders of one stream can pass ``run_stream`` one dict of
-isolated accuracies and have each task trained alone at most once. Two
-invariants make that exact:
+solo runs and have each task trained alone at most once. Two invariants make
+that exact:
 
 - the isolated run of a task trains the same adapters (seeded from the run seed
   and task id) on the same shuffle from a clone of the same base model,
   whichever order asked for it;
 - stream position 0 is such a run: an all-zero past never adds the overlap
-  penalty, so its accuracy after training is the isolated accuracy.
+  penalty, so its losses, merged updates and accuracy are the isolated run's.
+
+Together they let position 0 always replay its task's solo run instead of
+training in the stream: merging the stored updates into a clone of the base
+model and feeding them to the past-update state leaves the model, the state
+and the trace as training there would have.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import logging
 import math
@@ -66,6 +72,18 @@ class TaskLog:
     threshold_init_step: Optional[int]
     thresholds: dict[str, float] = field(default_factory=dict)
     penalty_weight: float = 0.0
+
+
+@dataclass(frozen=True)
+class SoloRun:
+    """A task trained alone from the base model, as stream position 0 needs it
+    to replay the run: its log, its merged update per layer and its test
+    accuracy. Its arrays are read-only, because runs of other orders share
+    them."""
+
+    log: TaskLog
+    merged: dict[str, np.ndarray]
+    accuracy: float
 
 
 @dataclass
@@ -250,37 +268,52 @@ def resolve_order(n_tasks: int, order_index: int, data_seed: int) -> list[int]:
     return [int(t) for t in rng.permutation(n_tasks)]
 
 
-def _finish_task(model, adapters, gates, scaling, ella_state, penalty_scaled):
-    """Hard-threshold, merge, mask, and accumulate the past-update state."""
-    masks = {}
-    merged = {}
+def _merge_updates(model, merged, scaling, ella_state, penalty_scaled):
+    """Merge the final updates and accumulate them into the past-update state."""
     for lid in model.adapted_layers:
-        if gates is not None:
-            dw_final = final_sparse_update(adapters[lid], gates[lid])
-        else:
-            dw_final = adapters[lid].down.data @ adapters[lid].up.data
-        merged[lid] = dw_final
-        masks[lid] = (dw_final != 0).astype(np.uint8)
-        model.params[lid] = merge(model.params[lid], dw_final, scaling)
+        model.params[lid] = merge(model.params[lid], merged[lid], scaling)
         if ella_state is not None:
-            contribution = dw_final * scaling if penalty_scaled else dw_final
+            contribution = merged[lid] * scaling if penalty_scaled else merged[lid]
             update_past(ella_state, contribution, lid)
-    return masks, merged
 
 
 def _train_and_merge(model, stream, task_id, config, seed, penalty_weight=0.0,
                      ella_state=None):
-    """Train one task on fresh adapters, then merge them into ``model``.
+    """Train one task on fresh adapters, hard-threshold their final update,
+    then merge it into ``model``.
 
-    Returns the task log plus the support mask and merged update per layer.
+    Returns the task log and the merged update per layer.
     """
     adapters, gates = inject_adapters(model, config, seed, task_id)
     task_log = train_task(model, adapters, gates, stream, task_id, config,
                           penalty_weight=penalty_weight, ella_state=ella_state,
                           run_seed=seed)
-    masks, merged = _finish_task(model, adapters, gates, config.alpha / config.rank,
-                                 ella_state, config.ella_scale_past)
-    return task_log, masks, merged
+    merged = {}
+    for lid in model.adapted_layers:
+        if gates is not None:
+            merged[lid] = final_sparse_update(adapters[lid], gates[lid])
+        else:
+            merged[lid] = adapters[lid].down.data @ adapters[lid].up.data
+    _merge_updates(model, merged, config.alpha / config.rank, ella_state,
+                   config.ella_scale_past)
+    return task_log, merged
+
+
+def _train_solo(base, stream, task_id, config, seed) -> SoloRun:
+    """Train one task alone on a clone of ``base``; the stored arrays are
+    made read-only."""
+    model = base.clone()
+    task_log, merged = _train_and_merge(model, stream, task_id, config, seed)
+    for array in (task_log.losses, *merged.values()):
+        array.flags.writeable = False
+    return SoloRun(task_log, merged, evaluate(model, stream, task_id))
+
+
+def _copy_log(task_log: TaskLog, **changes) -> TaskLog:
+    """A copy of ``task_log`` that shares no array, list or dict with it."""
+    return dataclasses.replace(task_log, losses=task_log.losses.copy(),
+                               gammas=list(task_log.gammas),
+                               thresholds=dict(task_log.thresholds), **changes)
 
 
 @one_blas_thread()
@@ -289,19 +322,26 @@ def run_stream(
     config: ExperimentConfig,
     seed: int,
     order: Optional[list[int]] = None,
-    isolated: Optional[dict[int, float]] = None,
+    isolated: Optional[dict[int, SoloRun]] = None,
 ) -> RunResult:
     """Full stream pass plus per-task isolated runs.
 
-    ``isolated`` maps task id to the accuracy of that task trained alone under
-    this config, stream and seed; the caller owns it and may pass the same dict
-    to runs of other orders. Stream position 0 fills the entry of ``order[0]``
-    if it is missing, every other missing task is trained alone from the base
-    model and written back, and row 0 of the matrix is read from the dict. With
-    ``isolated=None`` a fresh dict is used. The results are the same as when
-    every task is trained alone, by the two invariants in the module
-    docstring: an isolated run does not depend on the order, and stream
-    position 0 is one. All stream trainings come before the isolated ones.
+    ``isolated`` maps task id to that task's run alone under this config,
+    stream and seed (see ``SoloRun``); the caller owns it and may pass the same
+    dict to runs of other orders. Stream position 0 replays the run of
+    ``order[0]``, trained alone first if the dict lacks it: it merges the
+    stored updates, feeds them to the past-update state as training would, and
+    takes their accuracy. After the stream, every other missing task is trained
+    alone from the base model, and row 0 of the matrix is read from the solo
+    runs. The new runs are written to ``isolated`` only when the run completes,
+    so a run that raises leaves the dict as it found it. The results are the
+    same as when every task is trained alone and position 0 in the stream, by
+    the invariants in the module docstring. The solo training of ``order[0]``
+    and the stream trainings come before the other solo trainings, and the
+    returned arrays are the caller's to modify.
+
+    ``order`` must be a permutation of the stream's task ids; anything else
+    raises ``ConfigError`` before any training.
 
     The run uses one BLAS thread and restores the caller's count on return
     (see ``blas``).
@@ -313,7 +353,12 @@ def run_stream(
             f"{len(penalty_weights)} penalty weights for {len(stream)} tasks"
         )
     order = list(range(len(stream))) if order is None else list(order)
-    isolated = {} if isolated is None else isolated
+    if sorted(order) != list(range(len(stream))):
+        raise ConfigError(
+            f"order {order} is not a permutation of the {len(stream)} task ids"
+        )
+    solo = dict(isolated or {})
+    scaling = config.alpha / config.rank
     hasher = hashlib.sha256()
 
     base = build_model(config.vocab_size, config.d_model, config.n_heads,
@@ -329,29 +374,37 @@ def run_stream(
     masks: dict[tuple[int, str], np.ndarray] = {}
     logs: list[TaskLog] = []
 
+    if order[0] not in solo:
+        solo[order[0]] = _train_solo(base, stream, order[0], config, seed)
     for pos, tid in enumerate(order):
-        task_log, task_masks, merged = _train_and_merge(
-            model, stream, tid, config, seed, penalty_weights[pos], ella_state)
-        task_log.position = pos
+        if pos == 0:
+            first = solo[tid]
+            task_log = _copy_log(first.log, position=0,
+                                 penalty_weight=penalty_weights[0])
+            merged = first.merged
+            _merge_updates(model, merged, scaling, ella_state,
+                           config.ella_scale_past)
+            matrix.set(1, 0, first.accuracy)
+        else:
+            task_log, merged = _train_and_merge(
+                model, stream, tid, config, seed, penalty_weights[pos], ella_state)
+            task_log.position = pos
+            for j in range(pos + 1):
+                matrix.set(pos + 1, j, evaluate(model, stream, order[j]))
         logs.append(task_log)
         for lid in model.adapted_layers:
-            masks[(pos, lid)] = task_masks[lid]
+            masks[(pos, lid)] = (merged[lid] != 0).astype(np.uint8)
         hasher.update(task_log.losses.tobytes())
         for lid in sorted(merged):
             hasher.update(merged[lid].tobytes())
-        for j in range(pos + 1):
-            matrix.set(pos + 1, j, evaluate(model, stream, order[j]))
 
-    # Position 0 started from the base with an empty past, which never adds a
-    # penalty, so it was the isolated run of order[0].
-    isolated.setdefault(order[0], float(matrix.grid[1, 0]))
     for tid in order:
-        if tid not in isolated:
-            iso = base.clone()
-            _train_and_merge(iso, stream, tid, config, seed)
-            isolated[tid] = evaluate(iso, stream, tid)
+        if tid not in solo:
+            solo[tid] = _train_solo(base, stream, tid, config, seed)
     for pos, tid in enumerate(order):
-        matrix.set_isolated(pos, isolated[tid])
+        matrix.set_isolated(pos, solo[tid].accuracy)
+    if isolated is not None:
+        isolated.update(solo)
 
     hasher.update(matrix.grid.tobytes())
     return RunResult(order=order, matrix=matrix, masks=masks, logs=logs,

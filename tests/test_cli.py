@@ -169,7 +169,40 @@ class TestRun:
         out = tmp_path / "shared"
         assert cmd_run(str(write_config(tmp_path, text=text, out=out)), jobs=1) == 0
         n_orders, n_tasks = 2, 2
-        assert len(calls) == n_orders * n_tasks + n_tasks - 1
+        # each task once alone; each order then trains every position but 0,
+        # which replays its task's solo run
+        assert len(calls) == n_tasks + n_orders * (n_tasks - 1)
+        for name in artifacts:
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+    def test_task_stream_generated_once_per_grid(self, tmp_path, monkeypatch):
+        text = TINY.replace("seeds = 42", "seeds = 42,43\nn_orders = 2")
+        artifacts = ["metrics.csv"] + [f"accuracy_o{o}_s{s}.csv"
+                                       for o in (0, 1) for s in (42, 43)]
+        generated = []
+        generate = cli.generate_task_stream
+
+        def counting_generate(*args, **kwargs):
+            generated.append(1)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "generate_task_stream", counting_generate)
+        run_stream = cli.run_stream
+
+        def regenerating(*args, **kwargs):
+            cli._STREAMS.clear()  # the next run generates its stream again
+            return run_stream(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_stream", regenerating)
+        ref = tmp_path / "regenerated"
+        assert cmd_run(str(write_config(tmp_path, text=text, out=ref)), jobs=1) == 0
+        assert len(generated) == 4
+        monkeypatch.setattr(cli, "run_stream", run_stream)
+
+        generated.clear()
+        out = tmp_path / "shared"
+        assert cmd_run(str(write_config(tmp_path, text=text, out=out)), jobs=1) == 0
+        assert len(generated) == 1
         for name in artifacts:
             assert (out / name).read_bytes() == (ref / name).read_bytes()
 

@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import loragate.harness as harness
-from loragate.adapter import final_sparse_update
+from loragate.adapter import GateScope, final_sparse_update
 from loragate.config import ExperimentConfig, Method
 from loragate.data import generate_task_stream
+from loragate.ella import make_ella_state
 from loragate.errors import ConfigError, StateError
 from loragate.harness import (
+    TaskLog,
     evaluate,
     inject_adapters,
     resolve_order,
@@ -156,8 +160,8 @@ class TestRunStream:
         assert backward_transfer(result.matrix) is None
 
     def test_isolated_row_matches_first_position(self):
-        # row 0 takes order[0]'s entry from stream position 0, which trains
-        # with the overlap penalty on; training that task alone must agree
+        # row 0 and stream position 0 share order[0]'s solo run; training
+        # that task alone by hand must agree
         cfg = tiny_config(method=Method.JUMP_ELLA, ella_lambda=[50.0])
         stream = stream_for(cfg)
         order = [1, 0]
@@ -211,12 +215,86 @@ class TestRunStream:
         shared = [run_stream(stream_for(cfg), cfg, seed=42, order=order,
                              isolated=isolated)
                   for order in ([0, 1, 2], [2, 0, 1])]
-        # the first order trains tasks 1 and 2 alone; the second trains none
-        assert trained == [0, 1, 2, 1, 2] + [2, 0, 1]
+        # the first order trains tasks 1 and 2 alone; the second replays task 2
+        # at position 0 and trains no task alone
+        assert trained == [0, 1, 2, 1, 2] + [0, 1]
         assert sorted(isolated) == [0, 1, 2]
         for a, b in zip(alone, shared):
             np.testing.assert_array_equal(a.matrix.grid, b.matrix.grid)
             assert a.trace_hash == b.trace_hash
+
+    def test_replayed_first_position_equals_trained(self):
+        cfg = tiny_config(method=Method.JUMP_ELLA, ella_lambda=[50.0],
+                          ella_scale_past=True, gate_scope=GateScope.PER_BLOCK)
+        stream = stream_for(cfg)
+        order = [1, 0]
+        isolated = {}
+        run_stream(stream, cfg, seed=42, order=[0, 1], isolated=isolated)
+        shared = run_stream(stream, cfg, seed=42, order=order, isolated=isolated)
+        fresh = run_stream(stream, cfg, seed=42, order=order)
+
+        # the same order trained in the stream by hand, position 0 included,
+        # with the overlap penalty on from the first task
+        model = fresh_model(cfg, stream, 42)
+        ella_state = make_ella_state({lid: model.layer_shape(lid)
+                                      for lid in model.adapted_layers})
+        logs, masks, rows = [], {}, []
+        for pos, tid in enumerate(order):
+            task_log, merged = harness._train_and_merge(
+                model, stream, tid, cfg, 42, 50.0, ella_state)
+            task_log.position = pos
+            logs.append(task_log)
+            for lid, dw in merged.items():
+                masks[(pos, lid)] = (dw != 0).astype(np.uint8)
+            rows.append([evaluate(model, stream, t) for t in order[:pos + 1]])
+
+        for result in (shared, fresh):
+            assert len(result.logs) == len(logs) == 2
+            for r, t in zip(result.logs, logs):
+                for f in dataclasses.fields(TaskLog):
+                    rv, tv = getattr(r, f.name), getattr(t, f.name)
+                    if isinstance(tv, np.ndarray):
+                        assert rv.dtype == tv.dtype
+                        np.testing.assert_array_equal(rv, tv)
+                    else:
+                        assert rv == tv, f.name
+            assert result.masks.keys() == masks.keys()
+            for key, mask in masks.items():
+                assert result.masks[key].dtype == mask.dtype
+                np.testing.assert_array_equal(result.masks[key], mask)
+            assert result.model.params.keys() == model.params.keys()
+            for name, param in model.params.items():
+                np.testing.assert_array_equal(result.model.params[name].data,
+                                              param.data)
+            for pos, row in enumerate(rows):
+                assert list(result.matrix.grid[pos + 1, :pos + 1]) == row
+        np.testing.assert_array_equal(shared.matrix.grid, fresh.matrix.grid)
+        assert shared.trace_hash == fresh.trace_hash
+        assert shared.logs[0].penalty_weight == 50.0
+        # position 1 trained against the past that position 0 fed
+        unpenalized = tiny_config(method=Method.JUMP_ELLA, ella_lambda=[0.0],
+                                  gate_scope=GateScope.PER_BLOCK)
+        plain = run_stream(stream, unpenalized, seed=42, order=order)
+        assert not np.array_equal(plain.logs[1].losses, shared.logs[1].losses)
+
+        # the stored run is read-only; what a run returns is the caller's
+        lid = model.adapted_layers[0]
+        stored = isolated[1]
+        assert not stored.log.losses.flags.writeable
+        with pytest.raises(ValueError):
+            stored.merged[lid][0, 0] = 1
+        assert shared.logs[0].losses.flags.writeable
+        assert shared.masks[(0, lid)].flags.writeable
+
+    @pytest.mark.parametrize("order", [[0, 0], [0], [0, 1, 0]])
+    def test_order_must_be_a_permutation(self, order, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the order was checked")
+
+        monkeypatch.setattr(harness, "train_task", no_training)
+        cfg = tiny_config()
+        with pytest.raises(ConfigError, match="not a permutation"):
+            run_stream(stream_for(cfg), cfg, seed=42, order=order)
 
     def test_merges_applied_per_task(self):
         cfg = tiny_config()

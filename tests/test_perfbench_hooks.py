@@ -3,14 +3,14 @@
 ``perfbench/instrument.py`` replaces package functions by name and binds their
 arguments by signature, so a renamed function or a changed signature breaks the
 benchmark without breaking any other test. This loads that file as it is and
-runs a tiny stream under its hooks.
+runs a tiny stream, and a tiny ``loragate run`` grid, under its hooks.
 """
 
 import importlib.util
 from pathlib import Path
 
 import loragate.harness as harness
-from loragate import autodiff, model, optim
+from loragate import autodiff, cli, model, optim
 from loragate.config import ExperimentConfig, Method
 from loragate.data import generate_task_stream
 
@@ -66,3 +66,44 @@ def test_hooks_keep_trace_hash_and_uninstall_restores_bindings():
     assert layers["harness.isolated_train_s"] > 0
     assert probe.train_samples > 0 and probe.eval_samples > 0
     assert len(probe.train_ce) == len(probe.step_ms) > 0
+
+
+GRID = """\
+vocab_size = 24
+d_model = 16
+n_heads = 2
+n_blocks = 2
+max_seq_len = 10
+n_tasks = 2
+classes_per_task = 2
+samples_per_class = 32
+seq_len = 8
+batch_size = 16
+method = jump-ella
+ella_lambda = 50
+n_orders = 2
+seeds = 42
+output_dir = {out}
+"""
+
+
+def test_tracer_follows_a_grid_that_shares_solo_runs_and_the_stream(tmp_path):
+    instrument = load_instrument()
+    before = bindings(instrument)
+    config = tmp_path / "grid.cfg"
+    config.write_text(GRID.format(out=tmp_path / "out"))
+
+    tracer = instrument.Tracer().install()
+    try:
+        assert cli.cmd_run(str(config), jobs=1) == 0
+    finally:
+        tracer.uninstall()
+
+    after = bindings(instrument)
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []
+
+    layers, table = instrument.layer_metrics([tracer.state()])
+    # each task once alone, then every position but 0 in each of the 2 orders
+    assert layers["harness.train_task_calls"] == 4
+    assert table["data.generate"][2] == 1
