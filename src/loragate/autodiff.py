@@ -11,6 +11,14 @@ The transformer block runs on three fused primitives, ``linear``,
 Each evaluates the same numpy expressions on the same operand views as the
 chain of small primitives it replaces, so its results are bit for bit those
 of that chain.
+
+Gradients: after ``Tape.backward`` a leaf tensor (one no recorded operation
+produced, such as a parameter) holds its gradient until the caller clears it,
+while every tensor a recorded operation produced holds none. Each backward
+rule takes its output's gradient and frees it once propagated to the inputs;
+the gradient is complete by then, because a tensor's producer is recorded
+before all of its consumers and so runs after them. The step's memory peak
+then holds the gradients still to be propagated, not every one computed.
 """
 
 from __future__ import annotations
@@ -134,7 +142,12 @@ class Tape:
         return len(self._records)
 
     def backward(self, root: Tensor) -> None:
-        """Seed d(root)/d(root) = 1 and propagate to every recorded input."""
+        """Seed d(root)/d(root) = 1 and propagate to every recorded input.
+
+        Leaf gradients accumulate and stay; the gradient of every tensor a
+        record produced, ``root``'s included, is freed once propagated (see
+        the module docstring). The records stay alive until the tape is
+        dropped."""
         if self._spent:
             raise StateError("tape already backpropagated; rerun the forward pass")
         if root.data.size != 1:
@@ -185,7 +198,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data, requires_grad=_tracked((a, b)))
     if out.requires_grad:
         def backward():
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 return
             if a.requires_grad:
@@ -201,7 +214,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data, requires_grad=_tracked((a, b)))
     if out.requires_grad:
         def backward():
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 return
             if a.requires_grad:
@@ -219,7 +232,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if out.requires_grad:
         a_data, b_data = a.data, b.data
         def backward():
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 return
             if a.requires_grad:
@@ -236,7 +249,7 @@ def scale(x: Tensor, s: float) -> Tensor:
     out = Tensor(x.data * s, requires_grad=_tracked((x,)))
     if out.requires_grad:
         def backward():
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 return
             _accumulate(x, g * s)
@@ -260,7 +273,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if out.requires_grad:
         a_data, b_data = a.data, b.data
         def backward():
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 return
             if a.requires_grad:
@@ -287,7 +300,7 @@ def linear(x: Tensor, w: Tensor, dw: Optional[Tensor] = None, s: float = 0.0) ->
         x_data = x.data
         dw_grad = dw is not None and dw.requires_grad
         def backward():
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 return
             if x.requires_grad:
@@ -337,7 +350,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int) -> Tensor
                  requires_grad=_tracked((q, k, v)))
     if out.requires_grad:
         def backward():
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 return
             gc = split(g)
@@ -371,15 +384,20 @@ def mlp(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     out = Tensor(h @ w2.data, requires_grad=_tracked((x, w1, w2)))
     if out.requires_grad:
         x_data, w1_data, w2_data = x.data, w1.data, w2.data
+        # x's and w1's gradients need only where the hidden array is positive
+        # (relu(z) > 0 exactly where z > 0): a bool mask, a quarter its size;
+        # the array itself is kept only for w2's gradient
+        hidden = h if w2.requires_grad else None
+        active = h > 0
         def backward():
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 return
             if w2.requires_grad:
-                _accumulate(w2, h.T @ g)
+                _accumulate(w2, hidden.T @ g)
             if x.requires_grad or w1.requires_grad:
                 gh = g @ w2_data.T
-                gh *= h > 0  # relu(z) > 0 exactly where z > 0
+                gh *= active
                 if x.requires_grad:
                     _accumulate(x, gh @ w1_data.T)
                 if w1.requires_grad:
@@ -393,7 +411,7 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
     if out.requires_grad:
         orig = x.data.shape
         def backward():
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 return
             _accumulate(x, g.reshape(orig))
@@ -406,7 +424,7 @@ def permute(x: Tensor, axes: tuple) -> Tensor:
     if out.requires_grad:
         inverse = tuple(np.argsort(axes))
         def backward():
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 return
             _accumulate(x, np.transpose(g, inverse))
@@ -419,7 +437,7 @@ def relu(x: Tensor) -> Tensor:
     if out.requires_grad:
         mask = (x.data > 0).astype(x.data.dtype)
         def backward():
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 return
             _accumulate(x, g * mask)
@@ -436,7 +454,7 @@ def softmax(x: Tensor) -> Tensor:
     out = Tensor(y, requires_grad=_tracked((x,)))
     if out.requires_grad:
         def backward():
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 return
             gx = g - (g * y).sum(axis=-1, keepdims=True)
@@ -455,7 +473,7 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     out = Tensor(xhat, requires_grad=_tracked((x,)))
     if out.requires_grad:
         def backward():
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 return
             m1 = _row_mean(g)
@@ -477,7 +495,7 @@ def mean(x: Tensor, axis: Optional[int] = None) -> Tensor:
         shape = x.data.shape
         n = x.data.size if axis is None else shape[axis]
         def backward():
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 return
             if axis is None:
@@ -508,7 +526,7 @@ def embed(tokens: np.ndarray, table: Tensor, positions: Tensor) -> Tensor:
     out = Tensor(out_data, requires_grad=_tracked((table, positions)))
     if out.requires_grad:
         def backward():
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 return
             if table.requires_grad:
@@ -540,7 +558,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if out.requires_grad:
         probs = np.exp(shifted - lse[:, None])
         def backward():
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 return
             gl = probs.copy()
@@ -585,7 +603,7 @@ def jumprelu(x: Tensor, threshold: Tensor, bandwidth: float) -> Tensor:
     if out.requires_grad:
         x_data = x.data
         def backward():
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 return
             if x.requires_grad:
@@ -606,7 +624,7 @@ def frobenius_sq(x: Tensor) -> Tensor:
     if out.requires_grad:
         x_data = x.data
         def backward():
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 return
             _accumulate(x, 2.0 * x_data * g)

@@ -1,8 +1,22 @@
-"""Command-line interface: run experiments, verify gradients, analyze masks."""
+"""Command-line interface: run experiments, verify gradients, analyze masks.
+
+``loragate run`` pins two glibc malloc thresholds for its process, which its
+pool workers inherit: arrays below 64 MiB come from the heap rather than from
+fresh mappings, and the heap top is returned to the system only once 256 MiB
+of it are free. A training step allocates and frees arrays of a few hundred
+KiB each, so without the pin their pages are faulted in anew on many steps.
+Both are set because setting either one turns off glibc's adjustment of the
+other: the mmap threshold alone leaves the trim threshold at 128 KiB, and the
+heap top is trimmed and faulted in again every step. The pin lives in
+``cmd_run``, which owns its process, and not in ``run_stream``: glibc has no
+call that reads a threshold back, so a library function could not restore
+its caller's. Where libc has no ``mallopt`` nothing is set.
+"""
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import multiprocessing
 import os
 import sys
@@ -35,8 +49,28 @@ _ISOLATED: dict[tuple[str, int], dict[int, SoloRun]] = {}
 _STREAMS: dict[str, TaskStream] = {}
 
 
+# glibc's mallopt parameters (malloc.h) and the values ``cmd_run`` pins
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 64 << 20
+_TRIM_THRESHOLD = 256 << 20
+
+
 # ---------------------------------------------------------------------------
 # run
+
+
+def _pin_malloc_thresholds() -> None:
+    """Pin glibc's mmap and trim thresholds (see the module docstring); a
+    no-op where libc has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    # a trim threshold alone would pin the mmap threshold at its 128 KiB start
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def _output_dir(cfg: ExperimentConfig) -> Path:
@@ -134,6 +168,7 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _pin_malloc_thresholds()
     out = _output_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(format_config(cfg))

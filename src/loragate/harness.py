@@ -183,6 +183,10 @@ def train_task(
                 weight_decay=config.weight_decay, no_decay=thresholds,
                 warmup_steps=config.warmup_steps)
 
+    # the past is fixed within a task, so the layers it penalises are too
+    penalized = ([lid for lid in model.adapted_layers if ella_state.past[lid].any()]
+                 if penalty_weight > 0 and ella_state is not None else [])
+
     perm = named_rng(run_seed, f"shuffle/task{task_id}").permutation(n)
     losses = np.zeros(total_steps, dtype=np.float32)
     gammas: list[float] = []
@@ -214,14 +218,10 @@ def train_task(
                 updates[lid] = di
             logits = model.forward(bt, updates, scaling)
             loss = cross_entropy(logits, bl)
-            if penalty_weight > 0 and ella_state is not None:
-                for lid in model.adapted_layers:
-                    past = ella_state.past[lid]
-                    if not past.any():
-                        continue
-                    pen = ella_penalty(dense[lid], gated_for_penalty[lid], past,
-                                       penalty_weight, s, sched.start_step)
-                    loss = add(loss, pen)
+            for lid in penalized:
+                pen = ella_penalty(dense[lid], gated_for_penalty[lid], ella_state.past[lid],
+                                   penalty_weight, s, sched.start_step)
+                loss = add(loss, pen)
             losses[s] = loss.item()
             if not np.isfinite(losses[s]):
                 raise StateError(f"task {task_id}: non-finite loss {losses[s]} at step {s}")
@@ -334,9 +334,11 @@ def run_stream(
     takes their accuracy. After the stream, every other missing task is trained
     alone from the base model, and row 0 of the matrix is read from the solo
     runs. The new runs are written to ``isolated`` only when the run completes,
-    so a run that raises leaves the dict as it found it. The results are the
-    same as when every task is trained alone and position 0 in the stream, by
-    the invariants in the module docstring. The solo training of ``order[0]``
+    so a run that raises leaves the dict as it found it. Without a dict, the
+    run keeps only each solo run's accuracy, and ``order[0]``'s updates until
+    position 0 has replayed them. The results are the same as when every task
+    is trained alone and position 0 in the stream, by the invariants in the
+    module docstring. The solo training of ``order[0]``
     and the stream trainings come before the other solo trainings, and the
     returned arrays are the caller's to modify.
 
@@ -374,23 +376,17 @@ def run_stream(
     masks: dict[tuple[int, str], np.ndarray] = {}
     logs: list[TaskLog] = []
 
-    if order[0] not in solo:
-        solo[order[0]] = _train_solo(base, stream, order[0], config, seed)
-    for pos, tid in enumerate(order):
-        if pos == 0:
-            first = solo[tid]
-            task_log = _copy_log(first.log, position=0,
-                                 penalty_weight=penalty_weights[0])
-            merged = first.merged
-            _merge_updates(model, merged, scaling, ella_state,
-                           config.ella_scale_past)
-            matrix.set(1, 0, first.accuracy)
-        else:
-            task_log, merged = _train_and_merge(
-                model, stream, tid, config, seed, penalty_weights[pos], ella_state)
-            task_log.position = pos
-            for j in range(pos + 1):
-                matrix.set(pos + 1, j, evaluate(model, stream, order[j]))
+    accuracy = {tid: run.accuracy for tid, run in solo.items()}
+
+    def train_solo(tid: int) -> SoloRun:
+        run = _train_solo(base, stream, tid, config, seed)
+        accuracy[tid] = run.accuracy
+        if isolated is not None:
+            solo[tid] = run
+        return run
+
+    def record(pos: int, task_log: TaskLog, merged: dict[str, np.ndarray]) -> None:
+        task_log.position = pos
         logs.append(task_log)
         for lid in model.adapted_layers:
             masks[(pos, lid)] = (merged[lid] != 0).astype(np.uint8)
@@ -398,11 +394,21 @@ def run_stream(
         for lid in sorted(merged):
             hasher.update(merged[lid].tobytes())
 
-    for tid in order:
-        if tid not in solo:
-            solo[tid] = _train_solo(base, stream, tid, config, seed)
+    first = solo[order[0]] if order[0] in solo else train_solo(order[0])
+    _merge_updates(model, first.merged, scaling, ella_state, config.ella_scale_past)
+    matrix.set(1, 0, first.accuracy)
+    record(0, _copy_log(first.log, penalty_weight=penalty_weights[0]), first.merged)
+    del first  # frees the run's updates unless ``isolated`` keeps it
+    for pos in range(1, len(order)):
+        record(pos, *_train_and_merge(model, stream, order[pos], config, seed,
+                                      penalty_weights[pos], ella_state))
+        for j in range(pos + 1):
+            matrix.set(pos + 1, j, evaluate(model, stream, order[j]))
+
     for pos, tid in enumerate(order):
-        matrix.set_isolated(pos, solo[tid].accuracy)
+        if tid not in accuracy:
+            train_solo(tid)
+        matrix.set_isolated(pos, accuracy[tid])
     if isolated is not None:
         isolated.update(solo)
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,41 @@ class TestRun:
         assert len(generated) == 1
         for name in artifacts:
             assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
+class TestMallocThresholds:
+    @staticmethod
+    def fake_libc(monkeypatch, accepts):
+        """Route ``ctypes.CDLL`` to a libc whose ``mallopt`` records its calls."""
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return int(accepts)
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(
+            mallopt=mallopt))
+        return calls
+
+    def test_run_pins_both_thresholds(self, tmp_path, monkeypatch):
+        calls = self.fake_libc(monkeypatch, accepts=True)
+        assert cmd_run(str(write_config(tmp_path, out=tmp_path / "artifacts"))) == 0
+        assert calls == [(-3, 64 << 20), (-1, 256 << 20)]  # mmap, then trim
+
+    def test_rejected_mmap_threshold_sets_no_trim_threshold(self, monkeypatch):
+        calls = self.fake_libc(monkeypatch, accepts=False)
+        cli._pin_malloc_thresholds()
+        assert calls == [(-3, 64 << 20)]
+
+    @pytest.mark.parametrize("missing", ["symbol", "library"])
+    def test_noop_without_mallopt(self, monkeypatch, missing):
+        def cdll(name):
+            if missing == "library":
+                raise OSError("no C library to load")
+            return types.SimpleNamespace()  # a libc without mallopt
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        cli._pin_malloc_thresholds()
 
 
 class TestGradcheck:

@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -94,6 +96,34 @@ class TestTrainTask:
         adapters, gates = inject_adapters(model, cfg, 42, 1)
         with pytest.raises(StateError, match=r"task 1: non-finite loss nan at step 0"):
             train_task(model, adapters, gates, stream, 1, cfg, run_seed=42)
+
+
+    def test_traced_memory_peak_of_a_default_task(self):
+        # one task of the default gated, penalised config, the past non-zero
+        # so that every per-step record runs: ~8.7 MiB above entry while each
+        # gradient is freed once propagated, ~13.5 MiB while every gradient
+        # and each MLP's hidden array lived until the next step
+        cfg = ExperimentConfig(method=Method.JUMP_ELLA, ella_lambda=[1.0])
+        stream = stream_for(cfg)
+        model = fresh_model(cfg, stream, 42)
+        ella_state = make_ella_state({lid: model.layer_shape(lid)
+                                      for lid in model.adapted_layers})
+        rng = np.random.default_rng(0)
+        for lid, past in ella_state.past.items():
+            ella_state.past[lid] = rng.normal(size=past.shape).astype(past.dtype)
+        adapters, gates = inject_adapters(model, cfg, 42, 1)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            train_task(model, adapters, gates, stream, 1, cfg, penalty_weight=1.0,
+                       ella_state=ella_state, run_seed=42)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 11 * 2**20
 
 
 class TestEvaluate:
@@ -222,6 +252,30 @@ class TestRunStream:
         for a, b in zip(alone, shared):
             np.testing.assert_array_equal(a.matrix.grid, b.matrix.grid)
             assert a.trace_hash == b.trace_hash
+
+    def test_unshared_solo_runs_are_freed_once_replayed(self, monkeypatch):
+        # without a caller's dict no solo run outlives its use: order[0]'s is
+        # gone once position 0 has replayed it, every other one once trained
+        runs, alive_at_training = [], []
+        train_solo, train_task = harness._train_solo, harness.train_task
+
+        def tracked_train_solo(*args):
+            run = train_solo(*args)
+            runs.append(weakref.ref(run))
+            return run
+
+        def counting_train_task(*args, **kwargs):
+            alive_at_training.append(sum(ref() is not None for ref in runs))
+            return train_task(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_train_solo", tracked_train_solo)
+        monkeypatch.setattr(harness, "train_task", counting_train_task)
+        cfg = tiny_config(n_tasks=3)
+        result = run_stream(stream_for(cfg), cfg, seed=42, order=[2, 0, 1])
+        # order[0] alone, stream positions 1 and 2, then tasks 0 and 1 alone
+        assert alive_at_training == [0, 0, 0, 0, 0]
+        assert len(runs) == 3 and all(ref() is None for ref in runs)
+        assert not np.isnan(result.matrix.grid[0]).any()
 
     def test_replayed_first_position_equals_trained(self):
         cfg = tiny_config(method=Method.JUMP_ELLA, ella_lambda=[50.0],

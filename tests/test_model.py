@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from loragate import autodiff, harness
-from loragate.adapter import GateScope, dense_update, init_adapter
+from loragate.adapter import (
+    GateScope,
+    dense_update,
+    init_adapter,
+    interpolate_update,
+    jump_update,
+    make_gate,
+)
 from loragate.autodiff import (
     Tape,
     Tensor,
@@ -22,6 +29,7 @@ from loragate.autodiff import (
 )
 from loragate.config import ExperimentConfig, Method
 from loragate.data import generate_task_stream
+from loragate.ella import ella_penalty
 from loragate.errors import ConfigError
 from loragate.harness import inject_adapters, train_task
 from loragate.model import build_model
@@ -239,3 +247,66 @@ class TestFusedBlock:
         # 1 loss, 8 dense updates, 32 gate and interpolation records and
         # 32 penalty records (198 while the block was a chain of small records)
         assert max(lengths) == 115
+
+
+def record_outputs(monkeypatch, outputs, keep):
+    """Wrap ``Tape.record`` to collect the tensor each record produces. With
+    ``keep``, each record puts back the gradient its rule took, so every
+    gradient stays on its tensor until the tape is dropped."""
+    record = autodiff.Tape.record
+
+    def wrapper(tape, fn):
+        out = fn.__closure__[fn.__code__.co_freevars.index("out")].cell_contents
+        outputs.append(out)
+        if not keep:
+            return record(tape, fn)
+
+        def keeping():
+            g = out.grad
+            fn()
+            out.grad = g
+        return record(tape, keeping)
+
+    monkeypatch.setattr(autodiff.Tape, "record", wrapper)
+
+
+class TestGradientLifetime:
+    def gated_step(self, monkeypatch, keep):
+        """One gated, penalised training step of a small model: the tensors
+        the records produced, and the factor and threshold gradients."""
+        model = small_model(3)
+        rng = np.random.default_rng(5)
+        d = model.d_model
+        tokens = rng.integers(0, model.vocab_size, size=(6, 8))
+        labels = rng.integers(0, model.num_classes, size=6)
+        gate = make_gate(0.05)
+        gate.threshold.data = np.asarray(0.1, np.float32)
+        gate.initialized = True
+        adapters = {lid: init_adapter(d, d, 4, seed=i)
+                    for i, lid in enumerate(model.adapted_layers)}
+        for ad in adapters.values():
+            ad.up.data = rng.normal(scale=0.1, size=ad.up.shape).astype(np.float32)
+        past = rng.normal(size=(d, d)).astype(np.float32)
+        outputs = []
+        with monkeypatch.context() as patch, Tape() as tape:
+            record_outputs(patch, outputs, keep)
+            updates, dense = {}, {}
+            for lid, ad in adapters.items():
+                dense[lid] = dense_update(ad)
+                updates[lid] = interpolate_update(dense[lid], jump_update(dense[lid], gate),
+                                                  0.5)
+            loss = cross_entropy(model.forward(tokens, updates, 2.0), labels)
+            for lid in model.adapted_layers:
+                loss = add(loss, ella_penalty(dense[lid], updates[lid], past, 0.3, 1, 0))
+            tape.backward(loss)
+        grads = [t.grad for ad in adapters.values() for t in (ad.down, ad.up)]
+        return outputs, grads + [gate.threshold.grad]
+
+    def test_backward_frees_non_leaf_gradients_with_the_same_bits(self, monkeypatch):
+        outputs, grads = self.gated_step(monkeypatch, keep=False)
+        assert outputs and all(t.grad is None for t in outputs)
+        kept_outputs, kept = self.gated_step(monkeypatch, keep=True)
+        assert all(t.grad is not None for t in kept_outputs)
+        for got, want in zip(grads, kept, strict=True):
+            assert got is not None and got.dtype == want.dtype
+            assert np.array_equal(got, want)
