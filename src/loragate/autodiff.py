@@ -510,8 +510,12 @@ def embed(tokens: np.ndarray, table: Tensor, positions: Tensor) -> Tensor:
     """Token embedding lookup plus positional embedding.
 
     ``tokens`` is an integer array [batch, seq]; the output row for position t
-    is ``table[tokens[b, t]] + positions[t]``.
+    is ``table[tokens[b, t]] + positions[t]``. The embeddings are frozen, so
+    the lookup records nothing on the tape, and a table that requires a
+    gradient is refused instead of silently getting none.
     """
+    if table.requires_grad or positions.requires_grad:
+        raise StateError("embed has no backward rule; its tables must not require a gradient")
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ShapeError(f"embed expects [batch, seq] tokens, got shape {tokens.shape}")
@@ -522,23 +526,7 @@ def embed(tokens: np.ndarray, table: Tensor, positions: Tensor) -> Tensor:
         )
     if tokens.min(initial=0) < 0 or tokens.max(initial=0) >= table.data.shape[0]:
         raise ValueError("token id out of vocabulary range")
-    out_data = table.data[tokens] + positions.data[:seq]
-    out = Tensor(out_data, requires_grad=_tracked((table, positions)))
-    if out.requires_grad:
-        def backward():
-            g, out.grad = out.grad, None
-            if g is None:
-                return
-            if table.requires_grad:
-                gt = np.zeros_like(table.data)
-                np.add.at(gt, tokens.reshape(-1), g.reshape(-1, g.shape[-1]))
-                _accumulate(table, gt)
-            if positions.requires_grad:
-                gp = np.zeros_like(positions.data)
-                gp[:seq] = g.sum(axis=0)
-                _accumulate(positions, gp)
-        Tape.active().record(backward)
-    return out
+    return Tensor(table.data[tokens] + positions.data[:seq])
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -142,15 +142,18 @@ def load_config(path) -> ExperimentConfig:
     return parse_config_text(Path(path).read_text())
 
 
+# the method grid: each knob that only some methods read, which methods those
+# are, and how the error for a knob set under another method names them
+_METHOD_KNOBS = {
+    "ella_variant": (lambda m: m is Method.JUMP_ELLA, "method jump-ella"),
+    "gate_scope": (lambda m: m.gated, "gated methods"),
+    "ella_scale_past": (lambda m: m.penalized, "ELLA methods"),
+}
+
+
 def _applicable_fields(cfg: ExperimentConfig) -> list[str]:
-    names = [f.name for f in fields(ExperimentConfig)]
-    if cfg.method is not Method.JUMP_ELLA:
-        names.remove("ella_variant")
-    if not cfg.method.gated:
-        names.remove("gate_scope")
-    if not cfg.method.penalized:
-        names.remove("ella_scale_past")
-    return names
+    return [f.name for f in fields(ExperimentConfig)
+            if f.name not in _METHOD_KNOBS or _METHOD_KNOBS[f.name][0](cfg.method)]
 
 
 def format_config(cfg: ExperimentConfig) -> str:
@@ -199,15 +202,6 @@ def validate_config(cfg: ExperimentConfig, explicit: set | None = None) -> None:
     # combinations outside the supported method grid
     if not cfg.method.penalized and any(w != 0 for w in cfg.ella_lambda):
         raise ConfigError(f"nonzero ella_lambda requires an ELLA method, got {cfg.method.value}")
-    if "ella_variant" in explicit and cfg.method is not Method.JUMP_ELLA:
-        raise ConfigError(
-            f"ella_variant only applies to method jump-ella, got {cfg.method.value}"
-        )
-    if "gate_scope" in explicit and not cfg.method.gated:
-        raise ConfigError(
-            f"gate_scope only applies to gated methods, got {cfg.method.value}"
-        )
-    if "ella_scale_past" in explicit and not cfg.method.penalized:
-        raise ConfigError(
-            f"ella_scale_past only applies to ELLA methods, got {cfg.method.value}"
-        )
+    for name, (applies, methods) in _METHOD_KNOBS.items():
+        if name in explicit and not applies(cfg.method):
+            raise ConfigError(f"{name} only applies to {methods}, got {cfg.method.value}")

@@ -4,6 +4,14 @@ Each task owns a disjoint band of the vocabulary and labels a sequence by
 which of its signature tokens appear in it; every task shares the same
 background token pool, so sequentially merged updates compete for the same
 attention pathways while the tasks themselves stay separable.
+
+A stream is defined by its per-row draw sequence: for each fresh row, in
+order, the signal and distractor positions, the signal tokens, the distractor
+class and the distractor token, all from the task's one generator. Drawing
+them batched would consume the same generator in another order and change
+every row, so rows are drawn one at a time through the cheapest calls that
+make those draws. It is also why ``val`` is still drawn although no run reads
+it: skipping it would change every ``test`` row drawn after it.
 """
 
 from __future__ import annotations
@@ -95,21 +103,30 @@ def generate_task_stream(
         band = np.arange(background_size + t * band_width,
                          background_size + (t + 1) * band_width)
         band = rng.permutation(band)
-        signatures = {c: sorted(int(tok) for tok in band[c::classes_per_task])
-                      for c in range(classes_per_task)}
+        # sorted: the index drawn for a signal or distractor token picks the
+        # index-th smallest signature token of its class
+        signatures = [np.sort(band[c::classes_per_task]) for c in range(classes_per_task)]
         classes = [t * classes_per_task + c for c in range(classes_per_task)]
 
         def fresh_rows(labels):
-            tokens = rng.integers(0, background_size, size=(len(labels), seq_len))
-            for row, c in enumerate(labels):
-                pos = rng.choice(seq_len, size=signal_count + 1, replace=False)
-                sig = signatures[int(c)]
-                tokens[row, pos[:signal_count]] = rng.choice(sig, size=signal_count,
-                                                             replace=True)
+            n = len(labels)
+            tokens = rng.integers(0, background_size, size=(n, seq_len))
+            positions = np.empty((n, signal_count + 1), dtype=np.int64)
+            signal = np.empty((n, signal_count), dtype=np.int64)
+            distractor = np.empty(n, dtype=np.int64)
+            for row, c in enumerate(labels.tolist()):
+                positions[row] = rng.choice(seq_len, size=signal_count + 1, replace=False)
+                sig = signatures[c]
+                signal[row] = sig[rng.integers(0, len(sig), size=signal_count)]
                 if classes_per_task > 1:
                     other = int(rng.integers(0, classes_per_task - 1))
                     other = other + 1 if other >= c else other
-                    tokens[row, pos[signal_count]] = rng.choice(signatures[other])
+                    sig = signatures[other]
+                    distractor[row] = sig[rng.integers(0, len(sig))]
+            rows = np.arange(n)[:, None]
+            tokens[rows, positions[:, :signal_count]] = signal
+            if classes_per_task > 1:
+                tokens[rows[:, 0], positions[:, signal_count]] = distractor
             return tokens
 
         per_class_pool = max(32, samples_per_class // 16)

@@ -116,6 +116,24 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_config_text("d_model = 50\nn_heads = 4\n")
 
+    @pytest.mark.parametrize("method", list(Method))
+    def test_method_grid_dump_and_checks_agree(self, method):
+        # a knob is dumped exactly when writing it explicitly is accepted
+        knobs = {
+            "ella_variant = sparse": "ella_variant only applies to method jump-ella",
+            "gate_scope = global": "gate_scope only applies to gated methods",
+            "ella_scale_past = false": "ella_scale_past only applies to ELLA methods",
+        }
+        dumped = format_config(ExperimentConfig(method=method)).splitlines()
+        for line, message in knobs.items():
+            text = f"method = {method.value}\n{line}\n"
+            if line in dumped:
+                parse_config_text(text)
+            else:
+                with pytest.raises(ConfigError) as err:
+                    parse_config_text(text)
+                assert str(err.value) == f"{message}, got {method.value}"
+
     def test_variant_on_jump_ella_accepted(self):
         cfg = parse_config_text(
             "method = jump-ella\nella_variant = interpolated\nella_lambda = 1000\n"
