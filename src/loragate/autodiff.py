@@ -19,6 +19,16 @@ rule takes its output's gradient and frees it once propagated to the inputs;
 the gradient is complete by then, because a tensor's producer is recorded
 before all of its consumers and so runs after them. The step's memory peak
 then holds the gradients still to be propagated, not every one computed.
+
+Saved state: a record never holds a ``Tensor``. It holds the gradient slots
+of its output and of the inputs that need a gradient (``Tensor.grad`` reads
+and writes its slot), plus the arrays its formula reads, and an operand only
+where a gradient reads it: ``linear`` keeps its input only for the weight
+gradient, ``mlp`` its input only for ``w1``'s. So an intermediate array that
+no rule reads, such as a residual-stream array or a frozen projection's
+input, is freed as soon as the forward drops it, not when the tape is; and
+``Tape.backward`` drops each record once it has run, with the arrays only it
+read.
 """
 
 from __future__ import annotations
@@ -66,6 +76,17 @@ def _tape_stack() -> list:
     return stack
 
 
+class GradSlot:
+    """Where a tensor's gradient lives. A backward rule holds the slots of
+    its output and inputs, so it reaches their gradients without keeping
+    their data alive."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: Optional[np.ndarray] = None
+
+
 class Tensor:
     """Dense float array plus gradient bookkeeping.
 
@@ -74,7 +95,7 @@ class Tensor:
     arrays keep their dtype so oracles can run in float64.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "slot")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -86,7 +107,15 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: Optional[np.ndarray] = None
+        self.slot = GradSlot()
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, g: Optional[np.ndarray]) -> None:
+        self.slot.grad = g
 
     @property
     def shape(self) -> tuple:
@@ -145,25 +174,43 @@ class Tape:
         """Seed d(root)/d(root) = 1 and propagate to every recorded input.
 
         Leaf gradients accumulate and stay; the gradient of every tensor a
-        record produced, ``root``'s included, is freed once propagated (see
-        the module docstring). The records stay alive until the tape is
-        dropped."""
+        record produced, ``root``'s included, is freed once propagated. Saved
+        state goes the same way: each record is dropped once it has run, and
+        with it the arrays only its rule read, so the tape is empty after
+        backward (see the module docstring)."""
         if self._spent:
             raise StateError("tape already backpropagated; rerun the forward pass")
         if root.data.size != 1:
             raise ShapeError(f"backward root must be a scalar, got shape {root.shape}")
         self._spent = True
         root.grad = np.ones_like(root.data)
-        for fn in reversed(self._records):
-            fn()
+        records = self._records
+        while records:
+            records.pop()()
 
 
 def _tracked(inputs: Sequence[Tensor]) -> bool:
     return Tape.active() is not None and any(t.requires_grad for t in inputs)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    t.grad = g if t.grad is None else t.grad + g
+def _record(y: Tensor, inputs: Sequence[Tensor], rule: Callable[..., None]) -> None:
+    """Put ``y``'s backward on the active tape: ``rule(g, *slots)`` gets
+    ``y``'s gradient, taken from its slot, and one gradient slot per input,
+    None where that input needs no gradient. The record holds the slots and
+    ``rule``, never a tensor; each rule names its slot parameters after the
+    inputs, so it cannot reach an input tensor by name."""
+    out = y.slot
+    slots = tuple(t.slot if t.requires_grad else None for t in inputs)
+
+    def backward():
+        g, out.grad = out.grad, None
+        if g is not None:
+            rule(g, *slots)
+    Tape.active().record(backward)
+
+
+def _accumulate(slot: GradSlot, g: np.ndarray) -> None:
+    slot.grad = g if slot.grad is None else slot.grad + g
 
 
 def _row_max(v: np.ndarray) -> np.ndarray:
@@ -197,15 +244,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
     out = Tensor(a.data + b.data, requires_grad=_tracked((a, b)))
     if out.requires_grad:
-        def backward():
-            g, out.grad = out.grad, None
-            if g is None:
-                return
-            if a.requires_grad:
+        def rule(g, a, b):
+            if a is not None:
                 _accumulate(a, g)
-            if b.requires_grad:
+            if b is not None:
                 _accumulate(b, g)
-        Tape.active().record(backward)
+        _record(out, (a, b), rule)
     return out
 
 
@@ -213,15 +257,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
     out = Tensor(a.data - b.data, requires_grad=_tracked((a, b)))
     if out.requires_grad:
-        def backward():
-            g, out.grad = out.grad, None
-            if g is None:
-                return
-            if a.requires_grad:
+        def rule(g, a, b):
+            if a is not None:
                 _accumulate(a, g)
-            if b.requires_grad:
+            if b is not None:
                 _accumulate(b, -g)
-        Tape.active().record(backward)
+        _record(out, (a, b), rule)
     return out
 
 
@@ -230,16 +271,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
     out = Tensor(a.data * b.data, requires_grad=_tracked((a, b)))
     if out.requires_grad:
-        a_data, b_data = a.data, b.data
-        def backward():
-            g, out.grad = out.grad, None
-            if g is None:
-                return
-            if a.requires_grad:
+        # each operand only where the other's gradient reads it
+        a_data = a.data if b.requires_grad else None
+        b_data = b.data if a.requires_grad else None
+        def rule(g, a, b):
+            if a is not None:
                 _accumulate(a, g * b_data)
-            if b.requires_grad:
+            if b is not None:
                 _accumulate(b, g * a_data)
-        Tape.active().record(backward)
+        _record(out, (a, b), rule)
     return out
 
 
@@ -248,12 +288,9 @@ def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
     out = Tensor(x.data * s, requires_grad=_tracked((x,)))
     if out.requires_grad:
-        def backward():
-            g, out.grad = out.grad, None
-            if g is None:
-                return
+        def rule(g, x):
             _accumulate(x, g * s)
-        Tape.active().record(backward)
+        _record(out, (x,), rule)
     return out
 
 
@@ -271,16 +308,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     out = Tensor(a.data @ b.data, requires_grad=_tracked((a, b)))
     if out.requires_grad:
-        a_data, b_data = a.data, b.data
-        def backward():
-            g, out.grad = out.grad, None
-            if g is None:
-                return
-            if a.requires_grad:
+        a_data = a.data if b.requires_grad else None
+        b_data = b.data if a.requires_grad else None
+        def rule(g, a, b):
+            if a is not None:
                 _accumulate(a, g @ np.swapaxes(b_data, -1, -2))
-            if b.requires_grad:
+            if b is not None:
                 _accumulate(b, np.swapaxes(a_data, -1, -2) @ g)
-        Tape.active().record(backward)
+        _record(out, (a, b), rule)
     return out
 
 
@@ -297,21 +332,20 @@ def linear(x: Tensor, w: Tensor, dw: Optional[Tensor] = None, s: float = 0.0) ->
         w_eff, inputs = w.data + dw.data * s, (x, w, dw)
     out = Tensor(x.data @ w_eff, requires_grad=_tracked(inputs))
     if out.requires_grad:
-        x_data = x.data
-        dw_grad = dw is not None and dw.requires_grad
-        def backward():
-            g, out.grad = out.grad, None
-            if g is None:
-                return
-            if x.requires_grad:
-                _accumulate(x, g @ w_eff.T)
-            if w.requires_grad or dw_grad:
+        # the input only for the weight gradient (none behind a frozen
+        # weight), the effective weight only for the input's
+        x_data = x.data if any(t.requires_grad for t in inputs[1:]) else None
+        w_data = w_eff if x.requires_grad else None
+        def rule(g, x, w, dw=None):
+            if x is not None:
+                _accumulate(x, g @ w_data.T)
+            if w is not None or dw is not None:
                 gw = x_data.T @ g
-                if w.requires_grad:
+                if w is not None:
                     _accumulate(w, gw)
-                if dw_grad:
+                if dw is not None:
                     _accumulate(dw, gw * s)
-        Tape.active().record(backward)
+        _record(out, inputs, rule)
     return out
 
 
@@ -349,27 +383,29 @@ def attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int) -> Tensor
     out = Tensor(ctx.transpose(0, 2, 1, 3).reshape(n, d),
                  requires_grad=_tracked((q, k, v)))
     if out.requires_grad:
-        def backward():
-            g, out.grad = out.grad, None
-            if g is None:
-                return
+        # the score gradient reads v; q's gradient reads k, and k's reads q
+        scores_grad = q.requires_grad or k.requires_grad
+        q_heads = qh if k.requires_grad else None
+        k_heads = kh if q.requires_grad else None
+        v_heads = vh if scores_grad else None
+        def rule(g, q, k, v):
             gc = split(g)
-            if v.requires_grad:
+            if v is not None:
                 gv = np.swapaxes(p, -1, -2) @ gc
                 _accumulate(v, gv.transpose(0, 2, 1, 3).reshape(n, d))
-            if not (q.requires_grad or k.requires_grad):
+            if not scores_grad:
                 return
-            gs = gc @ np.swapaxes(vh, -1, -2)
+            gs = gc @ np.swapaxes(v_heads, -1, -2)
             gs -= (gs * p).sum(axis=-1, keepdims=True)
             gs *= p
             gs *= c
-            if q.requires_grad:
-                gq = gs @ kh
+            if q is not None:
+                gq = gs @ k_heads
                 _accumulate(q, gq.transpose(0, 2, 1, 3).reshape(n, d))
-            if k.requires_grad:
-                gk = np.swapaxes(qh, -1, -2) @ gs  # [batch, heads, hd, seq]
+            if k is not None:
+                gk = np.swapaxes(q_heads, -1, -2) @ gs  # [batch, heads, hd, seq]
                 _accumulate(k, gk.transpose(0, 3, 1, 2).reshape(n, d))
-        Tape.active().record(backward)
+        _record(out, (q, k, v), rule)
     return out
 
 
@@ -383,26 +419,26 @@ def mlp(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     np.maximum(h, 0, out=h)  # relu in place on the fresh hidden array
     out = Tensor(h @ w2.data, requires_grad=_tracked((x, w1, w2)))
     if out.requires_grad:
-        x_data, w1_data, w2_data = x.data, w1.data, w2.data
         # x's and w1's gradients need only where the hidden array is positive
         # (relu(z) > 0 exactly where z > 0): a bool mask, a quarter its size;
-        # the array itself is kept only for w2's gradient
+        # the array itself is kept only for w2's gradient, and x only for w1's
+        hidden_grad = x.requires_grad or w1.requires_grad
         hidden = h if w2.requires_grad else None
-        active = h > 0
-        def backward():
-            g, out.grad = out.grad, None
-            if g is None:
-                return
-            if w2.requires_grad:
+        active = h > 0 if hidden_grad else None
+        x_data = x.data if w1.requires_grad else None
+        w1_data = w1.data if x.requires_grad else None
+        w2_data = w2.data if hidden_grad else None
+        def rule(g, x, w1, w2):
+            if w2 is not None:
                 _accumulate(w2, hidden.T @ g)
-            if x.requires_grad or w1.requires_grad:
+            if hidden_grad:
                 gh = g @ w2_data.T
                 gh *= active
-                if x.requires_grad:
+                if x is not None:
                     _accumulate(x, gh @ w1_data.T)
-                if w1.requires_grad:
+                if w1 is not None:
                     _accumulate(w1, x_data.T @ gh)
-        Tape.active().record(backward)
+        _record(out, (x, w1, w2), rule)
     return out
 
 
@@ -410,12 +446,9 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
     out = Tensor(x.data.reshape(shape), requires_grad=_tracked((x,)))
     if out.requires_grad:
         orig = x.data.shape
-        def backward():
-            g, out.grad = out.grad, None
-            if g is None:
-                return
+        def rule(g, x):
             _accumulate(x, g.reshape(orig))
-        Tape.active().record(backward)
+        _record(out, (x,), rule)
     return out
 
 
@@ -423,12 +456,9 @@ def permute(x: Tensor, axes: tuple) -> Tensor:
     out = Tensor(np.transpose(x.data, axes), requires_grad=_tracked((x,)))
     if out.requires_grad:
         inverse = tuple(np.argsort(axes))
-        def backward():
-            g, out.grad = out.grad, None
-            if g is None:
-                return
+        def rule(g, x):
             _accumulate(x, np.transpose(g, inverse))
-        Tape.active().record(backward)
+        _record(out, (x,), rule)
     return out
 
 
@@ -436,12 +466,9 @@ def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0), requires_grad=_tracked((x,)))
     if out.requires_grad:
         mask = (x.data > 0).astype(x.data.dtype)
-        def backward():
-            g, out.grad = out.grad, None
-            if g is None:
-                return
+        def rule(g, x):
             _accumulate(x, g * mask)
-        Tape.active().record(backward)
+        _record(out, (x,), rule)
     return out
 
 
@@ -453,14 +480,11 @@ def softmax(x: Tensor) -> Tensor:
     y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y, requires_grad=_tracked((x,)))
     if out.requires_grad:
-        def backward():
-            g, out.grad = out.grad, None
-            if g is None:
-                return
+        def rule(g, x):
             gx = g - (g * y).sum(axis=-1, keepdims=True)
             gx *= y
             _accumulate(x, gx)
-        Tape.active().record(backward)
+        _record(out, (x,), rule)
     return out
 
 
@@ -472,10 +496,7 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     xhat *= inv
     out = Tensor(xhat, requires_grad=_tracked((x,)))
     if out.requires_grad:
-        def backward():
-            g, out.grad = out.grad, None
-            if g is None:
-                return
+        def rule(g, x):
             m1 = _row_mean(g)
             tmp = g * xhat
             m2 = _row_mean(tmp)
@@ -484,7 +505,7 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
             gx -= tmp
             gx *= inv
             _accumulate(x, gx)
-        Tape.active().record(backward)
+        _record(out, (x,), rule)
     return out
 
 
@@ -494,15 +515,12 @@ def mean(x: Tensor, axis: Optional[int] = None) -> Tensor:
     if out.requires_grad:
         shape = x.data.shape
         n = x.data.size if axis is None else shape[axis]
-        def backward():
-            g, out.grad = out.grad, None
-            if g is None:
-                return
+        def rule(g, x):
             if axis is None:
                 _accumulate(x, np.full(shape, 1.0 / n, dtype=g.dtype) * g)
             else:
                 _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), shape) / n)
-        Tape.active().record(backward)
+        _record(out, (x,), rule)
     return out
 
 
@@ -545,14 +563,11 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
                  requires_grad=_tracked((logits,)))
     if out.requires_grad:
         probs = np.exp(shifted - lse[:, None])
-        def backward():
-            g, out.grad = out.grad, None
-            if g is None:
-                return
+        def rule(g, logits):
             gl = probs.copy()
             gl[np.arange(n), labels] -= 1.0
             _accumulate(logits, gl * (g / n))
-        Tape.active().record(backward)
+        _record(out, (logits,), rule)
     return out
 
 
@@ -589,19 +604,17 @@ def jumprelu(x: Tensor, threshold: Tensor, bandwidth: float) -> Tensor:
     active = _step(np.abs(x.data) - t)
     out = Tensor(x.data * active, requires_grad=_tracked((x, threshold)))
     if out.requires_grad:
-        x_data = x.data
-        def backward():
-            g, out.grad = out.grad, None
-            if g is None:
-                return
-            if x.requires_grad:
-                _accumulate(x, g * active)
-            if threshold.requires_grad:
+        mask = active if x.requires_grad else None
+        x_data = x.data if threshold.requires_grad else None
+        t_dtype, t_shape = threshold.dtype, threshold.data.shape
+        def rule(g, x, threshold):
+            if x is not None:
+                _accumulate(x, g * mask)
+            if threshold is not None:
                 for side in (((-g) * threshold_pseudograd(-x_data, t, bandwidth)).sum(),
                              (g * threshold_pseudograd(x_data, t, bandwidth)).sum()):
-                    _accumulate(threshold, np.asarray(side, dtype=threshold.dtype)
-                                .reshape(threshold.data.shape))
-        Tape.active().record(backward)
+                    _accumulate(threshold, np.asarray(side, dtype=t_dtype).reshape(t_shape))
+        _record(out, (x, threshold), rule)
     return out
 
 
@@ -611,10 +624,7 @@ def frobenius_sq(x: Tensor) -> Tensor:
                  requires_grad=_tracked((x,)))
     if out.requires_grad:
         x_data = x.data
-        def backward():
-            g, out.grad = out.grad, None
-            if g is None:
-                return
+        def rule(g, x):
             _accumulate(x, 2.0 * x_data * g)
-        Tape.active().record(backward)
+        _record(out, (x,), rule)
     return out

@@ -10,6 +10,14 @@ block is a handful of fused primitives: ``linear`` for the Q/K/V/O
 projections (``x @ (W + s * dW)`` on the adapted ones), ``attention`` and
 ``mlp``, around two adds. The layer norms have no gain or bias: a frozen
 affine of ones and zeros would change nothing.
+
+Block locals are scoped. The attention half of a block runs in its own
+method, ``_attend``, so that its locals (the normed input and q, k, v, each a
+``[batch * seq, d_model]`` array) are dropped when it returns, before the
+MLP's four-times-wider hidden array exists; the normed input is dropped even
+before attention runs. Under a tape a record keeps only what its backward
+reads (see ``autodiff``); without one, as in evaluation, nothing else keeps
+them, so their lifetime sets the forward's memory peak.
 """
 
 from __future__ import annotations
@@ -85,15 +93,23 @@ class TinyTransformer:
         x = reshape(x, (batch * seq, d))
         for i in range(self.n_blocks):
             b = f"blk{i}."
-            pre = layer_norm(x)
-            # recorded q, k, v: their gradients reach ``pre`` as v, k, q
-            q = linear(pre, p[b + "q"], updates.get(b + "q"), scaling)
-            k = linear(pre, p[b + "k"])
-            v = linear(pre, p[b + "v"], updates.get(b + "v"), scaling)
-            x = add(x, linear(attention(q, k, v, batch, self.n_heads), p[b + "o"]))
+            x = add(x, self._attend(x, b, updates, scaling, batch))
             x = add(x, mlp(layer_norm(x), p[b + "mlp1"], p[b + "mlp2"]))
         pooled = mean(reshape(layer_norm(x), (batch, seq, d)), axis=1)
         return matmul(pooled, p["head"])
+
+    def _attend(self, x: Tensor, b: str, updates: dict[str, Tensor],
+                scaling: float, batch: int) -> Tensor:
+        """The attention branch of block ``b``: the O projection of attention
+        over the normed residual ``x``."""
+        p = self.params
+        pre = layer_norm(x)
+        # recorded q, k, v: their gradients reach ``pre`` as v, k, q
+        q = linear(pre, p[b + "q"], updates.get(b + "q"), scaling)
+        k = linear(pre, p[b + "k"])
+        v = linear(pre, p[b + "v"], updates.get(b + "v"), scaling)
+        del pre  # attention reads only q, k and v
+        return linear(attention(q, k, v, batch, self.n_heads), p[b + "o"])
 
 
 def build_model(

@@ -1,5 +1,9 @@
+import types
+
 import numpy as np
 import pytest
+
+from loragate.autodiff import Tape, Tensor
 
 
 def fd_grad(f, arrays, index, step=1e-6):
@@ -30,3 +34,36 @@ def rel_err(analytic, numeric):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def _tensors_held(fn) -> list:
+    """Every ``Tensor`` a function's closure cells hold, through nested
+    functions and containers."""
+    found, seen, todo = [], set(), [fn]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            found.append(obj)
+        elif isinstance(obj, types.FunctionType):
+            todo.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+    return found
+
+
+@pytest.fixture
+def records_hold_no_tensor(monkeypatch):
+    """Fail at any tape record whose closure holds a ``Tensor``: the record
+    would keep that tensor's data alive until the tape is dropped."""
+    record = Tape.record
+
+    def checked(tape, fn):
+        assert _tensors_held(fn) == [], fn
+        return record(tape, fn)
+
+    monkeypatch.setattr(Tape, "record", checked)

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -31,6 +32,9 @@ from loragate.autodiff import (
 from loragate.errors import ConfigError, ShapeError, StateError
 
 from conftest import fd_grad, rel_err
+
+# every record a test here builds keeps gradient slots and arrays only
+pytestmark = pytest.mark.usefixtures("records_hold_no_tensor")
 
 
 def t64(a, grad=False):
@@ -74,6 +78,32 @@ class TestTape:
         x = t64([[1.0, 2.0]], grad=True)
         out = frobenius_sq(x)
         assert not out.requires_grad
+
+    def test_backward_drops_each_record_once_run(self):
+        x = t64([[1.0, 2.0, 3.0]], grad=True)
+        with Tape() as tape:
+            y = softmax(x)
+            saved = weakref.ref(y.data)  # read by both rules below
+            loss = frobenius_sq(y)
+            del y
+            assert saved() is not None and len(tape) == 2
+            tape.backward(loss)
+        assert len(tape) == 0 and saved() is None
+        assert x.grad is not None
+
+    def test_operands_no_gradient_reads_are_not_kept(self):
+        w, frozen = t64(np.eye(3), grad=True), t64(np.eye(3))
+        with Tape() as tape:
+            a = linear(t64(np.ones((2, 3))), w)
+            b = add(a, a)
+            c = mlp(b, frozen, frozen)
+            y = add(linear(b, w), linear(c, frozen))
+            arrays = [weakref.ref(t.data) for t in (a, b, c)]
+            del a, b, c
+            # of the three, only w's gradient reads one: b, its product's input
+            assert [r() is not None for r in arrays] == [False, True, False]
+            tape.backward(frobenius_sq(y))
+        assert w.grad is not None
 
     def test_gradients_accumulate_across_uses(self):
         x = t64([2.0], grad=True)

@@ -310,3 +310,9 @@ class TestGradientLifetime:
         for got, want in zip(grads, kept, strict=True):
             assert got is not None and got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+
+class TestSavedState:
+    def test_records_of_a_gated_penalised_step_hold_no_tensor(
+            self, records_hold_no_tensor, monkeypatch):
+        TestGradientLifetime().gated_step(monkeypatch, keep=False)
