@@ -17,7 +17,7 @@ from .adapter import (
 from .autodiff import Tape, Tensor, jumprelu, threshold_pseudograd
 from .config import ExperimentConfig, Method, load_config, parse_config_text
 from .data import TaskStream, generate_task_stream
-from .ella import EllaState, EllaVariant, ella_penalty, make_ella_state, update_past
+from .ella import EllaVariant, ella_penalty, update_past
 from .errors import ConfigError, ShapeError, StateError, StoreError
 from .harness import RunResult, evaluate, run_stream, train_task
 from .metrics import (

@@ -158,10 +158,9 @@ def final_sparse_update(adapter: Adapter, gate: JumpGate) -> np.ndarray:
     return dw * (np.abs(dw) > t)
 
 
-def merge(w_base: Tensor, dw_final, scaling: float) -> Tensor:
+def merge(w_base: Tensor, dw_final: np.ndarray, scaling: float) -> Tensor:
     """Merged base weight w_base + scaling * dw_final (no gradient tracking)."""
-    dw = dw_final.data if isinstance(dw_final, Tensor) else np.asarray(dw_final)
-    if w_base.data.shape != dw.shape:
-        raise ShapeError(f"merge shapes differ: {w_base.data.shape} vs {dw.shape}")
-    return Tensor(w_base.data + float(scaling) * dw)
+    if w_base.data.shape != dw_final.shape:
+        raise ShapeError(f"merge shapes differ: {w_base.data.shape} vs {dw_final.shape}")
+    return Tensor(w_base.data + float(scaling) * dw_final)
 

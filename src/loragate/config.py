@@ -167,6 +167,12 @@ def format_config(cfg: ExperimentConfig) -> str:
 def validate_config(cfg: ExperimentConfig, explicit: set | None = None) -> None:
     """Reject inconsistent settings; ``explicit`` holds keys the user wrote."""
     explicit = explicit or set()
+    for name in ("vocab_size", "d_model", "n_heads", "n_blocks", "max_seq_len",
+                 "n_tasks", "classes_per_task", "samples_per_class"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+    if cfg.seq_len < 2:
+        raise ConfigError(f"seq_len must be >= 2, got {cfg.seq_len}")
     if cfg.d_model % cfg.n_heads != 0:
         raise ConfigError(f"d_model {cfg.d_model} not divisible by n_heads {cfg.n_heads}")
     if cfg.bandwidth <= 0:
@@ -184,6 +190,8 @@ def validate_config(cfg: ExperimentConfig, explicit: set | None = None) -> None:
         raise ConfigError(f"weight_decay must be nonnegative, got {cfg.weight_decay}")
     if not cfg.seeds:
         raise ConfigError("at least one seed is required")
+    if len(set(cfg.seeds)) != len(cfg.seeds):
+        raise ConfigError(f"seeds must be distinct, got {cfg.seeds}")
     if cfg.n_orders < 1:
         raise ConfigError(f"n_orders must be >= 1, got {cfg.n_orders}")
     if not (0.0 <= cfg.difficulty <= 1.0):

@@ -2,8 +2,9 @@
 
 For each task: inject fresh adapters, train one epoch with the gated update
 interpolation, hard-threshold and merge the final update, record the support
-mask, optionally accumulate the overlap-penalty state, then drop the adapters.
-Isolated single-task runs fill the reference row of the accuracy matrix.
+mask, optionally add it to the past that the overlap penalty reads, then drop
+the adapters. Isolated single-task runs fill the reference row of the accuracy
+matrix.
 
 An isolated run depends only on (config, stream, seed, task id), so a caller
 that runs several orders of one stream can pass ``run_stream`` one dict of
@@ -18,8 +19,8 @@ that exact:
 
 Together they let position 0 always replay its task's solo run instead of
 training in the stream: merging the stored updates into a clone of the base
-model and feeding them to the past-update state leaves the model, the state
-and the trace as training there would have.
+model and adding them to the past leaves the model, the past and the trace as
+training there would have.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .autodiff import Tape, add, cross_entropy
 from .blas import one_blas_thread
 from .config import ExperimentConfig
 from .data import TaskStream
-from .ella import EllaState, EllaVariant, ella_penalty, make_ella_state, update_past
+from .ella import EllaVariant, ella_penalty, update_past
 from .errors import ConfigError, StateError
 from .metrics import AccuracyMatrix
 from .model import TinyTransformer, build_model
@@ -154,13 +155,17 @@ def train_task(
     task_id: int,
     config: ExperimentConfig,
     penalty_weight: float = 0.0,
-    ella_state: Optional[EllaState] = None,
+    past: Optional[dict[str, np.ndarray]] = None,
     run_seed: int = 0,
 ) -> TaskLog:
     """One epoch over the task's training split, exactly the per-step recipe:
     threshold init at the schedule start, interpolation factor update, dense /
     gated / interpolated updates, forward, loss plus optional overlap penalty,
     and an optimizer step over the factors and thresholds.
+
+    From the step that initialises the thresholds on, the forward uses the
+    interpolated update and the penalty the sparse or the interpolated one (by
+    ``config.ella_variant``); before that step both use the dense update.
 
     A non-finite loss raises ``StateError`` naming the task and the step."""
     tokens, labels = stream.fetch(task_id, "train")
@@ -184,8 +189,8 @@ def train_task(
                 warmup_steps=config.warmup_steps)
 
     # the past is fixed within a task, so the layers it penalises are too
-    penalized = ([lid for lid in model.adapted_layers if ella_state.past[lid].any()]
-                 if penalty_weight > 0 and ella_state is not None else [])
+    penalized = ([lid for lid in model.adapted_layers if past[lid].any()]
+                 if penalty_weight > 0 and past is not None else [])
 
     perm = named_rng(run_seed, f"shuffle/task{task_id}").permutation(n)
     losses = np.zeros(total_steps, dtype=np.float32)
@@ -202,26 +207,20 @@ def train_task(
         bt, bl = tokens[idx], labels[idx]
 
         with Tape() as tape:
-            dense: dict[str, object] = {}
-            gated_for_penalty: dict[str, object] = {}
             updates: dict[str, object] = {}
+            penalty_updates: dict[str, object] = {}
             for lid in model.adapted_layers:
                 dw = dense_update(adapters[lid])
-                dense[lid] = dw
-                if gating and gates[lid].initialized:
-                    dj = jump_update(dw, gates[lid])
-                    di = interpolate_update(dw, dj, g)
-                    gated_for_penalty[lid] = dj if sparse_penalty else di
+                if init_step is None:
+                    updates[lid] = penalty_updates[lid] = dw
                 else:
-                    di = dw
-                    gated_for_penalty[lid] = None
-                updates[lid] = di
+                    dj = jump_update(dw, gates[lid])
+                    updates[lid] = interpolate_update(dw, dj, g)
+                    penalty_updates[lid] = dj if sparse_penalty else updates[lid]
             logits = model.forward(bt, updates, scaling)
             loss = cross_entropy(logits, bl)
             for lid in penalized:
-                pen = ella_penalty(dense[lid], gated_for_penalty[lid], ella_state.past[lid],
-                                   penalty_weight, s, sched.start_step)
-                loss = add(loss, pen)
+                loss = add(loss, ella_penalty(penalty_updates[lid], past[lid], penalty_weight))
             losses[s] = loss.item()
             if not np.isfinite(losses[s]):
                 raise StateError(f"task {task_id}: non-finite loss {losses[s]} at step {s}")
@@ -268,17 +267,18 @@ def resolve_order(n_tasks: int, order_index: int, data_seed: int) -> list[int]:
     return [int(t) for t in rng.permutation(n_tasks)]
 
 
-def _merge_updates(model, merged, scaling, ella_state, penalty_scaled):
-    """Merge the final updates and accumulate them into the past-update state."""
+def _merge_updates(model, merged, config, past):
+    """Merge the final updates and, if there is a past, add them to it."""
+    scaling = config.alpha / config.rank
     for lid in model.adapted_layers:
         model.params[lid] = merge(model.params[lid], merged[lid], scaling)
-        if ella_state is not None:
-            contribution = merged[lid] * scaling if penalty_scaled else merged[lid]
-            update_past(ella_state, contribution, lid)
+        if past is not None:
+            update_past(past, merged[lid] * scaling if config.ella_scale_past
+                        else merged[lid], lid)
 
 
 def _train_and_merge(model, stream, task_id, config, seed, penalty_weight=0.0,
-                     ella_state=None):
+                     past=None):
     """Train one task on fresh adapters, hard-threshold their final update,
     then merge it into ``model``.
 
@@ -286,16 +286,14 @@ def _train_and_merge(model, stream, task_id, config, seed, penalty_weight=0.0,
     """
     adapters, gates = inject_adapters(model, config, seed, task_id)
     task_log = train_task(model, adapters, gates, stream, task_id, config,
-                          penalty_weight=penalty_weight, ella_state=ella_state,
-                          run_seed=seed)
+                          penalty_weight=penalty_weight, past=past, run_seed=seed)
     merged = {}
     for lid in model.adapted_layers:
         if gates is not None:
             merged[lid] = final_sparse_update(adapters[lid], gates[lid])
         else:
             merged[lid] = adapters[lid].down.data @ adapters[lid].up.data
-    _merge_updates(model, merged, config.alpha / config.rank, ella_state,
-                   config.ella_scale_past)
+    _merge_updates(model, merged, config, past)
     return task_log, merged
 
 
@@ -328,19 +326,15 @@ def run_stream(
 
     ``isolated`` maps task id to that task's run alone under this config,
     stream and seed (see ``SoloRun``); the caller owns it and may pass the same
-    dict to runs of other orders. Stream position 0 replays the run of
-    ``order[0]``, trained alone first if the dict lacks it: it merges the
-    stored updates, feeds them to the past-update state as training would, and
-    takes their accuracy. After the stream, every other missing task is trained
-    alone from the base model, and row 0 of the matrix is read from the solo
-    runs. The new runs are written to ``isolated`` only when the run completes,
-    so a run that raises leaves the dict as it found it. Without a dict, the
-    run keeps only each solo run's accuracy, and ``order[0]``'s updates until
-    position 0 has replayed them. The results are the same as when every task
-    is trained alone and position 0 in the stream, by the invariants in the
-    module docstring. The solo training of ``order[0]``
-    and the stream trainings come before the other solo trainings, and the
-    returned arrays are the caller's to modify.
+    dict to runs of other orders. A solo run missing from it is trained from
+    the base model when first needed and written to it at once. Stream
+    position 0 replays the solo run of ``order[0]``: it merges the stored
+    updates, adds them to the past as training would, and takes their
+    accuracy. By the invariants in the module docstring, the results are the
+    same as when position 0 trains in the stream. Without a dict, no solo run
+    outlives its use. The solo training of ``order[0]`` and the stream
+    trainings come before the other solo trainings, and the returned arrays are
+    the caller's to modify.
 
     ``order`` must be a permutation of the stream's task ids; anything else
     raises ``ConfigError`` before any training.
@@ -359,8 +353,6 @@ def run_stream(
         raise ConfigError(
             f"order {order} is not a permutation of the {len(stream)} task ids"
         )
-    solo = dict(isolated or {})
-    scaling = config.alpha / config.rank
     hasher = hashlib.sha256()
 
     base = build_model(config.vocab_size, config.d_model, config.n_heads,
@@ -368,21 +360,19 @@ def run_stream(
                        seed=seed)
 
     model = base.clone()
-    ella_state = None
-    if any(w > 0 for w in penalty_weights):
-        ella_state = make_ella_state({lid: base.layer_shape(lid)
-                                      for lid in base.adapted_layers})
+    past = ({lid: np.zeros(base.layer_shape(lid), dtype=np.float32)
+             for lid in base.adapted_layers}
+            if any(w > 0 for w in penalty_weights) else None)
     matrix = AccuracyMatrix(len(stream))
     masks: dict[tuple[int, str], np.ndarray] = {}
     logs: list[TaskLog] = []
 
-    accuracy = {tid: run.accuracy for tid, run in solo.items()}
-
-    def train_solo(tid: int) -> SoloRun:
+    def solo(tid: int) -> SoloRun:
+        if isolated is not None and tid in isolated:
+            return isolated[tid]
         run = _train_solo(base, stream, tid, config, seed)
-        accuracy[tid] = run.accuracy
         if isolated is not None:
-            solo[tid] = run
+            isolated[tid] = run
         return run
 
     def record(pos: int, task_log: TaskLog, merged: dict[str, np.ndarray]) -> None:
@@ -394,23 +384,19 @@ def run_stream(
         for lid in sorted(merged):
             hasher.update(merged[lid].tobytes())
 
-    first = solo[order[0]] if order[0] in solo else train_solo(order[0])
-    _merge_updates(model, first.merged, scaling, ella_state, config.ella_scale_past)
+    first = solo(order[0])
+    _merge_updates(model, first.merged, config, past)
     matrix.set(1, 0, first.accuracy)
+    matrix.set_isolated(0, first.accuracy)
     record(0, _copy_log(first.log, penalty_weight=penalty_weights[0]), first.merged)
     del first  # frees the run's updates unless ``isolated`` keeps it
     for pos in range(1, len(order)):
         record(pos, *_train_and_merge(model, stream, order[pos], config, seed,
-                                      penalty_weights[pos], ella_state))
+                                      penalty_weights[pos], past))
         for j in range(pos + 1):
             matrix.set(pos + 1, j, evaluate(model, stream, order[j]))
-
-    for pos, tid in enumerate(order):
-        if tid not in accuracy:
-            train_solo(tid)
-        matrix.set_isolated(pos, accuracy[tid])
-    if isolated is not None:
-        isolated.update(solo)
+    for pos in range(1, len(order)):
+        matrix.set_isolated(pos, solo(order[pos]).accuracy)
 
     hasher.update(matrix.grid.tobytes())
     return RunResult(order=order, matrix=matrix, masks=masks, logs=logs,

@@ -8,6 +8,10 @@ import numpy as np
 
 from .autodiff import Tensor
 
+# Adam's moment decay rates and denominator offset
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
+
 
 class AdamW:
     """First/second-moment adaptive update with bias correction.
@@ -21,16 +25,12 @@ class AdamW:
         self,
         params: Sequence[Tensor],
         lr: float,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
         no_decay: Iterable[Tensor] = (),
         warmup_steps: int = 0,
     ):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.warmup_steps = int(warmup_steps)
         self._no_decay = {id(p) for p in no_decay}
@@ -46,18 +46,17 @@ class AdamW:
     def step(self) -> None:
         lr_t = self.current_lr()
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self._t
-        bc2 = 1.0 - b2 ** self._t
+        bc1 = 1.0 - BETA1 ** self._t
+        bc2 = 1.0 - BETA2 ** self._t
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
                 continue
-            self._m[i] = b1 * self._m[i] + (1.0 - b1) * g
-            self._v[i] = b2 * self._v[i] + (1.0 - b2) * (g * g)
+            self._m[i] = BETA1 * self._m[i] + (1.0 - BETA1) * g
+            self._v[i] = BETA2 * self._v[i] + (1.0 - BETA2) * (g * g)
             m_hat = self._m[i] / bc1
             v_hat = self._v[i] / bc2
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
+            update = m_hat / (np.sqrt(v_hat) + EPS)
             if self.weight_decay > 0.0 and id(p) not in self._no_decay:
                 update = update + self.weight_decay * p.data
             p.data = p.data - lr_t * update

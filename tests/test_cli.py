@@ -82,6 +82,19 @@ class TestRun:
         assert cmd_run(str(cfg)) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "n_heads = 0", "vocab_size = 0", "d_model = -16", "n_blocks = 0",
+        "max_seq_len = 0", "n_tasks = 0", "classes_per_task = 0",
+        "samples_per_class = 0", "seq_len = 1", "seeds = 42,42"])
+    def test_degenerate_config_rejected_before_any_artifact(self, tmp_path, capsys, line):
+        key = line.split(" = ")[0]
+        text = "".join(ln + "\n" for ln in TINY.splitlines()
+                       if not ln.startswith(key + " ")) + line + "\n"
+        out = tmp_path / "artifacts"
+        assert cmd_run(str(write_config(tmp_path, text=text, out=out))) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_output_root_override(self, tmp_path, monkeypatch):
         root = tmp_path / "root"
         monkeypatch.setenv(cli.ENV_OUTPUT_ROOT, str(root))

@@ -9,7 +9,7 @@ import loragate.harness as harness
 from loragate.adapter import GateScope, final_sparse_update
 from loragate.config import ExperimentConfig, Method
 from loragate.data import generate_task_stream
-from loragate.ella import make_ella_state
+from loragate.ella import EllaVariant
 from loragate.errors import ConfigError, StateError
 from loragate.harness import (
     TaskLog,
@@ -107,11 +107,9 @@ class TestTrainTask:
         cfg = ExperimentConfig(method=Method.JUMP_ELLA, ella_lambda=[1.0])
         stream = stream_for(cfg)
         model = fresh_model(cfg, stream, 42)
-        ella_state = make_ella_state({lid: model.layer_shape(lid)
-                                      for lid in model.adapted_layers})
         rng = np.random.default_rng(0)
-        for lid, past in ella_state.past.items():
-            ella_state.past[lid] = rng.normal(size=past.shape).astype(past.dtype)
+        past = {lid: rng.normal(size=model.layer_shape(lid)).astype(np.float32)
+                for lid in model.adapted_layers}
         adapters, gates = inject_adapters(model, cfg, 42, 1)
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
@@ -119,12 +117,59 @@ class TestTrainTask:
             entry = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             train_task(model, adapters, gates, stream, 1, cfg, penalty_weight=1.0,
-                       ella_state=ella_state, run_seed=42)
+                       past=past, run_seed=42)
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             if not tracing:
                 tracemalloc.stop()
         assert peak < 7.5 * 2**20
+
+    @pytest.mark.parametrize("variant", list(EllaVariant))
+    @pytest.mark.parametrize("start_frac", [0.2, 1.0])
+    def test_penalty_receives_the_update_its_variant_names(self, monkeypatch,
+                                                           variant, start_frac):
+        # the dense update before the thresholds exist, then the sparse or the
+        # interpolated one; with start_frac = 1 they exist only after the epoch
+        made = {"dense": [], "jump": [], "interp": []}
+        penalised = []
+
+        def keeping(name, fn):
+            def wrapper(*args, **kwargs):
+                made[name].append(fn(*args, **kwargs))
+                return made[name][-1]
+            return wrapper
+
+        for name, fn in (("dense", "dense_update"), ("jump", "jump_update"),
+                         ("interp", "interpolate_update")):
+            monkeypatch.setattr(harness, fn, keeping(name, getattr(harness, fn)))
+        penalty = harness.ella_penalty
+
+        def recording_penalty(update, past, weight):
+            penalised.append(update)
+            return penalty(update, past, weight)
+
+        monkeypatch.setattr(harness, "ella_penalty", recording_penalty)
+        cfg = tiny_config(method=Method.JUMP_ELLA, ella_lambda=[50.0], ella_variant=variant,
+                          samples_per_class=48, batch_size=8, start_frac=start_frac,
+                          end_frac=max(start_frac, 0.8))
+        stream = stream_for(cfg)
+        model = fresh_model(cfg, stream, 42)
+        rng = np.random.default_rng(0)
+        past = {lid: rng.normal(size=model.layer_shape(lid)).astype(np.float32)
+                for lid in model.adapted_layers}
+        adapters, gates = inject_adapters(model, cfg, 42, 1)
+        log = train_task(model, adapters, gates, stream, 1, cfg, penalty_weight=50.0,
+                         past=past, run_seed=42)
+
+        # 12 steps: the init falls at step 2, or after the last step
+        assert log.threshold_init_step == (2 if start_frac < 1.0 else log.total_steps)
+        layers = len(model.adapted_layers)
+        before_init = layers * log.threshold_init_step
+        assert len(penalised) == len(made["dense"]) == layers * log.total_steps
+        assert len(made["jump"]) == len(made["interp"]) == len(penalised) - before_init
+        gated = made["jump"] if variant is EllaVariant.SPARSE else made["interp"]
+        expected = made["dense"][:before_init] + gated
+        assert all(got is want for got, want in zip(penalised, expected, strict=True))
 
 
 class TestEvaluate:
@@ -312,12 +357,12 @@ class TestRunStream:
         # the same order trained in the stream by hand, position 0 included,
         # with the overlap penalty on from the first task
         model = fresh_model(cfg, stream, 42)
-        ella_state = make_ella_state({lid: model.layer_shape(lid)
-                                      for lid in model.adapted_layers})
+        past = {lid: np.zeros(model.layer_shape(lid), dtype=np.float32)
+                for lid in model.adapted_layers}
         logs, masks, rows = [], {}, []
         for pos, tid in enumerate(order):
             task_log, merged = harness._train_and_merge(
-                model, stream, tid, cfg, 42, 50.0, ella_state)
+                model, stream, tid, cfg, 42, 50.0, past)
             task_log.position = pos
             logs.append(task_log)
             for lid, dw in merged.items():

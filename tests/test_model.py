@@ -297,7 +297,7 @@ class TestGradientLifetime:
                                                   0.5)
             loss = cross_entropy(model.forward(tokens, updates, 2.0), labels)
             for lid in model.adapted_layers:
-                loss = add(loss, ella_penalty(dense[lid], updates[lid], past, 0.3, 1, 0))
+                loss = add(loss, ella_penalty(updates[lid], past, 0.3))
             tape.backward(loss)
         grads = [t.grad for ad in adapters.values() for t in (ad.down, ad.up)]
         return outputs, grads + [gate.threshold.grad]

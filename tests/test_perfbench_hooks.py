@@ -3,10 +3,13 @@
 ``perfbench/instrument.py`` replaces package functions by name and binds their
 arguments by signature, so a renamed function or a changed signature breaks the
 benchmark without breaking any other test. This loads that file as it is and
-runs a tiny stream, and a tiny ``loragate run`` grid, under its hooks.
+runs a tiny stream, and a tiny ``loragate run`` grid, under its hooks, and runs
+the benchmark's own self-tests.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import loragate.harness as harness
@@ -107,3 +110,12 @@ def test_tracer_follows_a_grid_that_shares_solo_runs_and_the_stream(tmp_path):
     # each task once alone, then every position but 0 in each of the 2 orders
     assert layers["harness.train_task_calls"] == 4
     assert table["data.generate"][2] == 1
+
+
+def test_benchmark_selftest_passes():
+    # every workload on a tiny config, traced and untraced, as the benchmark
+    # driver runs it: a changed signature that a hook binds fails here
+    root = INSTRUMENT.parents[1]
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-4000:]
