@@ -1,5 +1,8 @@
 """Command-line interface: run experiments, verify gradients, analyze masks.
 
+``loragate run`` generates the task stream once and hands out one seed at a
+time: a seed's orders share its solo runs, so each is trained once at any --jobs.
+
 ``loragate run`` pins two glibc malloc thresholds for its process, which its
 pool workers inherit: arrays below 64 MiB come from the heap rather than from
 fresh mappings, and the heap top is returned to the system only once 256 MiB
@@ -27,10 +30,10 @@ import numpy as np
 
 from . import arrayio
 from .config import ExperimentConfig, format_config, load_config, parse_config_text
-from .data import TaskStream, generate_task_stream
+from .data import generate_task_stream
 from .errors import ConfigError
 from .gradcheck import run_gradcheck
-from .harness import SoloRun, resolve_order, run_stream
+from .harness import SoloRun, resolve_orders, run_stream
 from .metrics import (
     backward_transfer,
     forward_transfer,
@@ -41,13 +44,6 @@ from .metrics import (
 )
 
 ENV_OUTPUT_ROOT = "LORAGATE_OUTPUT_ROOT"
-
-# Solo runs per (config text, seed) and the task stream per config text,
-# shared by the runs of one grid; ``cmd_run`` clears both, and each pool worker
-# fills its own copies.
-_ISOLATED: dict[tuple[str, int], dict[int, SoloRun]] = {}
-_STREAMS: dict[str, TaskStream] = {}
-
 
 # glibc's mallopt parameters (malloc.h) and the values ``cmd_run`` pins
 _M_TRIM_THRESHOLD = -1
@@ -96,12 +92,10 @@ def _write_accuracy_csv(path: Path, matrix) -> None:
 
 def _mask_summary(result) -> tuple[float, float | None]:
     """Mean sparsity over (task, layer) and mean pairwise Jaccard over layers."""
-    by_layer: dict[str, list[np.ndarray]] = {}
-    for (pos, lid), mask in sorted(result.masks.items()):
-        by_layer.setdefault(lid, []).append(mask)
-    sparsities = [sparsity(m) for ms in by_layer.values() for m in ms]
+    by_layer = [[masks[lid] for masks in result.masks] for lid in sorted(result.masks[0])]
+    sparsities = [sparsity(m) for ms in by_layer for m in ms]
     pair_vals = []
-    for ms in by_layer.values():
+    for ms in by_layer:
         for i in range(len(ms)):
             for j in range(i + 1, len(ms)):
                 pair_vals.append(jaccard_overlap(ms[i], ms[j]))
@@ -111,23 +105,16 @@ def _mask_summary(result) -> tuple[float, float | None]:
 
 
 def _run_single(payload) -> dict:
-    cfg_text, order_index, seed, out_str = payload
-    cfg = parse_config_text(cfg_text)
-    out = Path(out_str)
-    stream = _STREAMS.get(cfg_text)
-    if stream is None:
-        stream = _STREAMS[cfg_text] = generate_task_stream(
-            cfg.data_seed, cfg.n_tasks, cfg.samples_per_class, cfg.difficulty,
-            cfg.classes_per_task, cfg.seq_len, cfg.vocab_size)
-    order = resolve_order(cfg.n_tasks, order_index, cfg.data_seed)
-    result = run_stream(stream, cfg, seed, order=order,
-                        isolated=_ISOLATED.setdefault((cfg_text, seed), {}))
+    """One order of one seed, artifacts written; ``payload`` is ((config, stream,
+    orders, the seed's solo runs), order index, seed, output dir)."""
+    (cfg, stream, orders, isolated), order_index, seed, out = payload
+    order = orders[order_index]
+    result = run_stream(stream, cfg, seed, order=order, isolated=isolated)
 
     _write_accuracy_csv(out / f"accuracy_o{order_index}_s{seed}.csv", result.matrix)
     mask_root = out / "masks" / f"o{order_index}_s{seed}"
-    for pos in range(len(order)):
-        arrays = {lid: result.masks[(pos, lid)].astype(np.float32)
-                  for (p, lid) in result.masks if p == pos}
+    for pos, masks in enumerate(result.masks):
+        arrays = {lid: mask.astype(np.float32) for lid, mask in masks.items()}
         meta = {"task_position": pos, "task_id": order[pos],
                 "thresholds": result.logs[pos].thresholds}
         arrayio.save_arrays(mask_root / f"task{pos}", arrays, meta)
@@ -142,11 +129,8 @@ def _run_single(payload) -> dict:
         "mean_sparsity": mean_sp,
         "mean_pairwise_jaccard": mean_jac,
         "trace_hash": result.trace_hash,
-        "per_task_sparsity": [
-            float(np.mean([sparsity(result.masks[(pos, lid)])
-                           for (p, lid) in result.masks if p == pos]))
-            for pos in range(len(order))
-        ],
+        "per_task_sparsity": [float(np.mean([sparsity(m) for m in masks.values()]))
+                              for masks in result.masks],
     }
 
 
@@ -159,32 +143,42 @@ def _run_grid_point(payload):
         return (payload[1], payload[2], repr(exc))
 
 
+def _run_seed(unit) -> list:
+    """Every order of one seed, in order, through ``_run_grid_point``; the
+    orders share the seed's solo runs, so each task is trained alone once."""
+    cfg, stream, orders, seed, out = unit
+    isolated: dict[int, SoloRun] = {}
+    return [_run_grid_point(((cfg, stream, orders, isolated), o, seed, out))
+            for o in range(len(orders))]
+
+
 def cmd_run(config_path: str, jobs: int = 1) -> int:
     if jobs < 1:
         print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
         return 2
+    _pin_malloc_thresholds()
     try:
         cfg = load_config(config_path)
+        stream = generate_task_stream(cfg.data_seed, cfg.n_tasks, cfg.samples_per_class,
+                                      cfg.difficulty, cfg.classes_per_task,
+                                      cfg.seq_len, cfg.vocab_size)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _pin_malloc_thresholds()
     out = _output_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(format_config(cfg))
 
-    cfg_text = format_config(cfg)
-    payloads = [(cfg_text, o, s, str(out))
-                for o in range(cfg.n_orders) for s in cfg.seeds]
-    _ISOLATED.clear()
-    _STREAMS.clear()
-    workers = min(jobs, len(payloads))
+    orders = resolve_orders(cfg.n_tasks, cfg.n_orders, cfg.data_seed)
+    units = [(cfg, stream, orders, s, out) for s in cfg.seeds]
+    workers = min(jobs, len(units))
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            outcomes = pool.map(_run_grid_point, payloads)
+            per_seed = pool.map(_run_seed, units)
     else:
-        outcomes = list(map(_run_grid_point, payloads))
-    failures = [r for r in outcomes if isinstance(r, tuple)]
+        per_seed = list(map(_run_seed, units))
+    outcomes = [r for runs in per_seed for r in runs]
+    failures = sorted(r for r in outcomes if isinstance(r, tuple))
     summaries = sorted((r for r in outcomes if isinstance(r, dict)),
                        key=lambda r: (r["order"], r["seed"]))
     metric_lines = ["metric,order,seed,value"]
@@ -297,11 +291,10 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run the configured experiment grid")
     p_run.add_argument("--config", required=True, help="path to a key = value config file")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes for (order, seed) runs, "
-                            "at most one per run; each worker runs on one BLAS "
-                            "thread, so N workers use N cores; single-task runs "
-                            "and the task stream are shared only among the runs "
-                            "of one worker; a failed run is reported in "
+                       help="parallel worker processes, each running one seed "
+                            "(all its orders) at a time, at most one per seed; "
+                            "each worker runs on one BLAS thread, so N workers "
+                            "use N cores; a failed run is reported in "
                             "report.txt at any job count")
 
     sub.add_parser("gradcheck", help="finite-difference and kernel gradient checks")

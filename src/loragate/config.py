@@ -8,6 +8,7 @@ exactly.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -194,6 +195,8 @@ def validate_config(cfg: ExperimentConfig, explicit: set | None = None) -> None:
         raise ConfigError(f"seeds must be distinct, got {cfg.seeds}")
     if cfg.n_orders < 1:
         raise ConfigError(f"n_orders must be >= 1, got {cfg.n_orders}")
+    if cfg.n_orders > math.factorial(cfg.n_tasks):
+        raise ConfigError(f"n_orders {cfg.n_orders} exceeds the {cfg.n_tasks}! task orders")
     if not (0.0 <= cfg.difficulty <= 1.0):
         raise ConfigError(f"difficulty must lie in [0, 1], got {cfg.difficulty}")
     if cfg.max_seq_len < cfg.seq_len:

@@ -87,8 +87,8 @@ def generate_task_stream(
     band_width = (vocab_size - background_size) // n_tasks
     if band_width < classes_per_task:
         raise ConfigError(
-            f"vocab {vocab_size} too small for {n_tasks} tasks x "
-            f"{classes_per_task} classes"
+            f"vocab_size {vocab_size} too small for n_tasks {n_tasks} x "
+            f"classes_per_task {classes_per_task}"
         )
     signal_count = min(3, seq_len - 2)
     label_noise = 0.2 * difficulty

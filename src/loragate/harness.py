@@ -91,7 +91,7 @@ class SoloRun:
 class RunResult:
     order: list[int]
     matrix: AccuracyMatrix
-    masks: dict[tuple[int, str], np.ndarray]  # (position, layer_id) -> 0/1 mask
+    masks: list[dict[str, np.ndarray]]  # per stream position: layer_id -> 0/1 mask
     logs: list[TaskLog]
     trace_hash: str
     model: TinyTransformer
@@ -258,13 +258,17 @@ def evaluate(model: TinyTransformer, stream: TaskStream, task_id: int,
     return correct / len(labels)
 
 
-def resolve_order(n_tasks: int, order_index: int, data_seed: int) -> list[int]:
-    """Order 0 is the natural stream order; higher indices are deterministic
-    permutations derived from the data seed."""
-    if order_index == 0:
-        return list(range(n_tasks))
-    rng = named_rng(data_seed, f"order/{order_index}")
-    return [int(t) for t in rng.permutation(n_tasks)]
+def resolve_orders(n_tasks: int, n_orders: int, data_seed: int) -> list[list[int]]:
+    """``n_orders`` (at most ``n_tasks!``) distinct task orders: order 0 is natural,
+    order k a permutation from the data seed, redrawn while it repeats an earlier one."""
+    orders = [list(range(n_tasks))]
+    for k in range(1, n_orders):
+        rng = named_rng(data_seed, f"order/{k}")
+        order = rng.permutation(n_tasks).tolist()
+        while order in orders:
+            order = rng.permutation(n_tasks).tolist()
+        orders.append(order)
+    return orders
 
 
 def _merge_updates(model, merged, config, past):
@@ -364,7 +368,7 @@ def run_stream(
              for lid in base.adapted_layers}
             if any(w > 0 for w in penalty_weights) else None)
     matrix = AccuracyMatrix(len(stream))
-    masks: dict[tuple[int, str], np.ndarray] = {}
+    masks: list[dict[str, np.ndarray]] = []
     logs: list[TaskLog] = []
 
     def solo(tid: int) -> SoloRun:
@@ -378,8 +382,8 @@ def run_stream(
     def record(pos: int, task_log: TaskLog, merged: dict[str, np.ndarray]) -> None:
         task_log.position = pos
         logs.append(task_log)
-        for lid in model.adapted_layers:
-            masks[(pos, lid)] = (merged[lid] != 0).astype(np.uint8)
+        masks.append({lid: (merged[lid] != 0).astype(np.uint8)
+                      for lid in model.adapted_layers})
         hasher.update(task_log.losses.tobytes())
         for lid in sorted(merged):
             hasher.update(merged[lid].tobytes())

@@ -11,6 +11,7 @@ import loragate.autodiff as autodiff
 import loragate.cli as cli
 import loragate.harness as harness
 from loragate.cli import cmd_analyze, cmd_run, main, run_gradcheck
+from loragate.data import generate_task_stream
 from loragate.errors import StateError
 
 TINY = """\
@@ -85,7 +86,9 @@ class TestRun:
     @pytest.mark.parametrize("line", [
         "n_heads = 0", "vocab_size = 0", "d_model = -16", "n_blocks = 0",
         "max_seq_len = 0", "n_tasks = 0", "classes_per_task = 0",
-        "samples_per_class = 0", "seq_len = 1", "seeds = 42,42"])
+        "samples_per_class = 0", "seq_len = 1", "seeds = 42,42",
+        "n_orders = 3",  # more than the 2! orders of 2 tasks
+        "n_tasks = 8"])  # 8 tasks x 2 classes do not fit in 24 tokens
     def test_degenerate_config_rejected_before_any_artifact(self, tmp_path, capsys, line):
         key = line.split(" = ")[0]
         text = "".join(ln + "\n" for ln in TINY.splitlines()
@@ -189,36 +192,65 @@ class TestRun:
         for name in artifacts:
             assert (out / name).read_bytes() == (ref / name).read_bytes()
 
-    def test_task_stream_generated_once_per_grid(self, tmp_path, monkeypatch):
+    @staticmethod
+    def grid_outputs(tmp_path, monkeypatch, name, jobs) -> dict:
+        """Every artifact of a 2-seed x 2-order run of TINY, by relative path;
+        only the output root differs by ``name``, so config.txt compares too."""
+        monkeypatch.setenv(cli.ENV_OUTPUT_ROOT, str(tmp_path / name))
         text = TINY.replace("seeds = 42", "seeds = 42,43\nn_orders = 2")
-        artifacts = ["metrics.csv"] + [f"accuracy_o{o}_s{s}.csv"
-                                       for o in (0, 1) for s in (42, 43)]
-        generated = []
-        generate = cli.generate_task_stream
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text.format(out="grid"))
+        assert cmd_run(str(cfg), jobs=jobs) == 0
+        out = tmp_path / name / "grid"
+        return {str(p.relative_to(out)): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()}
 
-        def counting_generate(*args, **kwargs):
-            generated.append(1)
-            return generate(*args, **kwargs)
+    @staticmethod
+    def count_calls(monkeypatch, owner, name, log: Path) -> None:
+        """Append a line to ``log`` on each call of ``owner.name``, in this
+        process or in a pool worker forked from it."""
+        original = getattr(owner, name)
 
-        monkeypatch.setattr(cli, "generate_task_stream", counting_generate)
+        def counting(*args, **kwargs):
+            with log.open("a") as f:
+                f.write(f"{os.getpid()}\n")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    def test_task_stream_generated_once_per_grid(self, tmp_path, monkeypatch):
         run_stream = cli.run_stream
 
-        def regenerating(*args, **kwargs):
-            cli._STREAMS.clear()  # the next run generates its stream again
-            return run_stream(*args, **kwargs)
+        def regenerating(stream, config, seed, **kwargs):
+            fresh = generate_task_stream(  # a stream of its own for each run
+                config.data_seed, config.n_tasks, config.samples_per_class,
+                config.difficulty, config.classes_per_task, config.seq_len,
+                config.vocab_size)
+            return run_stream(fresh, config, seed, **kwargs)
 
         monkeypatch.setattr(cli, "run_stream", regenerating)
-        ref = tmp_path / "regenerated"
-        assert cmd_run(str(write_config(tmp_path, text=text, out=ref)), jobs=1) == 0
-        assert len(generated) == 4
+        ref = self.grid_outputs(tmp_path, monkeypatch, "regenerated", jobs=1)
         monkeypatch.setattr(cli, "run_stream", run_stream)
 
-        generated.clear()
-        out = tmp_path / "shared"
-        assert cmd_run(str(write_config(tmp_path, text=text, out=out)), jobs=1) == 0
-        assert len(generated) == 1
-        for name in artifacts:
-            assert (out / name).read_bytes() == (ref / name).read_bytes()
+        for jobs in (1, 2):
+            log = tmp_path / f"generated{jobs}.log"
+            self.count_calls(monkeypatch, cli, "generate_task_stream", log)
+            assert self.grid_outputs(tmp_path, monkeypatch, f"jobs{jobs}", jobs) == ref
+            assert len(log.read_text().splitlines()) == 1
+            monkeypatch.undo()
+
+    def test_solo_runs_trained_once_under_a_pool(self, tmp_path, monkeypatch):
+        outputs, calls = [], []
+        for jobs in (1, 2):
+            log = tmp_path / f"train_task{jobs}.log"
+            self.count_calls(monkeypatch, harness, "train_task", log)
+            outputs.append(self.grid_outputs(tmp_path, monkeypatch, f"jobs{jobs}", jobs))
+            calls.append(log.read_text().splitlines())
+            monkeypatch.undo()
+        # per seed: each of the 2 tasks once alone, then position 1 of each order
+        assert [len(c) for c in calls] == [8, 8]
+        assert str(os.getpid()) not in calls[1]  # the pool workers trained
+        assert outputs[0] == outputs[1]
 
 
 class TestMallocThresholds:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 import weakref
 
@@ -15,7 +16,7 @@ from loragate.harness import (
     TaskLog,
     evaluate,
     inject_adapters,
-    resolve_order,
+    resolve_orders,
     run_stream,
     train_task,
 )
@@ -231,10 +232,12 @@ class TestRunStream:
         stream = stream_for(cfg)
         result = run_stream(stream, cfg, seed=42)
         layers = result.model.adapted_layers
-        assert set(result.masks) == {(p, lid) for p in range(2) for lid in layers}
-        for mask in result.masks.values():
-            assert mask.dtype == np.uint8
-            assert set(np.unique(mask)) <= {0, 1}
+        assert len(result.masks) == 2
+        for masks in result.masks:
+            assert list(masks) == layers
+            for mask in masks.values():
+                assert mask.dtype == np.uint8
+                assert set(np.unique(mask)) <= {0, 1}
         assert result.matrix.grid.shape == (3, 2)
         assert not np.isnan(result.matrix.final_row()).any()
 
@@ -248,7 +251,7 @@ class TestRunStream:
         train_task(model, adapters, gates, stream, 0, cfg, run_seed=42)
         for lid in model.adapted_layers:
             dwf = final_sparse_update(adapters[lid], gates[lid])
-            np.testing.assert_array_equal(result.masks[(0, lid)], (dwf != 0).astype(np.uint8))
+            np.testing.assert_array_equal(result.masks[0][lid], (dwf != 0).astype(np.uint8))
 
     def test_single_task_bwt_not_applicable(self):
         cfg = tiny_config(n_tasks=1, ella_lambda=[0.0])
@@ -273,8 +276,11 @@ class TestRunStream:
         r2 = run_stream(stream_for(cfg), cfg, seed=42)
         np.testing.assert_array_equal(r1.matrix.grid, r2.matrix.grid)
         assert r1.trace_hash == r2.trace_hash
-        for (k, m1) in r1.masks.items():
-            np.testing.assert_array_equal(m1, r2.masks[k])
+        assert len(r1.masks) == len(r2.masks)
+        for masks1, masks2 in zip(r1.masks, r2.masks):
+            assert masks1.keys() == masks2.keys()
+            for lid, m1 in masks1.items():
+                np.testing.assert_array_equal(m1, masks2[lid])
 
     def test_seed_changes_run(self):
         cfg = tiny_config()
@@ -359,14 +365,13 @@ class TestRunStream:
         model = fresh_model(cfg, stream, 42)
         past = {lid: np.zeros(model.layer_shape(lid), dtype=np.float32)
                 for lid in model.adapted_layers}
-        logs, masks, rows = [], {}, []
+        logs, masks, rows = [], [], []
         for pos, tid in enumerate(order):
             task_log, merged = harness._train_and_merge(
                 model, stream, tid, cfg, 42, 50.0, past)
             task_log.position = pos
             logs.append(task_log)
-            for lid, dw in merged.items():
-                masks[(pos, lid)] = (dw != 0).astype(np.uint8)
+            masks.append({lid: (dw != 0).astype(np.uint8) for lid, dw in merged.items()})
             rows.append([evaluate(model, stream, t) for t in order[:pos + 1]])
 
         for result in (shared, fresh):
@@ -379,10 +384,11 @@ class TestRunStream:
                         np.testing.assert_array_equal(rv, tv)
                     else:
                         assert rv == tv, f.name
-            assert result.masks.keys() == masks.keys()
-            for key, mask in masks.items():
-                assert result.masks[key].dtype == mask.dtype
-                np.testing.assert_array_equal(result.masks[key], mask)
+            assert [m.keys() for m in result.masks] == [m.keys() for m in masks]
+            for got, want in zip(result.masks, masks):
+                for lid, mask in want.items():
+                    assert got[lid].dtype == mask.dtype
+                    np.testing.assert_array_equal(got[lid], mask)
             assert result.model.params.keys() == model.params.keys()
             for name, param in model.params.items():
                 np.testing.assert_array_equal(result.model.params[name].data,
@@ -405,7 +411,7 @@ class TestRunStream:
         with pytest.raises(ValueError):
             stored.merged[lid][0, 0] = 1
         assert shared.logs[0].losses.flags.writeable
-        assert shared.masks[(0, lid)].flags.writeable
+        assert shared.masks[0][lid].flags.writeable
 
     @pytest.mark.parametrize("order", [[0, 0], [0], [0, 1, 0]])
     def test_order_must_be_a_permutation(self, order, monkeypatch):
@@ -476,13 +482,25 @@ class TestDegenerateModes:
 
 class TestOrders:
     def test_identity_order(self):
-        assert resolve_order(4, 0, 7) == [0, 1, 2, 3]
+        assert resolve_orders(4, 1, 7) == [[0, 1, 2, 3]]
 
     def test_permuted_orders_deterministic(self):
-        o1 = resolve_order(5, 2, 7)
-        o2 = resolve_order(5, 2, 7)
+        o1 = resolve_orders(5, 3, 7)
+        o2 = resolve_orders(5, 3, 7)
         assert o1 == o2
-        assert sorted(o1) == [0, 1, 2, 3, 4]
+        assert all(sorted(o) == [0, 1, 2, 3, 4] for o in o1)
+
+    def test_orders_are_distinct(self):
+        # drawn independently, orders 1..5 of three tasks repeat two permutations
+        orders = resolve_orders(3, 6, 7)
+        assert orders[0] == [0, 1, 2]
+        assert sorted(map(tuple, orders)) == sorted(itertools.permutations(range(3)))
+
+    def test_distinct_draws_keep_their_order(self):
+        # a prefix of orders that were already distinct is unchanged
+        assert resolve_orders(4, 4, 7) == [[0, 1, 2, 3], [3, 1, 2, 0],
+                                           [2, 0, 1, 3], [1, 0, 2, 3]]
+        assert resolve_orders(3, 2, 7) == resolve_orders(3, 6, 7)[:2]
 
     def test_run_with_permuted_order(self):
         cfg = tiny_config()

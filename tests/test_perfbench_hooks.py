@@ -8,6 +8,7 @@ the benchmark's own self-tests.
 """
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -110,6 +111,29 @@ def test_tracer_follows_a_grid_that_shares_solo_runs_and_the_stream(tmp_path):
     # each task once alone, then every position but 0 in each of the 2 orders
     assert layers["harness.train_task_calls"] == 4
     assert table["data.generate"][2] == 1
+
+
+def test_gridrun_records_every_run_under_a_pool(tmp_path):
+    # the benchmark's own --jobs 2 repeat runs one seed and so starts no pool;
+    # this runs its hooks in pool workers, as a grid of several seeds does
+    config = tmp_path / "grid.cfg"
+    out = tmp_path / "out"
+    config.write_text(GRID.replace("seeds = 42", "seeds = 42,43").format(out=out))
+    done = subprocess.run([sys.executable, "perfbench/gridrun.py", "--config", str(config),
+                           "--jobs", "2", "--trace", "1"], cwd=INSTRUMENT.parents[1],
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-4000:]
+
+    report = (out / "report.txt").read_text()
+    states = []
+    for order in (0, 1):
+        for seed in (42, 43):
+            record = json.loads((out / f"perfbench-o{order}-s{seed}.json").read_text())
+            assert f"trace: {record['run']['trace_hash']}" in report
+            states.append(record["tracer"])
+    layers, _ = load_instrument().layer_metrics(states)
+    # per seed: each task once alone, then position 1 of each order
+    assert layers["harness.train_task_calls"] == 8
 
 
 def test_benchmark_selftest_passes():
