@@ -2,14 +2,16 @@
 
 An adapter is a pair of factors (down: [d_in, r], up: [r, d_out]) whose
 product is the weight update for one base matrix. A jump gate holds one
-learnable threshold per scope unit and zeroes update entries whose magnitude
-falls below it.
+learnable threshold for the layers of its scope and zeroes update entries
+whose magnitude falls below it. The interpolation factor ``gamma`` ramps the
+update from the dense product to the gated one over a window of steps.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -32,33 +34,25 @@ class GateScope(enum.Enum):
 class Adapter:
     down: Tensor  # [d_in, r]
     up: Tensor    # [r, d_out]
-    rank: int
-
-    @property
-    def d_in(self) -> int:
-        return self.down.shape[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.up.shape[1]
 
     def budget(self) -> int:
         """Trainable parameter count of the factor pair."""
-        return self.rank * (self.d_in + self.d_out)
+        return self.down.data.size + self.up.data.size
 
 
 @dataclass
 class JumpGate:
+    layers: list[str]  # the scope: layer ids whose updates this gate thresholds
     threshold: Tensor  # scalar, learnable
     bandwidth: float
     initialized: bool = False
 
 
-def make_gate(bandwidth: float, dtype=np.float32) -> JumpGate:
+def make_gate(layers: list[str], bandwidth: float, dtype=np.float32) -> JumpGate:
     if bandwidth <= 0:
         raise ConfigError(f"gate bandwidth must be positive, got {bandwidth}")
     threshold = Tensor(np.zeros((), dtype=dtype), requires_grad=True)
-    return JumpGate(threshold=threshold, bandwidth=bandwidth)
+    return JumpGate(layers=list(layers), threshold=threshold, bandwidth=bandwidth)
 
 
 def init_adapter(
@@ -85,11 +79,7 @@ def init_adapter(
     rng = np.random.default_rng(seed)
     down = rng.uniform(-bound, bound, size=(d_in, rank)).astype(dtype)
     up = np.zeros((rank, d_out), dtype=dtype)
-    return Adapter(
-        down=Tensor(down, requires_grad=True),
-        up=Tensor(up, requires_grad=True),
-        rank=rank,
-    )
+    return Adapter(down=Tensor(down, requires_grad=True), up=Tensor(up, requires_grad=True))
 
 
 def dense_update(adapter: Adapter) -> Tensor:
@@ -107,6 +97,29 @@ def jump_update(dw: Tensor, gate: JumpGate) -> Tensor:
     if not gate.initialized:
         raise StateError("jump gate used before its threshold was initialized")
     return jumprelu(dw, gate.threshold, gate.bandwidth)
+
+
+def ramp(total_steps: int, start_frac: float, end_frac: float) -> tuple[int, int]:
+    """The (start, final) steps of the interpolation ramp, from fractions of
+    the epoch's steps (e.g. 0.2 and 0.8), rounded down."""
+    if not (0.0 <= start_frac <= end_frac <= 1.0):
+        raise ConfigError(
+            f"fractions must satisfy 0 <= start <= end <= 1, got "
+            f"({start_frac}, {end_frac})"
+        )
+    if total_steps < 1:
+        raise ConfigError(f"total_steps must be positive, got {total_steps}")
+    return math.floor(start_frac * total_steps), math.floor(end_frac * total_steps)
+
+
+def gamma(step: int, start: int, final: int) -> float:
+    """Interpolation factor at a 0-based optimizer step: 0 up to ``start``,
+    linear to 1 at ``final``, clipped to [0, 1]. An empty window is a step
+    function at ``start`` (the limit of the linear ramp)."""
+    span = final - start
+    if span == 0:
+        return 0.0 if step < start else 1.0
+    return min(1.0, max(0.0, (step - start) / span))
 
 
 def interpolate_update(dw: Tensor, dw_jump: Tensor, gamma: float) -> Tensor:
@@ -147,6 +160,16 @@ def init_threshold(updates, budget: int) -> float:
         return THRESHOLD_FLOOR
     order_stat = float(np.partition(pooled, n - 1 - budget)[n - 1 - budget])
     return max(order_stat, THRESHOLD_FLOOR)
+
+
+def init_gate(gate: JumpGate, adapters: dict[str, Adapter]) -> None:
+    """Set the gate's threshold from the current updates of its scope, with
+    the scope's summed factor budget, and mark the gate initialised."""
+    scope = [adapters[lid] for lid in gate.layers]
+    threshold = init_threshold([a.down.data @ a.up.data for a in scope],
+                               sum(a.budget() for a in scope))
+    gate.threshold.data = np.asarray(threshold, dtype=gate.threshold.dtype)
+    gate.initialized = True
 
 
 def final_sparse_update(adapter: Adapter, gate: JumpGate) -> np.ndarray:

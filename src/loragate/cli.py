@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import arrayio
-from .config import ExperimentConfig, format_config, load_config, parse_config_text
+from .config import ExperimentConfig, format_config, load_config
 from .data import generate_task_stream
 from .errors import ConfigError
 from .gradcheck import run_gradcheck
@@ -114,10 +114,9 @@ def _run_single(payload) -> dict:
     _write_accuracy_csv(out / f"accuracy_o{order_index}_s{seed}.csv", result.matrix)
     mask_root = out / "masks" / f"o{order_index}_s{seed}"
     for pos, masks in enumerate(result.masks):
-        arrays = {lid: mask.astype(np.float32) for lid, mask in masks.items()}
         meta = {"task_position": pos, "task_id": order[pos],
                 "thresholds": result.logs[pos].thresholds}
-        arrayio.save_arrays(mask_root / f"task{pos}", arrays, meta)
+        arrayio.save_arrays(mask_root / f"task{pos}", masks, meta)
 
     mean_sp, mean_jac = _mask_summary(result)
     return {
@@ -159,6 +158,7 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
     _pin_malloc_thresholds()
     try:
         cfg = load_config(config_path)
+        orders = resolve_orders(cfg.n_tasks, cfg.n_orders, cfg.data_seed)
         stream = generate_task_stream(cfg.data_seed, cfg.n_tasks, cfg.samples_per_class,
                                       cfg.difficulty, cfg.classes_per_task,
                                       cfg.seq_len, cfg.vocab_size)
@@ -169,7 +169,6 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(format_config(cfg))
 
-    orders = resolve_orders(cfg.n_tasks, cfg.n_orders, cfg.data_seed)
     units = [(cfg, stream, orders, s, out) for s in cfg.seeds]
     workers = min(jobs, len(units))
     if workers > 1:
@@ -215,11 +214,13 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
 # analyze
 
 
-def _select_layers(selector: str, layer_ids: list[str], n_blocks: int) -> list[str]:
+def _select_layers(selector: str, layer_ids: list[str]) -> list[str]:
+    """The layers a ``--layer`` selector names; ``middle`` takes those of the
+    middle block, counting the blocks by the ``blk{i}.`` prefixes of the ids."""
     if selector == "all":
         return layer_ids
     if selector == "middle":
-        mid = n_blocks // 2
+        mid = len({lid.split(".")[0] for lid in layer_ids}) // 2
         chosen = [lid for lid in layer_ids if lid.startswith(f"blk{mid}.")]
         if not chosen:
             raise ConfigError(f"no adapted layers found for middle block {mid}")
@@ -234,11 +235,6 @@ def cmd_analyze(directory: str, layer: str = "all") -> int:
     mask_root = out / "masks"
     if not mask_root.is_dir():
         print(f"error: no mask dumps under {out}", file=sys.stderr)
-        return 2
-    try:
-        cfg = parse_config_text((out / "config.txt").read_text())
-    except (OSError, ConfigError) as exc:
-        print(f"error: cannot read run config: {exc}", file=sys.stderr)
         return 2
 
     for run_dir in sorted(mask_root.iterdir()):
@@ -261,7 +257,7 @@ def cmd_analyze(directory: str, layer: str = "all") -> int:
                       file=sys.stderr)
                 return 2
         try:
-            chosen = _select_layers(layer, layer_ids, cfg.n_blocks)
+            chosen = _select_layers(layer, layer_ids)
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -8,7 +8,6 @@ exactly.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -57,7 +56,7 @@ class ExperimentConfig:
     rank: int = 8
     alpha: float = 32.0
     bandwidth: float = 0.001
-    # schedule
+    # interpolation ramp
     start_frac: float = 0.2
     end_frac: float = 0.8
     # training
@@ -193,10 +192,6 @@ def validate_config(cfg: ExperimentConfig, explicit: set | None = None) -> None:
         raise ConfigError("at least one seed is required")
     if len(set(cfg.seeds)) != len(cfg.seeds):
         raise ConfigError(f"seeds must be distinct, got {cfg.seeds}")
-    if cfg.n_orders < 1:
-        raise ConfigError(f"n_orders must be >= 1, got {cfg.n_orders}")
-    if cfg.n_orders > math.factorial(cfg.n_tasks):
-        raise ConfigError(f"n_orders {cfg.n_orders} exceeds the {cfg.n_tasks}! task orders")
     if not (0.0 <= cfg.difficulty <= 1.0):
         raise ConfigError(f"difficulty must lie in [0, 1], got {cfg.difficulty}")
     if cfg.max_seq_len < cfg.seq_len:

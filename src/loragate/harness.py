@@ -41,12 +41,14 @@ from .adapter import (
     THRESHOLD_FLOOR,
     dense_update,
     final_sparse_update,
+    gamma,
     init_adapter,
-    init_threshold,
+    init_gate,
     interpolate_update,
     jump_update,
     make_gate,
     merge,
+    ramp,
 )
 from .autodiff import Tape, add, cross_entropy
 from .blas import one_blas_thread
@@ -58,7 +60,6 @@ from .metrics import AccuracyMatrix
 from .model import TinyTransformer, build_model
 from .optim import AdamW
 from .rng import named_rng, named_seed
-from .schedule import gamma, schedule_from_fractions
 
 log = logging.getLogger(__name__)
 
@@ -102,9 +103,9 @@ def inject_adapters(
     config: ExperimentConfig,
     run_seed: int,
     task_id: int,
-) -> tuple[dict[str, Adapter], Optional[dict[str, JumpGate]]]:
-    """Fresh adapters for every adapted layer, plus shared gates when the
-    configured method is gated.
+) -> tuple[dict[str, Adapter], list[JumpGate]]:
+    """Fresh adapters for every adapted layer, plus one gate per scope (all
+    layers, or one block's) when the configured method is gated.
 
     Adapter seeds are derived from (run seed, task id, layer id), so the same
     task gets bit-identical initialization in stream and isolated runs.
@@ -117,40 +118,18 @@ def inject_adapters(
             seed=named_seed(run_seed, f"adapter/task{task_id}/{lid}"),
         )
     if not config.method.gated:
-        return adapters, None
-    gates: dict[str, JumpGate] = {}
-    if config.gate_scope is GateScope.GLOBAL:
-        shared = make_gate(config.bandwidth)
-        for lid in model.adapted_layers:
-            gates[lid] = shared
-    else:
-        per_block = {i: make_gate(config.bandwidth)
-                     for i in range(model.n_blocks)}
-        for lid in model.adapted_layers:
-            gates[lid] = per_block[model.block_of(lid)]
-    return adapters, gates
-
-
-def _scope_units(gates: dict[str, JumpGate]) -> dict[int, tuple[JumpGate, list[str]]]:
-    units: dict[int, tuple[JumpGate, list[str]]] = {}
-    for lid, gate in gates.items():
-        units.setdefault(id(gate), (gate, []))[1].append(lid)
-    return units
-
-
-def _initialize_gates(adapters: dict[str, Adapter], gates: dict[str, JumpGate]) -> None:
-    for gate, lids in _scope_units(gates).values():
-        updates = [adapters[lid].down.data @ adapters[lid].up.data for lid in lids]
-        budget = sum(adapters[lid].budget() for lid in lids)
-        gate.threshold.data = np.asarray(init_threshold(updates, budget),
-                                         dtype=gate.threshold.dtype)
-        gate.initialized = True
+        return adapters, []
+    per_block = config.gate_scope is GateScope.PER_BLOCK
+    scopes: dict[int, list[str]] = {}
+    for lid in model.adapted_layers:
+        scopes.setdefault(model.block_of(lid) if per_block else 0, []).append(lid)
+    return adapters, [make_gate(lids, config.bandwidth) for lids in scopes.values()]
 
 
 def train_task(
     model: TinyTransformer,
     adapters: dict[str, Adapter],
-    gates: Optional[dict[str, JumpGate]],
+    gates: list[JumpGate],
     stream: TaskStream,
     task_id: int,
     config: ExperimentConfig,
@@ -159,7 +138,7 @@ def train_task(
     run_seed: int = 0,
 ) -> TaskLog:
     """One epoch over the task's training split, exactly the per-step recipe:
-    threshold init at the schedule start, interpolation factor update, dense /
+    threshold init at the ramp start, interpolation factor update, dense /
     gated / interpolated updates, forward, loss plus optional overlap penalty,
     and an optimizer step over the factors and thresholds.
 
@@ -174,16 +153,15 @@ def train_task(
         raise ConfigError(f"task {task_id} has no training data")
     batch = config.batch_size
     total_steps = math.ceil(n / batch)
-    sched = schedule_from_fractions(total_steps, config.start_frac, config.end_frac)
-    gating = gates is not None
+    start, final = ramp(total_steps, config.start_frac, config.end_frac)
+    gate_of = {lid: gate for gate in gates for lid in gate.layers}
     sparse_penalty = config.ella_variant is EllaVariant.SPARSE
     scaling = config.alpha / config.rank
 
     params = []
     for lid in model.adapted_layers:
         params.extend((adapters[lid].down, adapters[lid].up))
-    thresholds = ([gate.threshold for gate, _ in _scope_units(gates).values()]
-                  if gating else [])
+    thresholds = [gate.threshold for gate in gates]
     opt = AdamW(params + thresholds, lr=config.learning_rate,
                 weight_decay=config.weight_decay, no_decay=thresholds,
                 warmup_steps=config.warmup_steps)
@@ -198,10 +176,11 @@ def train_task(
     init_step = None
 
     for s in range(total_steps):
-        if gating and s == sched.start_step:
-            _initialize_gates(adapters, gates)
+        if gates and s == start:
+            for gate in gates:
+                init_gate(gate, adapters)
             init_step = s
-        g = gamma(s, sched) if gating else 0.0
+        g = gamma(s, start, final) if gates else 0.0
         gammas.append(g)
         idx = perm[s * batch:(s + 1) * batch]
         bt, bl = tokens[idx], labels[idx]
@@ -214,7 +193,7 @@ def train_task(
                 if init_step is None:
                     updates[lid] = penalty_updates[lid] = dw
                 else:
-                    dj = jump_update(dw, gates[lid])
+                    dj = jump_update(dw, gate_of[lid])
                     updates[lid] = interpolate_update(dw, dj, g)
                     penalty_updates[lid] = dj if sparse_penalty else updates[lid]
             logits = model.forward(bt, updates, scaling)
@@ -230,16 +209,15 @@ def train_task(
         for th in thresholds:
             th.data = np.maximum(th.data, np.asarray(THRESHOLD_FLOOR, th.dtype))
 
-    if gating and init_step is None:
-        # schedule never reached its start inside this epoch
+    if gates and init_step is None:
+        # the ramp never reached its start inside this epoch
         log.warning("threshold init fell past the epoch; initializing at the end")
-        _initialize_gates(adapters, gates)
+        for gate in gates:
+            init_gate(gate, adapters)
         init_step = total_steps
 
-    final_thresholds = {}
-    if gating:
-        final_thresholds = {lid: float(gates[lid].threshold.data.reshape(()))
-                            for lid in model.adapted_layers}
+    final_thresholds = {lid: float(gate.threshold.data.reshape(()))
+                        for lid, gate in gate_of.items()}
     return TaskLog(task_id=task_id, position=-1, total_steps=total_steps,
                    losses=losses, gammas=gammas, threshold_init_step=init_step,
                    thresholds=final_thresholds, penalty_weight=penalty_weight)
@@ -259,8 +237,12 @@ def evaluate(model: TinyTransformer, stream: TaskStream, task_id: int,
 
 
 def resolve_orders(n_tasks: int, n_orders: int, data_seed: int) -> list[list[int]]:
-    """``n_orders`` (at most ``n_tasks!``) distinct task orders: order 0 is natural,
-    order k a permutation from the data seed, redrawn while it repeats an earlier one."""
+    """``n_orders`` distinct task orders: order 0 is natural, order k a
+    permutation from the data seed, redrawn while it repeats an earlier one.
+
+    ``n_orders`` outside ``[1, n_tasks!]`` raises ``ConfigError``."""
+    if not 1 <= n_orders <= math.factorial(n_tasks):
+        raise ConfigError(f"n_orders must lie in [1, {n_tasks}!], got {n_orders}")
     orders = [list(range(n_tasks))]
     for k in range(1, n_orders):
         rng = named_rng(data_seed, f"order/{k}")
@@ -291,10 +273,11 @@ def _train_and_merge(model, stream, task_id, config, seed, penalty_weight=0.0,
     adapters, gates = inject_adapters(model, config, seed, task_id)
     task_log = train_task(model, adapters, gates, stream, task_id, config,
                           penalty_weight=penalty_weight, past=past, run_seed=seed)
+    gate_of = {lid: gate for gate in gates for lid in gate.layers}
     merged = {}
     for lid in model.adapted_layers:
-        if gates is not None:
-            merged[lid] = final_sparse_update(adapters[lid], gates[lid])
+        if gates:
+            merged[lid] = final_sparse_update(adapters[lid], gate_of[lid])
         else:
             merged[lid] = adapters[lid].down.data @ adapters[lid].up.data
     _merge_updates(model, merged, config, past)

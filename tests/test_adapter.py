@@ -10,6 +10,7 @@ from loragate.adapter import (
     dense_update,
     final_sparse_update,
     init_adapter,
+    init_gate,
     init_threshold,
     interpolate_update,
     jump_update,
@@ -26,7 +27,7 @@ UPDATES = arrays(np.float32, st.tuples(st.integers(1, 6), st.integers(1, 6)),
 
 
 def gate_with(tau, bandwidth=1e-3, dtype=np.float32):
-    g = make_gate(bandwidth, dtype=dtype)
+    g = make_gate(["l"], bandwidth, dtype=dtype)
     g.threshold.data = np.asarray(tau, dtype=dtype)
     g.initialized = True
     return g
@@ -80,6 +81,9 @@ class TestInitAdapter:
         with pytest.warns(UserWarning):
             init_adapter(4, 4, 8, seed=0)
 
+    def test_budget_counts_both_factors(self):
+        assert init_adapter(9, 7, 3, seed=0).budget() == 3 * (9 + 7)
+
     def test_factors_require_grad(self):
         ad = init_adapter(8, 8, 2, seed=1)
         assert ad.down.requires_grad and ad.up.requires_grad
@@ -88,8 +92,7 @@ class TestInitAdapter:
 class TestDenseUpdate:
     def test_rank_one_product(self):
         ad = Adapter(down=Tensor([[1.0], [0.0]], requires_grad=True),
-                     up=Tensor([[2.0, 3.0]], requires_grad=True),
-                     rank=1)
+                     up=Tensor([[2.0, 3.0]], requires_grad=True))
         np.testing.assert_array_equal(dense_update(ad).data, [[2.0, 3.0], [0.0, 0.0]])
 
     def test_matches_independent_matmul(self, rng):
@@ -174,7 +177,7 @@ class TestJumpUpdate:
             assert len(tape) == 1
 
     def test_uninitialized_gate_rejected(self):
-        gate = make_gate(1e-3)
+        gate = make_gate(["l"], 1e-3)
         with pytest.raises(StateError):
             jump_update(Tensor(np.ones((2, 2))), gate)
 
@@ -276,6 +279,25 @@ class TestInitThreshold:
         budget = data.draw(st.integers(0, sum(u.size for u in pool)))
         tau = init_threshold(pool, budget)
         assert sum(int((np.abs(u) > tau).sum()) for u in pool) <= budget
+
+
+class TestInitGate:
+    def test_pools_its_scope_with_the_summed_budget(self, rng):
+        adapters = {lid: init_adapter(4, 6, 2, seed=i) for i, lid in enumerate("abc")}
+        for ad in adapters.values():
+            ad.up.data = rng.normal(size=(2, 6)).astype(np.float32)
+        gate = make_gate(["a", "c"], 1e-3)
+        init_gate(gate, adapters)
+        scope = [adapters[lid].down.data @ adapters[lid].up.data for lid in "ac"]
+        assert gate.initialized
+        assert gate.threshold.dtype == np.float32
+        assert gate.threshold.data == np.float32(init_threshold(scope, 2 * (2 * (4 + 6))))
+
+    def test_all_zero_scope_falls_back_to_floor(self):
+        adapters = {"a": init_adapter(4, 6, 2, seed=0)}  # up starts at zero
+        gate = make_gate(["a"], 1e-3)
+        init_gate(gate, adapters)
+        assert gate.threshold.data == np.float32(THRESHOLD_FLOOR)
 
 
 class TestFinalUpdateAndMerge:

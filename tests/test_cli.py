@@ -5,11 +5,13 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import loragate.autodiff as autodiff
 import loragate.cli as cli
 import loragate.harness as harness
+from loragate import arrayio
 from loragate.cli import cmd_analyze, cmd_run, main, run_gradcheck
 from loragate.data import generate_task_stream
 from loragate.errors import StateError
@@ -48,6 +50,25 @@ class TestRun:
         assert (out / "config.txt").exists()
         mask_dirs = sorted((out / "masks" / "o0_s42").iterdir())
         assert [d.name for d in mask_dirs] == ["task0", "task1"]
+
+    def test_masks_dumped_as_uint8(self, tmp_path, monkeypatch):
+        results = []
+        run_stream = cli.run_stream
+
+        def keeping(*args, **kwargs):
+            results.append(run_stream(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_stream", keeping)
+        out = tmp_path / "artifacts"
+        assert cmd_run(str(write_config(tmp_path, out=out))) == 0
+        (result,) = results
+        for pos, masks in enumerate(result.masks):
+            arrays, _ = arrayio.load_arrays(out / "masks" / "o0_s42" / f"task{pos}")
+            assert arrays.keys() == masks.keys()
+            for lid, mask in masks.items():
+                assert arrays[lid].dtype == np.uint8
+                np.testing.assert_array_equal(arrays[lid], mask)
 
     def test_accuracy_csv_schema(self, tmp_path):
         out = tmp_path / "artifacts"
@@ -344,6 +365,30 @@ class TestAnalyze:
         lines = (out / "analysis_o0_s42_middle.csv").read_text().splitlines()[1:]
         layers = {ln.split(",")[1] for ln in lines}
         assert layers == {"blk1.q", "blk1.v"}
+
+    def test_middle_layer_without_the_run_config(self, tmp_path):
+        out = self.run_once(tmp_path)
+        csv = out / "analysis_o0_s42_middle.csv"
+        cmd_analyze(str(out), "middle")
+        expected = csv.read_bytes()
+        csv.unlink()
+        (out / "config.txt").unlink()
+        assert cmd_analyze(str(out), "middle") == 0
+        assert csv.read_bytes() == expected
+
+    def test_float32_dumps_analyse_alike(self, tmp_path):
+        # dumps written before masks were stored as uint8 read the same
+        out = self.run_once(tmp_path)
+        csv = out / "analysis_o0_s42_all.csv"
+        cmd_analyze(str(out), "all")
+        expected = csv.read_bytes()
+        for task in (out / "masks" / "o0_s42").iterdir():
+            arrays, meta = arrayio.load_arrays(task)
+            arrayio.save_arrays(task, {lid: m.astype(np.float32)
+                                       for lid, m in arrays.items()}, meta)
+            assert arrayio.load_arrays(task)[0]["blk0.q"].dtype == np.float32
+        assert cmd_analyze(str(out), "all") == 0
+        assert csv.read_bytes() == expected
 
     def test_specific_layer_selector(self, tmp_path):
         out = self.run_once(tmp_path)

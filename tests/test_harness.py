@@ -249,8 +249,9 @@ class TestRunStream:
         model = fresh_model(cfg, stream, 42)
         adapters, gates = inject_adapters(model, cfg, 42, 0)
         train_task(model, adapters, gates, stream, 0, cfg, run_seed=42)
+        (gate,) = gates  # the default scope is global
         for lid in model.adapted_layers:
-            dwf = final_sparse_update(adapters[lid], gates[lid])
+            dwf = final_sparse_update(adapters[lid], gate)
             np.testing.assert_array_equal(result.masks[0][lid], (dwf != 0).astype(np.uint8))
 
     def test_single_task_bwt_not_applicable(self):
@@ -496,6 +497,12 @@ class TestOrders:
         assert orders[0] == [0, 1, 2]
         assert sorted(map(tuple, orders)) == sorted(itertools.permutations(range(3)))
 
+    @pytest.mark.parametrize("n_tasks,n_orders", [(2, 3), (3, 7), (3, 0)])
+    def test_orders_outside_the_permutation_count_rejected(self, n_tasks, n_orders):
+        # 3 orders of 2 tasks once redrew forever
+        with pytest.raises(ConfigError, match="n_orders"):
+            resolve_orders(n_tasks, n_orders, 7)
+
     def test_distinct_draws_keep_their_order(self):
         # a prefix of orders that were already distinct is unchanged
         assert resolve_orders(4, 4, 7) == [[0, 1, 2, 3], [3, 1, 2, 0],
@@ -508,3 +515,29 @@ class TestOrders:
         result = run_stream(stream, cfg, seed=42, order=[1, 0])
         assert result.order == [1, 0]
         assert not np.isnan(result.matrix.final_row()).any()
+
+
+# seed-42 trace hashes of the default config at 64 samples per class; a change
+# to any of them is a change to the numerics, made on purpose or not at all
+PINNED_HASHES = {
+    "inclora": (dict(method=Method.INCLORA),
+                "11059d316ebc176cbb913172ec1f24962425da3bd7fbf9325fb7577746774999"),
+    "jump-inclora": (dict(method=Method.JUMP_INCLORA),
+                     "8b745d36153d8a63c54e25732b8c50af7c9738864f8309230e7773029a967161"),
+    "ella": (dict(method=Method.ELLA, ella_lambda=[1.0]),
+             "1025780264124e4b386aca1c173ec36559f51a661ea8773670f3aceb6a2a0faf"),
+    "jump-ella": (dict(method=Method.JUMP_ELLA, ella_lambda=[1.0]),
+                  "36f21f24d38b6a5d8f6a3a7567218c608bbad98baf9eff46382c55699ea05053"),
+    "jump-ella-interpolated-scaled-per-block": (
+        dict(method=Method.JUMP_ELLA, ella_lambda=[1.0],
+             ella_variant=EllaVariant.INTERPOLATED, ella_scale_past=True,
+             gate_scope=GateScope.PER_BLOCK),
+        "ca146ba3afa2eaa8ff82426ef8b365eddb0533196d22d3805e6bc392331101c5"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_HASHES))
+def test_pinned_trace_hash(name):
+    overrides, expected = PINNED_HASHES[name]
+    cfg = ExperimentConfig(samples_per_class=64, **overrides)
+    assert run_stream(stream_for(cfg), cfg, seed=42).trace_hash == expected

@@ -145,13 +145,15 @@ class TestTrainingInvariants:
         model = build_model(cfg.vocab_size, cfg.d_model, cfg.n_heads, cfg.n_blocks,
                             cfg.max_seq_len, stream.num_classes, seed=42)
         _, gates = inject_adapters(model, cfg, 42, 0)
-        assert len({id(g) for g in gates.values()}) == 1
+        assert [g.layers for g in gates] == [model.adapted_layers]
 
         cfg.gate_scope = GateScope.PER_BLOCK
         _, gates = inject_adapters(model, cfg, 42, 0)
-        assert len({id(g) for g in gates.values()}) == cfg.n_blocks
-        assert id(gates["blk0.q"]) == id(gates["blk0.v"])
-        assert id(gates["blk0.q"]) != id(gates["blk1.q"])
+        assert [g.layers for g in gates] == [["blk0.q", "blk0.v"], ["blk1.q", "blk1.v"]]
+        assert len({id(g.threshold) for g in gates}) == cfg.n_blocks
+
+        cfg.method = Method.INCLORA
+        assert inject_adapters(model, cfg, 42, 0)[1] == []
 
 
 def chain_forward(model, tokens, updates, scaling):
@@ -279,7 +281,7 @@ class TestGradientLifetime:
         d = model.d_model
         tokens = rng.integers(0, model.vocab_size, size=(6, 8))
         labels = rng.integers(0, model.num_classes, size=6)
-        gate = make_gate(0.05)
+        gate = make_gate(model.adapted_layers, 0.05)
         gate.threshold.data = np.asarray(0.1, np.float32)
         gate.initialized = True
         adapters = {lid: init_adapter(d, d, 4, seed=i)
