@@ -5,13 +5,12 @@ which of its signature tokens appear in it; every task shares the same
 background token pool, so sequentially merged updates compete for the same
 attention pathways while the tasks themselves stay separable.
 
-A stream is defined by its per-row draw sequence: for each fresh row, in
-order, the signal and distractor positions, the signal tokens, the distractor
-class and the distractor token, all from the task's one generator. Drawing
-them batched would consume the same generator in another order and change
-every row, so rows are drawn one at a time through the cheapest calls that
-make those draws. It is also why ``val`` is still drawn although no run reads
-it: skipping it would change every ``test`` row drawn after it.
+A fresh row of class ``c`` is ``seq_len`` uniform background tokens with
+``signal_count`` of them overwritten by signature tokens of ``c``, each drawn
+uniformly with replacement, and one more by a uniform signature token of a
+uniformly drawn other class of the task; the overwritten positions are
+distinct and uniform. Each split draws its rows through a few whole-array
+calls on the task's one generator, integers only.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ def generate_task_stream(
     templates and a fraction (0.2 * difficulty) of the draws is mislabeled;
     conflicting labels on repeated templates give every task an irreducible
     loss floor that no amount of capacity can fit, like the text benchmarks
-    this stream stands in for. Validation and test use fresh clean samples.
+    this stream stands in for. Test uses fresh clean samples.
     """
     if n_tasks < 1:
         raise ConfigError(f"need at least one task, got {n_tasks}")
@@ -94,8 +93,7 @@ def generate_task_stream(
     label_noise = 0.2 * difficulty
 
     eval_per_class = max(8, samples_per_class // 4)
-    split_sizes = {"train": samples_per_class, "val": eval_per_class,
-                   "test": eval_per_class}
+    split_sizes = {"train": samples_per_class, "test": eval_per_class}
 
     tasks = []
     for t in range(n_tasks):
@@ -103,29 +101,26 @@ def generate_task_stream(
         band = np.arange(background_size + t * band_width,
                          background_size + (t + 1) * band_width)
         band = rng.permutation(band)
-        # sorted: the index drawn for a signal or distractor token picks the
-        # index-th smallest signature token of its class
-        signatures = [np.sort(band[c::classes_per_task]) for c in range(classes_per_task)]
+        # row c holds class c's signature tokens, sorted, then padding that no
+        # index below sig_len[c] reaches
+        sig_len = np.array([len(band[c::classes_per_task]) for c in range(classes_per_task)])
+        signatures = np.zeros((classes_per_task, sig_len.max()), dtype=np.int64)
+        for c in range(classes_per_task):
+            signatures[c, :sig_len[c]] = np.sort(band[c::classes_per_task])
         classes = [t * classes_per_task + c for c in range(classes_per_task)]
 
         def fresh_rows(labels):
             n = len(labels)
-            tokens = rng.integers(0, background_size, size=(n, seq_len))
-            positions = np.empty((n, signal_count + 1), dtype=np.int64)
-            signal = np.empty((n, signal_count), dtype=np.int64)
-            distractor = np.empty(n, dtype=np.int64)
-            for row, c in enumerate(labels.tolist()):
-                positions[row] = rng.choice(seq_len, size=signal_count + 1, replace=False)
-                sig = signatures[c]
-                signal[row] = sig[rng.integers(0, len(sig), size=signal_count)]
-                if classes_per_task > 1:
-                    other = int(rng.integers(0, classes_per_task - 1))
-                    other = other + 1 if other >= c else other
-                    sig = signatures[other]
-                    distractor[row] = sig[rng.integers(0, len(sig))]
             rows = np.arange(n)[:, None]
-            tokens[rows, positions[:, :signal_count]] = signal
+            tokens = rng.integers(0, background_size, size=(n, seq_len))
+            positions = rng.permuted(np.broadcast_to(np.arange(seq_len), (n, seq_len)),
+                                     axis=1)[:, :signal_count + 1]
+            signal = rng.integers(0, sig_len[labels][:, None], size=(n, signal_count))
+            tokens[rows, positions[:, :signal_count]] = signatures[labels[:, None], signal]
             if classes_per_task > 1:
+                other = rng.integers(0, classes_per_task - 1, size=n)
+                other += other >= labels
+                distractor = signatures[other, rng.integers(0, sig_len[other])]
                 tokens[rows[:, 0], positions[:, signal_count]] = distractor
             return tokens
 

@@ -63,6 +63,10 @@ from .rng import named_rng, named_seed
 
 log = logging.getLogger(__name__)
 
+# rows per evaluation forward; 64-row chunks lowered glibc's self-adjusting
+# malloc thresholds and slowed every later training step
+EVAL_CHUNK = 256
+
 
 @dataclass
 class TaskLog:
@@ -223,16 +227,15 @@ def train_task(
                    thresholds=final_thresholds, penalty_weight=penalty_weight)
 
 
-def evaluate(model: TinyTransformer, stream: TaskStream, task_id: int,
-             chunk: int = 256) -> float:
+def evaluate(model: TinyTransformer, stream: TaskStream, task_id: int) -> float:
     """Task-agnostic test accuracy: argmax over the full union class head."""
     tokens, labels = stream.fetch(task_id, "test")
     if len(labels) == 0:
         raise ConfigError(f"task {task_id} has no test data")
     correct = 0
-    for lo in range(0, len(labels), chunk):
-        logits = model.forward(tokens[lo:lo + chunk]).data
-        correct += int((logits.argmax(axis=1) == labels[lo:lo + chunk]).sum())
+    for lo in range(0, len(labels), EVAL_CHUNK):
+        logits = model.forward(tokens[lo:lo + EVAL_CHUNK]).data
+        correct += int((logits.argmax(axis=1) == labels[lo:lo + EVAL_CHUNK]).sum())
     return correct / len(labels)
 
 

@@ -9,37 +9,44 @@ from loragate.data import generate_task_stream
 from loragate.errors import ConfigError, StateError
 from loragate.rng import named_rng
 
-SPLITS = ("train", "val", "test")
+SPLITS = ("train", "test")
 
 
 def reference_splits(seed, n_tasks, samples_per_class, difficulty, classes_per_task,
                      seq_len, vocab_size):
-    """Every task's splits, drawn row by row through ``Generator.choice``: the
-    plain form of the draws ``generate_task_stream`` makes through cheaper calls."""
+    """Every task's splits from the generator calls ``generate_task_stream``
+    makes, with each row's tokens placed one at a time from sorted signature
+    lists: the plain form of its whole-array indexing."""
     background_size = vocab_size // 2
     band_width = (vocab_size - background_size) // n_tasks
     signal_count = min(3, seq_len - 2)
     eval_per_class = max(8, samples_per_class // 4)
-    sizes = {"train": samples_per_class, "val": eval_per_class, "test": eval_per_class}
+    sizes = {"train": samples_per_class, "test": eval_per_class}
     streams = []
     for t in range(n_tasks):
         rng = named_rng(seed, f"data/task{t}")
         band = rng.permutation(np.arange(background_size + t * band_width,
                                          background_size + (t + 1) * band_width))
-        signatures = {c: sorted(int(tok) for tok in band[c::classes_per_task])
-                      for c in range(classes_per_task)}
+        signatures = [sorted(int(tok) for tok in band[c::classes_per_task])
+                      for c in range(classes_per_task)]
+        lengths = np.array([len(sig) for sig in signatures])
 
         def fresh_rows(labels):
-            tokens = rng.integers(0, background_size, size=(len(labels), seq_len))
-            for row, c in enumerate(labels):
-                pos = rng.choice(seq_len, size=signal_count + 1, replace=False)
-                sig = signatures[int(c)]
-                tokens[row, pos[:signal_count]] = rng.choice(sig, size=signal_count,
-                                                             replace=True)
+            n = len(labels)
+            tokens = rng.integers(0, background_size, size=(n, seq_len))
+            positions = rng.permuted(np.broadcast_to(np.arange(seq_len), (n, seq_len)),
+                                     axis=1)
+            signal = rng.integers(0, lengths[labels][:, None], size=(n, signal_count))
+            if classes_per_task > 1:
+                others = rng.integers(0, classes_per_task - 1, size=n)
+                others = np.where(others >= labels, others + 1, others)
+                picks = rng.integers(0, lengths[others])
+            for row, c in enumerate(labels.tolist()):
+                for k in range(signal_count):
+                    tokens[row, positions[row, k]] = signatures[c][signal[row, k]]
                 if classes_per_task > 1:
-                    other = int(rng.integers(0, classes_per_task - 1))
-                    other = other + 1 if other >= c else other
-                    tokens[row, pos[signal_count]] = rng.choice(signatures[other])
+                    other = int(others[row])
+                    tokens[row, positions[row, signal_count]] = signatures[other][picks[row]]
             return tokens
 
         per_class_pool = max(32, samples_per_class // 16)
@@ -87,7 +94,7 @@ class TestGeneration:
         s1 = generate_task_stream(5, 3, samples_per_class=16)
         s2 = generate_task_stream(5, 3, samples_per_class=16)
         for t1, t2 in zip(s1.tasks, s2.tasks):
-            for split in ("train", "val", "test"):
+            for split in SPLITS:
                 np.testing.assert_array_equal(t1.splits[split][0], t2.splits[split][0])
                 np.testing.assert_array_equal(t1.splits[split][1], t2.splits[split][1])
 
@@ -128,18 +135,15 @@ class TestGeneration:
     def test_splits_disjoint_within_task(self):
         stream = generate_task_stream(3, 2, samples_per_class=32)
         task = stream.tasks[0]
-        rows = {split: {t.tobytes() for t in task.splits[split][0]}
-                for split in ("train", "val", "test")}
+        rows = {split: {t.tobytes() for t in task.splits[split][0]} for split in SPLITS}
         assert not (rows["train"] & rows["test"])
-        assert not (rows["train"] & rows["val"])
 
     def test_eval_labels_balanced(self):
-        # train labels carry difficulty noise; val and test stay clean
+        # train labels carry difficulty noise; test stays clean
         stream = generate_task_stream(3, 2, samples_per_class=20, classes_per_task=4)
-        for split in ("val", "test"):
-            _, labels = stream.tasks[1].splits[split]
-            _, counts = np.unique(labels, return_counts=True)
-            assert len(counts) == 4 and (counts == counts[0]).all()
+        _, labels = stream.tasks[1].splits["test"]
+        _, counts = np.unique(labels, return_counts=True)
+        assert len(counts) == 4 and (counts == counts[0]).all()
 
     def test_train_rows_come_from_template_pool(self):
         stream = generate_task_stream(3, 1, samples_per_class=512, classes_per_task=2)
@@ -179,6 +183,29 @@ class TestDrawSequence:
                     assert got.dtype == want.dtype
                     np.testing.assert_array_equal(got, want)
 
+    @settings(max_examples=60, deadline=None)
+    @given(stream_args())
+    def test_rows_follow_the_row_law(self, args):
+        # every row holds signal_count tokens of its class's signature and one of
+        # another class of its task at distinct positions, background elsewhere;
+        # train rows are pool rows, and their labels are clean at difficulty 0
+        background = args["vocab_size"] // 2
+        band_width = (args["vocab_size"] - background) // args["n_tasks"]
+        k = args["classes_per_task"]
+        signal_count = min(3, args["seq_len"] - 2)
+        for split, difficulty in (("train", 0.0), ("test", args["difficulty"])):
+            stream = generate_task_stream(**dict(args, difficulty=difficulty))
+            for task in stream.tasks:
+                band = named_rng(args["seed"], f"data/task{task.task_id}").permutation(
+                    np.arange(background + task.task_id * band_width,
+                              background + (task.task_id + 1) * band_width))
+                owner = {int(tok): i % k for i, tok in enumerate(band)}
+                tokens, labels = task.splits[split]
+                for row, label in zip(tokens.tolist(), (labels - task.classes[0]).tolist()):
+                    placed = [owner[tok] for tok in row if tok >= background]
+                    assert len(placed) == signal_count + (k > 1)
+                    assert placed.count(label) == signal_count
+
     def test_default_stream_digest(self):
         # the data under every benchmark trace_hash; integer draws only, so the
         # digest depends on neither BLAS nor the CPU
@@ -189,7 +216,7 @@ class TestDrawSequence:
                 digest.update(tokens.tobytes())
                 digest.update(labels.tobytes())
         assert digest.hexdigest() == (
-            "f9461ff04c94c3e4b0126b019e3b1d21d483637d156e3699940cf3a417240747")
+            "3aae2646bee25546c832a088e75a7a56ceec60601dd60f9911e8979581fffc78")
 
 
 class TestAccessHook:
@@ -207,3 +234,9 @@ class TestAccessHook:
             stream.fetch(5, "train")
         with pytest.raises(StateError):
             stream.fetch(0, "bogus")
+
+    def test_no_val_split(self):
+        # no run reads a validation split, so none is drawn
+        stream = generate_task_stream(1, 2, samples_per_class=8)
+        with pytest.raises(StateError):
+            stream.fetch(0, "val")

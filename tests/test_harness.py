@@ -469,16 +469,19 @@ class TestDegenerateModes:
             np.testing.assert_array_equal(e, b)
 
     def test_gated_methods_diverge_only_after_gamma_turns_on(self):
-        cfg_inc = tiny_config(method=Method.INCLORA, samples_per_class=48, batch_size=8)
+        # rank 2 at d_model 16 leaves the gate a budget below its scope's size;
+        # at rank 8 (2·r·d >= d²) θ sits at the floor and the gate is inert
+        cfg_inc = tiny_config(method=Method.INCLORA, samples_per_class=48, batch_size=8,
+                              rank=2)
         cfg_jump = tiny_config(method=Method.JUMP_INCLORA, samples_per_class=48,
-                               batch_size=8)
+                               batch_size=8, rank=2)
         r_inc = run_stream(stream_for(cfg_inc), cfg_inc, seed=42)
         r_jump = run_stream(stream_for(cfg_jump), cfg_jump, seed=42)
         gammas = r_jump.logs[0].gammas
         first_active = next(i for i, g in enumerate(gammas) if g > 0)
         l_inc, l_jump = r_inc.logs[0].losses, r_jump.logs[0].losses
         np.testing.assert_array_equal(l_inc[:first_active], l_jump[:first_active])
-        assert not np.array_equal(l_inc, l_jump)
+        assert np.abs(l_inc - l_jump).max() > 1e-5  # well above rounding
 
 
 class TestOrders:
@@ -521,18 +524,18 @@ class TestOrders:
 # to any of them is a change to the numerics, made on purpose or not at all
 PINNED_HASHES = {
     "inclora": (dict(method=Method.INCLORA),
-                "11059d316ebc176cbb913172ec1f24962425da3bd7fbf9325fb7577746774999"),
+                "99b2ad18f1598c6633c331eb73ee7e9f154a8361c8d941329ac5cbcfc2ac35d1"),
     "jump-inclora": (dict(method=Method.JUMP_INCLORA),
-                     "8b745d36153d8a63c54e25732b8c50af7c9738864f8309230e7773029a967161"),
+                     "f244c823a7ac176f631e01aeff7bc7228a8ed7be448092c17241cb94443a79d1"),
     "ella": (dict(method=Method.ELLA, ella_lambda=[1.0]),
-             "1025780264124e4b386aca1c173ec36559f51a661ea8773670f3aceb6a2a0faf"),
+             "9ca15a8692f07a7ee5e5286f3892044a2b10d88736a75b7a167b13412b989d43"),
     "jump-ella": (dict(method=Method.JUMP_ELLA, ella_lambda=[1.0]),
-                  "36f21f24d38b6a5d8f6a3a7567218c608bbad98baf9eff46382c55699ea05053"),
+                  "3bd74ed8d50a498969eff29f6ef51dd7b6f640ef98061330c21cf3076b70f174"),
     "jump-ella-interpolated-scaled-per-block": (
         dict(method=Method.JUMP_ELLA, ella_lambda=[1.0],
              ella_variant=EllaVariant.INTERPOLATED, ella_scale_past=True,
              gate_scope=GateScope.PER_BLOCK),
-        "ca146ba3afa2eaa8ff82426ef8b365eddb0533196d22d3805e6bc392331101c5"),
+        "e472a749d88f9b80dae10b67024e9449b82c7634e33e77d09de0183fc6b1e05d"),
 }
 
 
