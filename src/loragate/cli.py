@@ -240,7 +240,7 @@ def cmd_analyze(directory: str, layer: str = "all") -> int:
     for run_dir in sorted(mask_root.iterdir()):
         if not run_dir.is_dir():
             continue
-        try:  # a ValueError here is a bad task directory name or store entry
+        try:  # a ValueError here is a bad task directory name or a StoreError
             task_dirs = sorted(run_dir.glob("task*"),
                                key=lambda p: int(p.name.removeprefix("task")))
             per_task = [arrayio.load_arrays(td)[0] for td in task_dirs]

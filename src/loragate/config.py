@@ -77,38 +77,34 @@ class ExperimentConfig:
         return list(lam)
 
 
-_ENUM_FIELDS = {"method": Method, "gate_scope": GateScope, "ella_variant": EllaVariant}
-_LIST_FIELDS = {"ella_lambda": float, "seeds": int}
+def _parse_item(text: str, kind: type):
+    if kind is bool:
+        if text.lower() in ("true", "false"):
+            return text.lower() == "true"
+        raise ValueError(f"expected true/false, got {text!r}")
+    return kind(text)  # an enum class, int, float or str
 
 
-def _parse_value(name: str, text: str, pytype):
+def _parse_value(name: str, text: str, default):
+    """``text`` parsed as the kind of ``default``: a list parses as
+    comma-separated items of its first item's type."""
     text = text.strip()
     try:
-        if name in _ENUM_FIELDS:
-            return _ENUM_FIELDS[name](text)
-        if name in _LIST_FIELDS:
+        if isinstance(default, list):
             items = [s.strip() for s in text.split(",") if s.strip()]
             if not items:
                 raise ValueError("empty list")
-            return [_LIST_FIELDS[name](s) for s in items]
-        if pytype is bool:
-            if text.lower() in ("true", "false"):
-                return text.lower() == "true"
-            raise ValueError(f"expected true/false, got {text!r}")
-        if pytype is int:
-            return int(text)
-        if pytype is float:
-            return float(text)
-        return text
+            return [_parse_item(s, type(default[0])) for s in items]
+        return _parse_item(text, type(default))
     except ValueError as exc:
         raise ConfigError(f"bad value for {name!r}: {exc}") from exc
 
 
-def _format_value(name: str, value) -> str:
-    if name in _ENUM_FIELDS:
+def _format_value(value) -> str:
+    if isinstance(value, list):
+        return ",".join(_format_value(v) for v in value)
+    if isinstance(value, enum.Enum):
         return value.value
-    if name in _LIST_FIELDS:
-        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -117,8 +113,7 @@ def _format_value(name: str, value) -> str:
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    known = {f.name: f.type for f in fields(ExperimentConfig)}
-    pytypes = {f.name: type(getattr(ExperimentConfig(), f.name)) for f in fields(ExperimentConfig)}
+    defaults = vars(ExperimentConfig())
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -128,11 +123,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in defaults:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, value, pytypes[key])
+        values[key] = _parse_value(key, value, defaults[key])
     cfg = ExperimentConfig(**values)
     validate_config(cfg, explicit=set(values))
     return cfg
@@ -159,7 +154,7 @@ def _applicable_fields(cfg: ExperimentConfig) -> list[str]:
 def format_config(cfg: ExperimentConfig) -> str:
     """Canonical dump; knobs inert for the chosen method are omitted so the
     text re-parses cleanly under the method-grid validation."""
-    lines = [f"{name} = {_format_value(name, getattr(cfg, name))}"
+    lines = [f"{name} = {_format_value(getattr(cfg, name))}"
              for name in _applicable_fields(cfg)]
     return "\n".join(lines) + "\n"
 

@@ -14,4 +14,5 @@ class StateError(RuntimeError):
 
 
 class StoreError(ValueError):
-    """An array store's names or manifest entries are not usable as files."""
+    """An array store cannot be saved or loaded: an unsafe array name, a
+    manifest without its ``meta`` object, or an ``.npy`` file numpy rejects."""

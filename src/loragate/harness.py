@@ -70,14 +70,10 @@ EVAL_CHUNK = 256
 
 @dataclass
 class TaskLog:
-    task_id: int
-    position: int
-    total_steps: int
     losses: np.ndarray
     gammas: list[float]
     threshold_init_step: Optional[int]
     thresholds: dict[str, float] = field(default_factory=dict)
-    penalty_weight: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -222,9 +218,8 @@ def train_task(
 
     final_thresholds = {lid: float(gate.threshold.data.reshape(()))
                         for lid, gate in gate_of.items()}
-    return TaskLog(task_id=task_id, position=-1, total_steps=total_steps,
-                   losses=losses, gammas=gammas, threshold_init_step=init_step,
-                   thresholds=final_thresholds, penalty_weight=penalty_weight)
+    return TaskLog(losses=losses, gammas=gammas, threshold_init_step=init_step,
+                   thresholds=final_thresholds)
 
 
 def evaluate(model: TinyTransformer, stream: TaskStream, task_id: int) -> float:
@@ -297,11 +292,11 @@ def _train_solo(base, stream, task_id, config, seed) -> SoloRun:
     return SoloRun(task_log, merged, evaluate(model, stream, task_id))
 
 
-def _copy_log(task_log: TaskLog, **changes) -> TaskLog:
+def _copy_log(task_log: TaskLog) -> TaskLog:
     """A copy of ``task_log`` that shares no array, list or dict with it."""
     return dataclasses.replace(task_log, losses=task_log.losses.copy(),
                                gammas=list(task_log.gammas),
-                               thresholds=dict(task_log.thresholds), **changes)
+                               thresholds=dict(task_log.thresholds))
 
 
 @one_blas_thread()
@@ -365,8 +360,7 @@ def run_stream(
             isolated[tid] = run
         return run
 
-    def record(pos: int, task_log: TaskLog, merged: dict[str, np.ndarray]) -> None:
-        task_log.position = pos
+    def record(task_log: TaskLog, merged: dict[str, np.ndarray]) -> None:
         logs.append(task_log)
         masks.append({lid: (merged[lid] != 0).astype(np.uint8)
                       for lid in model.adapted_layers})
@@ -378,11 +372,11 @@ def run_stream(
     _merge_updates(model, first.merged, config, past)
     matrix.set(1, 0, first.accuracy)
     matrix.set_isolated(0, first.accuracy)
-    record(0, _copy_log(first.log, penalty_weight=penalty_weights[0]), first.merged)
+    record(_copy_log(first.log), first.merged)
     del first  # frees the run's updates unless ``isolated`` keeps it
     for pos in range(1, len(order)):
-        record(pos, *_train_and_merge(model, stream, order[pos], config, seed,
-                                      penalty_weights[pos], past))
+        record(*_train_and_merge(model, stream, order[pos], config, seed,
+                                 penalty_weights[pos], past))
         for j in range(pos + 1):
             matrix.set(pos + 1, j, evaluate(model, stream, order[j]))
     for pos in range(1, len(order)):

@@ -1,4 +1,3 @@
-import json
 import os
 import subprocess
 import sys
@@ -52,23 +51,33 @@ class TestRun:
         assert [d.name for d in mask_dirs] == ["task0", "task1"]
 
     def test_masks_dumped_as_uint8(self, tmp_path, monkeypatch):
-        results = []
-        run_stream = cli.run_stream
+        # each dump is a plain .npy of the support of the update merged in
+        # the stream; solo runs merge into models of their own
+        results, merges = [], []
+        run_stream, merge_updates = cli.run_stream, harness._merge_updates
 
         def keeping(*args, **kwargs):
             results.append(run_stream(*args, **kwargs))
             return results[-1]
 
+        def keeping_merges(model, merged, *args):
+            merges.append((model, merged))
+            merge_updates(model, merged, *args)
+
         monkeypatch.setattr(cli, "run_stream", keeping)
+        monkeypatch.setattr(harness, "_merge_updates", keeping_merges)
         out = tmp_path / "artifacts"
         assert cmd_run(str(write_config(tmp_path, out=out))) == 0
         (result,) = results
-        for pos, masks in enumerate(result.masks):
-            arrays, _ = arrayio.load_arrays(out / "masks" / "o0_s42" / f"task{pos}")
-            assert arrays.keys() == masks.keys()
-            for lid, mask in masks.items():
-                assert arrays[lid].dtype == np.uint8
-                np.testing.assert_array_equal(arrays[lid], mask)
+        in_stream = [merged for model, merged in merges if model is result.model]
+        assert len(in_stream) == 2
+        for pos, merged in enumerate(in_stream):
+            task = out / "masks" / "o0_s42" / f"task{pos}"
+            assert sorted(p.stem for p in task.glob("*.npy")) == sorted(merged)
+            for lid, update in merged.items():
+                mask = np.load(task / f"{lid}.npy", allow_pickle=False)
+                assert mask.dtype == np.uint8
+                np.testing.assert_array_equal(mask, (update != 0).astype(np.uint8))
 
     def test_accuracy_csv_schema(self, tmp_path):
         out = tmp_path / "artifacts"
@@ -405,28 +414,24 @@ class TestAnalyze:
         assert cmd_analyze(str(tmp_path), "all") == 2
         assert "mask" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["no_manifest", "no_bin", "truncated_bin",
-                                        "bad_task_dir", "no_arrays", "entry_without_file",
-                                        "fewer_layers"])
+    @pytest.mark.parametrize("damage", ["no_manifest", "no_meta", "no_bin",
+                                        "fewer_layers", "truncated_npy",
+                                        "bad_task_dir"])
     def test_damaged_store_rejected(self, tmp_path, capsys, damage):
         out = self.run_once(tmp_path)
         task = out / "masks" / "o0_s42" / "task1"
-        manifest = json.loads((task / "manifest.json").read_text())
         if damage == "no_manifest":
             (task / "manifest.json").unlink()
-        elif damage == "no_arrays":
+        elif damage == "no_meta":
             (task / "manifest.json").write_text("{}")
-        elif damage == "entry_without_file":
-            del manifest["arrays"]["blk0.q"]["file"]
-            (task / "manifest.json").write_text(json.dumps(manifest))
-        elif damage == "fewer_layers":
-            del manifest["arrays"]["blk0.v"]
-            (task / "manifest.json").write_text(json.dumps(manifest))
         elif damage == "no_bin":
-            (task / "blk0.q.bin").unlink()
-        elif damage == "truncated_bin":
-            raw = (task / "blk0.q.bin").read_bytes()
-            (task / "blk0.q.bin").write_bytes(raw[:-3])
+            for npy in task.glob("*.npy"):
+                npy.unlink()
+        elif damage == "fewer_layers":
+            (task / "blk0.v.npy").unlink()
+        elif damage == "truncated_npy":
+            raw = (task / "blk0.q.npy").read_bytes()
+            (task / "blk0.q.npy").write_bytes(raw[:-3])
         else:
             (task.parent / "taskX").mkdir()
         assert main(["analyze", "--dir", str(out)]) == 2

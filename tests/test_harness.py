@@ -50,7 +50,7 @@ class TestTrainTask:
         model = fresh_model(cfg, stream, 42)
         adapters, gates = inject_adapters(model, cfg, 42, 0)
         log = train_task(model, adapters, gates, stream, 0, cfg, run_seed=42)
-        total = log.total_steps
+        total = len(log.losses)
         assert total == 12
         assert log.gammas[0] == 0.0
         assert log.threshold_init_step == int(0.2 * total)
@@ -163,10 +163,10 @@ class TestTrainTask:
                          past=past, run_seed=42)
 
         # 12 steps: the init falls at step 2, or after the last step
-        assert log.threshold_init_step == (2 if start_frac < 1.0 else log.total_steps)
+        assert log.threshold_init_step == (2 if start_frac < 1.0 else len(log.losses))
         layers = len(model.adapted_layers)
         before_init = layers * log.threshold_init_step
-        assert len(penalised) == len(made["dense"]) == layers * log.total_steps
+        assert len(penalised) == len(made["dense"]) == layers * len(log.losses)
         assert len(made["jump"]) == len(made["interp"]) == len(penalised) - before_init
         gated = made["jump"] if variant is EllaVariant.SPARSE else made["interp"]
         expected = made["dense"][:before_init] + gated
@@ -370,7 +370,6 @@ class TestRunStream:
         for pos, tid in enumerate(order):
             task_log, merged = harness._train_and_merge(
                 model, stream, tid, cfg, 42, 50.0, past)
-            task_log.position = pos
             logs.append(task_log)
             masks.append({lid: (dw != 0).astype(np.uint8) for lid, dw in merged.items()})
             rows.append([evaluate(model, stream, t) for t in order[:pos + 1]])
@@ -398,7 +397,6 @@ class TestRunStream:
                 assert list(result.matrix.grid[pos + 1, :pos + 1]) == row
         np.testing.assert_array_equal(shared.matrix.grid, fresh.matrix.grid)
         assert shared.trace_hash == fresh.trace_hash
-        assert shared.logs[0].penalty_weight == 50.0
         # position 1 trained against the past that position 0 fed
         unpenalized = tiny_config(method=Method.JUMP_ELLA, ella_lambda=[0.0],
                                   gate_scope=GateScope.PER_BLOCK)
