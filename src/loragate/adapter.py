@@ -10,7 +10,6 @@ update from the dense product to the gated one over a window of steps.
 from __future__ import annotations
 
 import enum
-import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,8 +18,6 @@ import numpy as np
 
 from .autodiff import Tensor, add, jumprelu, matmul, scale
 from .errors import ConfigError, ShapeError, StateError
-
-log = logging.getLogger(__name__)
 
 THRESHOLD_FLOOR = 1e-8
 
@@ -154,7 +151,7 @@ def init_threshold(updates, budget: int) -> float:
     if n == 0:
         raise StateError("threshold init needs a non-empty update pool")
     if not pooled.any():
-        log.warning("all update entries are zero at threshold init; using floor")
+        warnings.warn("all update entries are zero at threshold init; using floor")
         return THRESHOLD_FLOOR
     if budget >= n:
         return THRESHOLD_FLOOR

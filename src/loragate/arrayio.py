@@ -1,4 +1,5 @@
-"""Array store: one numpy ``.npy`` file per array plus a manifest.
+"""Array store: one numpy ``.npy`` file per array plus a manifest; read it
+back with ``np.load(path, allow_pickle=False)`` and ``json.load``.
 
 Layout of a store directory:
 
@@ -9,11 +10,8 @@ Layout of a store directory:
 Round trips are bit-exact. ``save_arrays`` raises ``StoreError`` for a name
 that is not ``[A-Za-z0-9][A-Za-z0-9._-]*``, before it writes anything, so each
 name is its file's stem. Saving into a store replaces all of its arrays: the
-``.npy`` files of an earlier save are deleted first. ``load_arrays`` reads
-every ``*.npy`` of the store under its stem. It raises ``StoreError`` for a
-manifest that is not an object holding only a ``meta`` object, and for an
-``.npy`` file that numpy cannot read without pickling: a bad header, a
-truncated array or an object array.
+``.npy`` files of an earlier save are deleted first. ``np.save`` raises
+``ValueError`` for an object array, so no store holds pickled data.
 """
 
 from __future__ import annotations
@@ -43,19 +41,3 @@ def save_arrays(directory, arrays: dict[str, np.ndarray], meta: dict | None = No
         json.dump({"meta": meta or {}}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def load_arrays(directory) -> tuple[dict[str, np.ndarray], dict]:
-    directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
-        manifest = json.load(fh)
-    if not (isinstance(manifest, dict) and manifest.keys() == {"meta"}
-            and isinstance(manifest["meta"], dict)):
-        raise StoreError(f"{directory / 'manifest.json'} is not an object holding "
-                         f"only a 'meta' object")
-    arrays = {}
-    for path in sorted(directory.glob("*.npy")):
-        try:
-            arrays[path.stem] = np.load(path, allow_pickle=False)
-        except (ValueError, EOFError) as exc:
-            raise StoreError(f"array {path.stem!r}: {exc}") from None
-    return arrays, manifest["meta"]

@@ -1,7 +1,12 @@
-"""Command-line interface: run experiments, verify gradients, analyze masks.
+"""Command-line interface: run experiments and verify gradients.
 
-``loragate run`` generates the task stream once and hands out one seed at a
-time: a seed's orders share its solo runs, so each is trained once at any --jobs.
+``loragate run`` writes, per (order, seed), the accuracy matrix, the support
+mask of every stream position and layer, and the isolation table scored from
+those masks; ``metrics.csv`` and ``report.txt`` then summarise the grid. It
+first deletes every artifact of the names in ``ARTIFACTS``, so a smaller rerun
+into the same directory leaves nothing stale. It generates the task stream
+once and hands out one seed at a time: a seed's orders share its solo runs, so
+each is trained once at any --jobs.
 
 ``loragate run`` pins two glibc malloc thresholds for its process, which its
 pool workers inherit: arrays below 64 MiB come from the heap rather than from
@@ -22,6 +27,7 @@ import argparse
 import ctypes
 import multiprocessing
 import os
+import shutil
 import sys
 import traceback
 from pathlib import Path
@@ -34,14 +40,7 @@ from .data import generate_task_stream
 from .errors import ConfigError
 from .gradcheck import run_gradcheck
 from .harness import SoloRun, resolve_orders, run_stream
-from .metrics import (
-    backward_transfer,
-    forward_transfer,
-    jaccard_overlap,
-    mean_prior_overlap,
-    overall_accuracy,
-    sparsity,
-)
+from .metrics import MaskOverlap, backward_transfer, forward_transfer, overall_accuracy
 
 ENV_OUTPUT_ROOT = "LORAGATE_OUTPUT_ROOT"
 
@@ -50,6 +49,9 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 64 << 20
 _TRIM_THRESHOLD = 256 << 20
+
+# everything ``cmd_run`` writes but config.txt, as globs in the output directory
+ARTIFACTS = ("masks", "accuracy_*.csv", "isolation_*.csv", "metrics.csv", "report.txt")
 
 
 # ---------------------------------------------------------------------------
@@ -90,18 +92,12 @@ def _write_accuracy_csv(path: Path, matrix) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _mask_summary(result) -> tuple[float, float | None]:
-    """Mean sparsity over (task, layer) and mean pairwise Jaccard over layers."""
-    by_layer = [[masks[lid] for masks in result.masks] for lid in sorted(result.masks[0])]
-    sparsities = [sparsity(m) for ms in by_layer for m in ms]
-    pair_vals = []
-    for ms in by_layer:
-        for i in range(len(ms)):
-            for j in range(i + 1, len(ms)):
-                pair_vals.append(jaccard_overlap(ms[i], ms[j]))
-    mean_sp = float(np.mean(sparsities)) if sparsities else 0.0
-    mean_jac = float(np.mean(pair_vals)) if pair_vals else None
-    return mean_sp, mean_jac
+def _write_isolation_csv(path: Path, overlap: MaskOverlap, order) -> None:
+    lines = ["position,task_id,layer,kept_fraction,mean_prior_jaccard,"
+             "expected_jaccard,excess"]
+    for pos, lid, *values in overlap.isolation_rows():
+        lines.append(f"{pos},{order[pos]},{lid}," + ",".join(map(_fmt, values)))
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _run_single(payload) -> dict:
@@ -117,19 +113,19 @@ def _run_single(payload) -> dict:
         meta = {"task_position": pos, "task_id": order[pos],
                 "thresholds": result.logs[pos].thresholds}
         arrayio.save_arrays(mask_root / f"task{pos}", masks, meta)
+    overlap = MaskOverlap(result.masks)
+    _write_isolation_csv(out / f"isolation_o{order_index}_s{seed}.csv", overlap, order)
 
-    mean_sp, mean_jac = _mask_summary(result)
     return {
         "order": order_index,
         "seed": seed,
         "oa": overall_accuracy(result.matrix),
         "bwt": backward_transfer(result.matrix),
         "fwt": forward_transfer(result.matrix),
-        "mean_sparsity": mean_sp,
-        "mean_pairwise_jaccard": mean_jac,
+        "mean_sparsity": float(np.mean(overlap.sparsity)),
+        "mean_pairwise_jaccard": overlap.mean_pairwise_jaccard(),
         "trace_hash": result.trace_hash,
-        "per_task_sparsity": [float(np.mean([sparsity(m) for m in masks.values()]))
-                              for masks in result.masks],
+        "per_task_sparsity": [float(np.mean(s)) for s in overlap.sparsity.T],
     }
 
 
@@ -166,6 +162,12 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = _output_dir(cfg)
+    for pattern in ARTIFACTS:
+        for stale in out.glob(pattern):
+            if stale.is_dir():
+                shutil.rmtree(stale)
+            else:
+                stale.unlink()
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(format_config(cfg))
 
@@ -211,69 +213,6 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
 
 
 # ---------------------------------------------------------------------------
-# analyze
-
-
-def _select_layers(selector: str, layer_ids: list[str]) -> list[str]:
-    """The layers a ``--layer`` selector names; ``middle`` takes those of the
-    middle block, counting the blocks by the ``blk{i}.`` prefixes of the ids."""
-    if selector == "all":
-        return layer_ids
-    if selector == "middle":
-        mid = len({lid.split(".")[0] for lid in layer_ids}) // 2
-        chosen = [lid for lid in layer_ids if lid.startswith(f"blk{mid}.")]
-        if not chosen:
-            raise ConfigError(f"no adapted layers found for middle block {mid}")
-        return chosen
-    if selector not in layer_ids:
-        raise ConfigError(f"unknown layer {selector!r}; known: {layer_ids}")
-    return [selector]
-
-
-def cmd_analyze(directory: str, layer: str = "all") -> int:
-    out = Path(directory)
-    mask_root = out / "masks"
-    if not mask_root.is_dir():
-        print(f"error: no mask dumps under {out}", file=sys.stderr)
-        return 2
-
-    for run_dir in sorted(mask_root.iterdir()):
-        if not run_dir.is_dir():
-            continue
-        try:  # a ValueError here is a bad task directory name or a StoreError
-            task_dirs = sorted(run_dir.glob("task*"),
-                               key=lambda p: int(p.name.removeprefix("task")))
-            per_task = [arrayio.load_arrays(td)[0] for td in task_dirs]
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read mask dumps in {run_dir}: {exc}", file=sys.stderr)
-            return 2
-        if not per_task:
-            continue
-        layer_ids = sorted(per_task[0])
-        for td, arrays in zip(task_dirs, per_task):
-            if sorted(arrays) != layer_ids:
-                print(f"error: cannot read mask dumps in {run_dir}: {td.name} holds "
-                      f"layers {sorted(arrays)}, {task_dirs[0].name} holds {layer_ids}",
-                      file=sys.stderr)
-                return 2
-        try:
-            chosen = _select_layers(layer, layer_ids)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        lines = ["task,layer,sparsity,mean_prior_jaccard"]
-        for t, arrays in enumerate(per_task):
-            for lid in chosen:
-                history = [per_task[i][lid] for i in range(t + 1)]
-                overlap = mean_prior_overlap(history, t)
-                lines.append(f"{t},{lid},{_fmt(sparsity(arrays[lid]))},{_fmt(overlap)}")
-        target = out / f"analysis_{run_dir.name}_{layer.replace('.', '_')}.csv"
-        target.write_text("\n".join(lines) + "\n")
-        print(f"wrote {target}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # entry point
 
 
@@ -284,7 +223,9 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the configured experiment grid")
+    p_run = sub.add_parser("run", help="run the configured experiment grid; write "
+                                       "its accuracy matrices, support masks, "
+                                       "isolation tables and summaries")
     p_run.add_argument("--config", required=True, help="path to a key = value config file")
     p_run.add_argument("--jobs", type=int, default=1,
                        help="parallel worker processes, each running one seed "
@@ -295,18 +236,11 @@ def main(argv=None) -> int:
 
     sub.add_parser("gradcheck", help="finite-difference and kernel gradient checks")
 
-    p_an = sub.add_parser("analyze", help="sparsity/overlap tables from mask dumps")
-    p_an.add_argument("--dir", required=True, help="artifact directory of a run")
-    p_an.add_argument("--layer", default="all",
-                      help="adapted layer id, 'middle', or 'all'")
-
     args = parser.parse_args(argv)
     if args.command == "run":
         return cmd_run(args.config, args.jobs)
     if args.command == "gradcheck":
         return run_gradcheck()
-    if args.command == "analyze":
-        return cmd_analyze(args.dir, args.layer)
     parser.error(f"unknown command {args.command!r}")
     return 2
 

@@ -16,7 +16,6 @@ calls on the task's one generator, integers only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,21 +38,18 @@ class TaskStream:
     vocab_size: int
     seq_len: int
     num_classes: int
-    on_access: Optional[Callable[[int, str], None]] = None
 
     def __len__(self) -> int:
         return len(self.tasks)
 
     def fetch(self, task_id: int, split: str) -> Split:
-        """Data access point; fires the audit hook so rehearsal-free training
-        can be asserted from outside."""
+        """The one data access point, so rehearsal-free training can be
+        asserted by wrapping it."""
         if not (0 <= task_id < len(self.tasks)):
             raise StateError(f"unknown task id {task_id}")
         task = self.tasks[task_id]
         if split not in task.splits:
             raise StateError(f"unknown split {split!r}")
-        if self.on_access is not None:
-            self.on_access(task_id, split)
         return task.splits[split]
 
 

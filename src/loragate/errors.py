@@ -14,5 +14,4 @@ class StateError(RuntimeError):
 
 
 class StoreError(ValueError):
-    """An array store cannot be saved or loaded: an unsafe array name, a
-    manifest without its ``meta`` object, or an ``.npy`` file numpy rejects."""
+    """An array store cannot be saved: an array name is not a safe file name."""

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import logging
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -60,8 +60,6 @@ from .metrics import AccuracyMatrix
 from .model import TinyTransformer, build_model
 from .optim import AdamW
 from .rng import named_rng, named_seed
-
-log = logging.getLogger(__name__)
 
 # rows per evaluation forward; 64-row chunks lowered glibc's self-adjusting
 # malloc thresholds and slowed every later training step
@@ -211,7 +209,7 @@ def train_task(
 
     if gates and init_step is None:
         # the ramp never reached its start inside this epoch
-        log.warning("threshold init fell past the epoch; initializing at the end")
+        warnings.warn("threshold init fell past the epoch; initializing at the end")
         for gate in gates:
             init_gate(gate, adapters)
         init_step = total_steps

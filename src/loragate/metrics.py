@@ -1,4 +1,8 @@
-"""Transfer metrics over the task-accuracy grid, plus mask sparsity/overlap."""
+"""Transfer metrics over the task-accuracy grid, plus mask sparsity and overlap.
+
+``MaskOverlap`` scores a stream's support masks once; ``loragate run`` reads
+its isolation table and its sparsity and overlap summaries from that score.
+"""
 
 from __future__ import annotations
 
@@ -93,15 +97,52 @@ def jaccard_overlap(m1, m2) -> float:
     return float(np.count_nonzero(a & b) / union)
 
 
-def mean_prior_overlap(masks: Sequence, t: int) -> Optional[float]:
-    """Mean Jaccard overlap of task t's mask with every earlier task's mask.
+def expected_jaccard(p, q):
+    """Jaccard overlap expected of two independent masks that keep fractions
+    ``p`` and ``q`` of their entries: the expected intersection p·q over the
+    expected union p + q − p·q, and 0 where both keep nothing, as in
+    ``jaccard_overlap``. Broadcasts over arrays."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    union = p + q - p * q
+    return np.divide(p * q, union, out=np.zeros(union.shape), where=union > 0)
 
-    ``t`` is the 0-based position in the stream; the first task has no priors
-    and yields None.
+
+class MaskOverlap:
+    """Sparsity and pairwise Jaccard overlap of a stream's masks, given per
+    stream position as a dict keyed by layer.
+
+    ``sparsity[l, t]`` is the sparsity of position t in layer ``layers[l]``, in
+    the layer order of position 0; ``jaccard[l, t, i]`` is the overlap of
+    positions t and i in that layer, computed once per pair (symmetric, NaN on
+    the diagonal).
     """
-    if t >= len(masks):
-        raise ValueError(f"task index {t} out of range for {len(masks)} masks")
-    if t < 1:
-        return None
-    overlaps = [jaccard_overlap(masks[t], masks[i]) for i in range(t)]
-    return float(np.mean(overlaps))
+
+    def __init__(self, masks: Sequence[dict[str, np.ndarray]]):
+        self.layers = list(masks[0])
+        self.sparsity = np.array([[sparsity(m[lid]) for m in masks] for lid in self.layers])
+        self.jaccard = np.full((len(self.layers), len(masks), len(masks)), np.nan)
+        for l, lid in enumerate(self.layers):
+            for t in range(len(masks)):
+                for i in range(t):
+                    self.jaccard[l, t, i] = self.jaccard[l, i, t] = jaccard_overlap(
+                        masks[t][lid], masks[i][lid])
+
+    def mean_pairwise_jaccard(self) -> Optional[float]:
+        """Mean overlap over layers and pairs of positions; None for one position."""
+        i, j = np.triu_indices(self.sparsity.shape[1], 1)
+        return float(np.mean(self.jaccard[:, i, j])) if i.size else None
+
+    def isolation_rows(self):
+        """Per position, then layer: (position, layer, kept fraction, mean
+        Jaccard against earlier positions, its ``expected_jaccard`` over the
+        same pairs, and the isolation excess, observed minus expected). The
+        last three are None at position 0."""
+        kept = 1.0 - self.sparsity
+        for t in range(kept.shape[1]):
+            for l, lid in enumerate(self.layers):
+                if t == 0:
+                    yield t, lid, float(kept[l, t]), None, None, None
+                    continue
+                prior = float(np.mean(self.jaccard[l, t, :t]))
+                expected = float(np.mean(expected_jaccard(kept[l, t], kept[l, :t])))
+                yield t, lid, float(kept[l, t]), prior, expected, prior - expected

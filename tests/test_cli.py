@@ -1,7 +1,11 @@
+import csv
+import fnmatch
+import json
 import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +14,10 @@ import pytest
 import loragate.autodiff as autodiff
 import loragate.cli as cli
 import loragate.harness as harness
-from loragate import arrayio
-from loragate.cli import cmd_analyze, cmd_run, main, run_gradcheck
+from loragate.cli import cmd_run, main, run_gradcheck
 from loragate.data import generate_task_stream
 from loragate.errors import StateError
+from loragate.metrics import jaccard_overlap
 
 TINY = """\
 vocab_size = 24
@@ -32,10 +36,28 @@ output_dir = {out}
 """
 
 
+# 3 tasks x 2 orders x 2 seeds under per-block gates, whose thresholds start
+# at the floor on most gates of the grid
+PER_BLOCK_GRID = TINY.replace("n_tasks = 2", "n_tasks = 3").replace(
+    "seeds = 42", "seeds = 42,43\nn_orders = 2\ngate_scope = per-block")
+# the same grid at rank 2 and a high learning rate: the gates keep a part of
+# each update
+PARTLY_KEPT_GRID = PER_BLOCK_GRID.replace(
+    "method = jump-inclora", "method = jump-inclora\nrank = 2\nlearning_rate = 0.05"
+).replace("samples_per_class = 32", "samples_per_class = 128")
+
+
 def write_config(tmp_path, text=None, **fmt):
     path = tmp_path / "exp.cfg"
     path.write_text((text or TINY).format(**fmt))
     return path
+
+
+def module_env() -> dict:
+    """The environment of a ``python -m loragate`` subprocess run from the tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 class TestRun:
@@ -106,6 +128,39 @@ class TestRun:
         cmd_run(str(cfg))
         second = {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         assert first == second
+
+    def test_smaller_rerun_leaves_nothing_stale(self, tmp_path, monkeypatch):
+        # TINY is 2 tasks x 1 order x 1 seed
+        for name, texts in (("fresh", [TINY]), ("rerun", [PER_BLOCK_GRID, TINY])):
+            monkeypatch.setenv(cli.ENV_OUTPUT_ROOT, str(tmp_path / name))
+            for text in texts:
+                assert cmd_run(str(write_config(tmp_path, text=text, out="grid"))) == 0
+        fresh, rerun = (
+            {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            for out in (tmp_path / "fresh" / "grid", tmp_path / "rerun" / "grid"))
+        assert sorted(rerun) == sorted(fresh)
+        assert rerun == fresh
+
+    def test_every_artifact_is_cleared_before_a_run(self, tmp_path):
+        out = tmp_path / "artifacts"
+        assert cmd_run(str(write_config(tmp_path, text=PER_BLOCK_GRID, out=out))) == 0
+        written = [p.relative_to(out) for p in out.rglob("*") if p.is_file()]
+        assert len(written) > 5
+        for path in written:
+            assert str(path) == "config.txt" or any(
+                fnmatch.fnmatchcase(path.parts[0], pattern) for pattern in cli.ARTIFACTS), path
+
+    def test_floor_warning_printed_once(self, tmp_path):
+        cfg = write_config(tmp_path, text=PER_BLOCK_GRID, out=tmp_path / "artifacts")
+        floor = "all update entries are zero at threshold init"
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert cmd_run(str(cfg)) == 0
+        assert sum(floor in str(w.message) for w in seen) > 1  # many gates hit the floor
+        done = subprocess.run([sys.executable, "-m", "loragate", "run", "--config", str(cfg)],
+                              env=module_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.count(f"UserWarning: {floor}") == 1
 
     def test_invalid_config_nonzero_exit(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -337,114 +392,96 @@ class TestGradcheck:
             assert name in out
 
 
-class TestAnalyze:
-    def run_once(self, tmp_path, method_line="method = jump-inclora", tasks=2):
+def read_csv(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def load_dumps(run_dir) -> list[dict]:
+    """The masks of one (order, seed) run per position, read with ``np.load``."""
+    return [{p.stem: np.load(p, allow_pickle=False) for p in (run_dir / f"task{t}").glob("*.npy")}
+            for t in range(len(list(run_dir.iterdir())))]
+
+
+class TestIsolationTable:
+    HEADER = ["position", "task_id", "layer", "kept_fraction", "mean_prior_jaccard",
+              "expected_jaccard", "excess"]
+
+    def run_once(self, tmp_path, text=TINY):
         out = tmp_path / "artifacts"
-        text = TINY.replace("method = jump-inclora", method_line)
-        text = text.replace("n_tasks = 2", f"n_tasks = {tasks}")
-        cmd_run(str(write_config(tmp_path, text=text, out=out)))
+        assert cmd_run(str(write_config(tmp_path, text=text, out=out))) == 0
         return out
 
-    def test_emits_sparsity_and_overlap(self, tmp_path):
-        out = self.run_once(tmp_path)
-        assert cmd_analyze(str(out), "all") == 0
-        csv = out / "analysis_o0_s42_all.csv"
-        lines = csv.read_text().splitlines()
-        assert lines[0] == "task,layer,sparsity,mean_prior_jaccard"
-        assert len(lines) == 1 + 2 * 4  # 2 tasks x 4 adapted layers
-        first_task = [ln for ln in lines[1:] if ln.startswith("0,")]
-        assert all(ln.endswith(",na") for ln in first_task)
+    def test_schema(self, tmp_path):
+        out = self.run_once(tmp_path, text=PER_BLOCK_GRID)
+        for o in range(2):
+            for seed in (42, 43):
+                csv_path = out / f"isolation_o{o}_s{seed}.csv"
+                assert csv_path.read_text().splitlines()[0] == ",".join(self.HEADER)
+                rows = read_csv(csv_path)
+                layers = ["blk0.q", "blk0.v", "blk1.q", "blk1.v"]
+                assert [(r["position"], r["layer"]) for r in rows] == [
+                    (str(t), lid) for t in range(3) for lid in layers]
+                for r in rows:
+                    manifest = (out / "masks" / f"o{o}_s{seed}" / f"task{r['position']}"
+                                / "manifest.json")
+                    assert int(r["task_id"]) == json.loads(manifest.read_text())[
+                        "meta"]["task_id"]
+                    assert 0.0 <= float(r["kept_fraction"]) <= 1.0
+                    tail = [r[k] for k in self.HEADER[4:]]
+                    assert (tail == ["na"] * 3) == (r["position"] == "0")
 
-    def test_gating_disabled_gives_zero_sparsity(self, tmp_path):
-        out = self.run_once(tmp_path, method_line="method = inclora")
-        cmd_analyze(str(out), "all")
-        lines = (out / "analysis_o0_s42_all.csv").read_text().splitlines()[1:]
-        for ln in lines:
-            assert float(ln.split(",")[2]) == 0.0
+    def test_rows_recomputed_from_the_dumps(self, tmp_path):
+        out = self.run_once(tmp_path, text=PARTLY_KEPT_GRID)
+        kept_values = set()
+        for csv_path in sorted(out.glob("isolation_*.csv")):
+            masks = load_dumps(out / "masks" / csv_path.stem.removeprefix("isolation_"))
+            for r in read_csv(csv_path):
+                t, lid = int(r["position"]), r["layer"]
+                kept = [np.count_nonzero(m[lid]) / m[lid].size for m in masks]
+                kept_values.add(kept[t])
+                assert float(r["kept_fraction"]) == pytest.approx(kept[t], abs=1e-12)
+                if t == 0:
+                    continue
+                prior = np.mean([jaccard_overlap(masks[t][lid], masks[i][lid])
+                                 for i in range(t)])
+                p = kept[t]
+                expected = np.mean([p * q / (p + q - p * q) if p + q > 0 else 0.0
+                                    for q in kept[:t]])
+                assert float(r["mean_prior_jaccard"]) == pytest.approx(prior, abs=1e-12)
+                assert float(r["expected_jaccard"]) == pytest.approx(expected, abs=1e-12)
+                assert float(r["excess"]) == pytest.approx(prior - expected, abs=1e-12)
+        assert len(kept_values) > 2  # neither all kept nor all dropped
+
+    def test_summaries_match_the_all_pairs_mean(self, tmp_path):
+        out = self.run_once(tmp_path, text=PARTLY_KEPT_GRID)
+        metrics = {(r["metric"], r["order"], r["seed"]): float(r["value"])
+                   for r in read_csv(out / "metrics.csv")}
+        for run_dir in sorted((out / "masks").iterdir()):
+            masks = load_dumps(run_dir)
+            order, seed = run_dir.name[1:].split("_s")
+            pairs = [jaccard_overlap(masks[i][lid], masks[j][lid])
+                     for lid in sorted(masks[0])
+                     for i in range(len(masks)) for j in range(i + 1, len(masks))]
+            sparsities = [1 - np.count_nonzero(m[lid]) / m[lid].size
+                          for lid in sorted(masks[0]) for m in masks]
+            assert metrics["mean_pairwise_jaccard", order, seed] == pytest.approx(
+                np.mean(pairs), abs=1e-12)
+            assert metrics["mean_sparsity", order, seed] == pytest.approx(
+                np.mean(sparsities), abs=1e-12)
+
+    def test_gating_disabled_keeps_everything(self, tmp_path):
+        out = self.run_once(tmp_path, TINY.replace("jump-inclora", "inclora"))
+        rows = read_csv(out / "isolation_o0_s42.csv")
+        assert rows and all(r["kept_fraction"] == "1.0" for r in rows)
+        assert [r["excess"] for r in rows if r["position"] != "0"] == ["0.0"] * 4
 
     def test_single_task_all_not_applicable(self, tmp_path):
-        out = self.run_once(tmp_path, tasks=1)
-        cmd_analyze(str(out), "all")
-        lines = (out / "analysis_o0_s42_all.csv").read_text().splitlines()[1:]
-        assert lines and all(ln.endswith(",na") for ln in lines)
-
-    def test_middle_layer_selector(self, tmp_path):
-        out = self.run_once(tmp_path)
-        cmd_analyze(str(out), "middle")
-        lines = (out / "analysis_o0_s42_middle.csv").read_text().splitlines()[1:]
-        layers = {ln.split(",")[1] for ln in lines}
-        assert layers == {"blk1.q", "blk1.v"}
-
-    def test_middle_layer_without_the_run_config(self, tmp_path):
-        out = self.run_once(tmp_path)
-        csv = out / "analysis_o0_s42_middle.csv"
-        cmd_analyze(str(out), "middle")
-        expected = csv.read_bytes()
-        csv.unlink()
-        (out / "config.txt").unlink()
-        assert cmd_analyze(str(out), "middle") == 0
-        assert csv.read_bytes() == expected
-
-    def test_float32_dumps_analyse_alike(self, tmp_path):
-        # dumps written before masks were stored as uint8 read the same
-        out = self.run_once(tmp_path)
-        csv = out / "analysis_o0_s42_all.csv"
-        cmd_analyze(str(out), "all")
-        expected = csv.read_bytes()
-        for task in (out / "masks" / "o0_s42").iterdir():
-            arrays, meta = arrayio.load_arrays(task)
-            arrayio.save_arrays(task, {lid: m.astype(np.float32)
-                                       for lid, m in arrays.items()}, meta)
-            assert arrayio.load_arrays(task)[0]["blk0.q"].dtype == np.float32
-        assert cmd_analyze(str(out), "all") == 0
-        assert csv.read_bytes() == expected
-
-    def test_specific_layer_selector(self, tmp_path):
-        out = self.run_once(tmp_path)
-        cmd_analyze(str(out), "blk0.v")
-        lines = (out / "analysis_o0_s42_blk0_v.csv").read_text().splitlines()[1:]
-        assert {ln.split(",")[1] for ln in lines} == {"blk0.v"}
-
-    def test_unknown_layer_rejected(self, tmp_path, capsys):
-        out = self.run_once(tmp_path)
-        assert cmd_analyze(str(out), "blk9.q") == 2
-        assert "unknown layer" in capsys.readouterr().err
-
-    def test_missing_masks_rejected(self, tmp_path, capsys):
-        assert cmd_analyze(str(tmp_path), "all") == 2
-        assert "mask" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("damage", ["no_manifest", "no_meta", "no_bin",
-                                        "fewer_layers", "truncated_npy",
-                                        "bad_task_dir"])
-    def test_damaged_store_rejected(self, tmp_path, capsys, damage):
-        out = self.run_once(tmp_path)
-        task = out / "masks" / "o0_s42" / "task1"
-        if damage == "no_manifest":
-            (task / "manifest.json").unlink()
-        elif damage == "no_meta":
-            (task / "manifest.json").write_text("{}")
-        elif damage == "no_bin":
-            for npy in task.glob("*.npy"):
-                npy.unlink()
-        elif damage == "fewer_layers":
-            (task / "blk0.v.npy").unlink()
-        elif damage == "truncated_npy":
-            raw = (task / "blk0.q.npy").read_bytes()
-            (task / "blk0.q.npy").write_bytes(raw[:-3])
-        else:
-            (task.parent / "taskX").mkdir()
-        assert main(["analyze", "--dir", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot read mask dumps in ")
-        assert "Traceback" not in err
-
-    def test_idempotent(self, tmp_path):
-        out = self.run_once(tmp_path)
-        cmd_analyze(str(out), "all")
-        first = (out / "analysis_o0_s42_all.csv").read_bytes()
-        cmd_analyze(str(out), "all")
-        assert (out / "analysis_o0_s42_all.csv").read_bytes() == first
+        out = self.run_once(tmp_path, TINY.replace("n_tasks = 2", "n_tasks = 1"))
+        rows = read_csv(out / "isolation_o0_s42.csv")
+        assert len(rows) == 4
+        for r in rows:
+            assert [r[k] for k in self.HEADER[4:]] == ["na"] * 3
 
 
 class TestMain:
@@ -456,11 +493,14 @@ class TestMain:
         assert main(["gradcheck"]) == 0
         capsys.readouterr()
 
+    def test_analyze_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--dir", "X"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'analyze'" in capsys.readouterr().err
+
     def test_runs_as_module(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         done = subprocess.run([sys.executable, "-m", "loragate", "gradcheck"],
-                              env={**os.environ, "PYTHONPATH": path},
-                              capture_output=True, text=True, timeout=120)
+                              env=module_env(), capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert "gradient checks passed" in done.stdout

@@ -220,14 +220,6 @@ class TestDrawSequence:
 
 
 class TestAccessHook:
-    def test_fetch_fires_audit_hook(self):
-        stream = generate_task_stream(1, 2, samples_per_class=8)
-        seen = []
-        stream.on_access = lambda tid, split: seen.append((tid, split))
-        stream.fetch(1, "train")
-        stream.fetch(0, "test")
-        assert seen == [(1, "train"), (0, "test")]
-
     def test_unknown_task_or_split(self):
         stream = generate_task_stream(1, 2, samples_per_class=8)
         with pytest.raises(StateError):

@@ -38,6 +38,18 @@ def stream_for(cfg):
                                 cfg.seq_len, cfg.vocab_size)
 
 
+def record_fetches(monkeypatch, stream) -> list:
+    """The (task id, split) of every later ``stream.fetch``, in call order."""
+    fetched, fetch = [], stream.fetch
+
+    def recording(task_id, split):
+        fetched.append((task_id, split))
+        return fetch(task_id, split)
+
+    monkeypatch.setattr(stream, "fetch", recording)
+    return fetched
+
+
 def fresh_model(cfg, stream, seed):
     return build_model(cfg.vocab_size, cfg.d_model, cfg.n_heads, cfg.n_blocks,
                        cfg.max_seq_len, stream.num_classes, seed=seed)
@@ -69,12 +81,11 @@ class TestTrainTask:
             np.testing.assert_array_equal(l1.losses, l2.losses)
         assert r1.trace_hash == r2.trace_hash
 
-    def test_rehearsal_free_data_access(self):
+    def test_rehearsal_free_data_access(self, monkeypatch):
         cfg = tiny_config()
         stream = stream_for(cfg)
         model = fresh_model(cfg, stream, 42)
-        accessed = []
-        stream.on_access = lambda tid, split: accessed.append((tid, split))
+        accessed = record_fetches(monkeypatch, stream)
         adapters, gates = inject_adapters(model, cfg, 42, 1)
         train_task(model, adapters, gates, stream, 1, cfg, run_seed=42)
         assert accessed == [(1, "train")]
@@ -289,13 +300,12 @@ class TestRunStream:
         r2 = run_stream(stream_for(cfg), cfg, seed=43)
         assert r1.trace_hash != r2.trace_hash
 
-    def test_first_stream_task_trained_once_others_twice(self):
+    def test_first_stream_task_trained_once_others_twice(self, monkeypatch):
         # stream position 0 doubles as its task's isolated run; every other task
         # trains in the stream and alone; no other task's train data is read
         cfg = tiny_config()
         stream = stream_for(cfg)
-        accesses = []
-        stream.on_access = lambda tid, split: accesses.append((tid, split))
+        accesses = record_fetches(monkeypatch, stream)
         run_stream(stream, cfg, seed=42, order=[1, 0])
         train_counts = {}
         for tid, split in accesses:

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+import loragate.metrics as metrics
 from loragate.errors import ShapeError, StateError
 from loragate.metrics import (
     AccuracyMatrix,
+    MaskOverlap,
     backward_transfer,
+    expected_jaccard,
     forward_transfer,
     jaccard_overlap,
-    mean_prior_overlap,
     overall_accuracy,
     sparsity,
 )
@@ -195,26 +197,97 @@ class TestJaccard:
             assert jaccard_overlap(m1, m2) == pytest.approx(want, abs=1e-12)
 
 
+class TestExpectedJaccard:
+    def test_both_empty_is_zero(self):
+        # as jaccard_overlap scores two empty supports
+        assert float(expected_jaccard(0.0, 0.0)) == 0.0
+
+    def test_both_full_is_one(self):
+        assert float(expected_jaccard(1.0, 1.0)) == 1.0
+
+    def test_one_empty_is_zero(self):
+        assert float(expected_jaccard(0.0, 0.7)) == 0.0
+
+    def test_broadcasts(self):
+        got = expected_jaccard(0.5, np.array([0.0, 0.5, 1.0]))
+        np.testing.assert_allclose(got, [0.0, 1 / 3, 0.5], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("p,q", [(0.05, 0.05), (0.1, 0.4), (0.5, 0.5),
+                                     (0.3, 0.9), (0.95, 0.95)])
+    def test_matches_independent_random_masks(self, rng, p, q):
+        observed = [jaccard_overlap(rng.random((64, 64)) < p, rng.random((64, 64)) < q)
+                    for _ in range(50)]
+        assert float(expected_jaccard(p, q)) == pytest.approx(np.mean(observed), abs=0.01)
+
+
+def stream_masks(*supports):
+    """Per-position masks of one layer ``l``, from per-position supports."""
+    return [{"l": np.array(m, dtype=np.uint8)} for m in supports]
+
+
 class TestMeanPriorOverlap:
+    """The mean Jaccard against earlier positions, column 3 of
+    ``MaskOverlap.isolation_rows``, with its expectation and excess."""
+
     def test_disjoint_tasks(self):
-        masks = [np.eye(4)[i:i + 1] for i in range(3)]
-        assert mean_prior_overlap(masks, 2) == 0.0
+        overlap = MaskOverlap(stream_masks(*np.eye(4, dtype=np.uint8)[:3]))
+        rows = list(overlap.isolation_rows())
+        assert [r[3] for r in rows[1:]] == [0.0, 0.0]
+        assert overlap.mean_pairwise_jaccard() == 0.0
+        # three disjoint singletons in 4 entries overlap less than chance
+        assert all(r[5] < 0 for r in rows[1:])
 
     def test_identical_tasks(self):
-        m = np.ones((2, 2))
-        assert mean_prior_overlap([m, m], 1) == 1.0
+        overlap = MaskOverlap(stream_masks([1, 1, 0, 0], [1, 1, 0, 0]))
+        (_, lid, kept, prior, expected, excess), = list(overlap.isolation_rows())[1:]
+        assert (lid, kept, prior) == ("l", 0.5, 1.0)
+        assert expected == pytest.approx(1 / 3) and excess == pytest.approx(2 / 3)
 
     def test_averaging_oracle(self):
         base = np.zeros(10)
         m3 = base.copy(); m3[:5] = 1          # support {0..4}
         m1 = base.copy(); m1[4:8] = 1          # overlap {4}: 1/8
         m2 = base.copy(); m2[1:5] = 1          # overlap {1..4}: 4/6
-        got = mean_prior_overlap([m1, m2, m3], 2)
-        assert got == pytest.approx((jaccard_overlap(m3, m1) + jaccard_overlap(m3, m2)) / 2)
+        overlap = MaskOverlap(stream_masks(m1, m2, m3))
+        prior = list(overlap.isolation_rows())[2][3]
+        assert prior == pytest.approx((jaccard_overlap(m3, m1) + jaccard_overlap(m3, m2)) / 2)
+        pairs = [jaccard_overlap(a, b) for a, b in ((m1, m2), (m1, m3), (m2, m3))]
+        assert overlap.mean_pairwise_jaccard() == pytest.approx(np.mean(pairs), abs=1e-15)
 
     def test_first_task_not_applicable(self):
-        assert mean_prior_overlap([np.ones(3)], 0) is None
+        overlap = MaskOverlap([{"a": np.ones(3), "b": np.zeros(3)}])
+        assert list(overlap.isolation_rows()) == [(0, "a", 1.0, None, None, None),
+                                                  (0, "b", 0.0, None, None, None)]
+        assert overlap.mean_pairwise_jaccard() is None
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            mean_prior_overlap([np.ones(3)], 5)
+
+class TestMaskOverlap:
+    def test_layout_follows_the_first_position(self, rng):
+        masks = [{lid: rng.random((3, 4)) > 0.5 for lid in ("blk1.q", "blk0.q", "x")}
+                 for _ in range(4)]
+        overlap = MaskOverlap(masks)
+        assert overlap.layers == ["blk1.q", "blk0.q", "x"]
+        for l, lid in enumerate(overlap.layers):
+            for t in range(4):
+                assert overlap.sparsity[l, t] == sparsity(masks[t][lid])
+                assert np.isnan(overlap.jaccard[l, t, t])
+                for i in range(t):
+                    want = jaccard_overlap(masks[t][lid], masks[i][lid])
+                    assert overlap.jaccard[l, t, i] == overlap.jaccard[l, i, t] == want
+        rows = list(overlap.isolation_rows())
+        assert [(r[0], r[1]) for r in rows] == [(t, lid) for t in range(4)
+                                                for lid in overlap.layers]
+
+    def test_each_pair_scored_once(self, rng, monkeypatch):
+        calls = []
+        score = metrics.jaccard_overlap
+
+        def counting(m1, m2):
+            calls.append(1)
+            return score(m1, m2)
+
+        monkeypatch.setattr(metrics, "jaccard_overlap", counting)
+        overlap = MaskOverlap([{lid: rng.random(6) > 0.5 for lid in "ab"} for _ in range(5)])
+        list(overlap.isolation_rows())
+        overlap.mean_pairwise_jaccard()
+        assert len(calls) == 2 * (5 * 4 // 2)
