@@ -138,7 +138,7 @@ def init_threshold(updates, budget: int) -> float:
     Pools |entries| over the given updates (tensors or arrays) and returns the
     (budget+1)-th largest magnitude, so the strictly-above count equals the
     budget in the absence of ties. Saturated budgets and all-zero pools fall
-    back to the positive floor.
+    back to the positive floor, with a warning.
     """
     mags = []
     for u in updates:
@@ -154,6 +154,8 @@ def init_threshold(updates, budget: int) -> float:
         warnings.warn("all update entries are zero at threshold init; using floor")
         return THRESHOLD_FLOOR
     if budget >= n:
+        warnings.warn("gate budget covers every entry in its scope; "
+                      "the gate keeps everything")
         return THRESHOLD_FLOOR
     order_stat = float(np.partition(pooled, n - 1 - budget)[n - 1 - budget])
     return max(order_stat, THRESHOLD_FLOOR)

@@ -8,10 +8,10 @@ Layout of a store directory:
   header with the dtype and shape, then the array's bytes.
 
 Round trips are bit-exact. ``save_arrays`` raises ``StoreError`` for a name
-that is not ``[A-Za-z0-9][A-Za-z0-9._-]*``, before it writes anything, so each
-name is its file's stem. Saving into a store replaces all of its arrays: the
-``.npy`` files of an earlier save are deleted first. ``np.save`` raises
-``ValueError`` for an object array, so no store holds pickled data.
+that is not ``[A-Za-z0-9][A-Za-z0-9._-]*``, so each name is its file's stem,
+and for an object array, so no store holds pickled data; both before it
+touches the directory. Saving into a store replaces all of its arrays: the
+``.npy`` files of an earlier save are deleted first.
 """
 
 from __future__ import annotations
@@ -28,9 +28,11 @@ _NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 def save_arrays(directory, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    for name in arrays:
+    for name, arr in arrays.items():
         if not _NAME.fullmatch(name):
             raise StoreError(f"array name {name!r} is not a safe file name")
+        if arr.dtype.hasobject:
+            raise StoreError(f"array {name!r} holds objects; stores never allow_pickle")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for stale in directory.glob("*.npy"):

@@ -1,8 +1,11 @@
 """Flat key = value experiment configuration with a strict schema.
 
-Unknown keys are hard errors; silent hyperparameter typos are the dominant
-reproduction hazard. ``parse_config`` and ``format_config`` round-trip
-exactly.
+Each value is an int, a float, a string, an enum value, or a comma-separated
+list of one of these. Unknown keys are hard errors: silent hyperparameter
+typos are the dominant reproduction hazard, and a key that an older version
+wrote must fail loudly rather than be ignored. A knob that only some methods
+read (``_METHOD_KNOBS``) is rejected when written under another method.
+``parse_config_text`` and ``format_config`` round-trip exactly.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ class ExperimentConfig:
     gate_scope: GateScope = GateScope.GLOBAL
     ella_variant: EllaVariant = EllaVariant.SPARSE
     ella_lambda: list[float] = field(default_factory=lambda: [0.0])
-    ella_scale_past: bool = False
     # adapters
     rank: int = 8
     alpha: float = 32.0
@@ -63,7 +65,6 @@ class ExperimentConfig:
     learning_rate: float = 0.001
     batch_size: int = 32
     warmup_steps: int = 10
-    weight_decay: float = 0.0
     seeds: list[int] = field(default_factory=lambda: [42, 43, 44])
     n_orders: int = 1
     # output
@@ -77,14 +78,6 @@ class ExperimentConfig:
         return list(lam)
 
 
-def _parse_item(text: str, kind: type):
-    if kind is bool:
-        if text.lower() in ("true", "false"):
-            return text.lower() == "true"
-        raise ValueError(f"expected true/false, got {text!r}")
-    return kind(text)  # an enum class, int, float or str
-
-
 def _parse_value(name: str, text: str, default):
     """``text`` parsed as the kind of ``default``: a list parses as
     comma-separated items of its first item's type."""
@@ -94,8 +87,8 @@ def _parse_value(name: str, text: str, default):
             items = [s.strip() for s in text.split(",") if s.strip()]
             if not items:
                 raise ValueError("empty list")
-            return [_parse_item(s, type(default[0])) for s in items]
-        return _parse_item(text, type(default))
+            return [type(default[0])(s) for s in items]
+        return type(default)(text)
     except ValueError as exc:
         raise ConfigError(f"bad value for {name!r}: {exc}") from exc
 
@@ -105,8 +98,6 @@ def _format_value(value) -> str:
         return ",".join(_format_value(v) for v in value)
     if isinstance(value, enum.Enum):
         return value.value
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -142,7 +133,6 @@ def load_config(path) -> ExperimentConfig:
 _METHOD_KNOBS = {
     "ella_variant": (lambda m: m is Method.JUMP_ELLA, "method jump-ella"),
     "gate_scope": (lambda m: m.gated, "gated methods"),
-    "ella_scale_past": (lambda m: m.penalized, "ELLA methods"),
 }
 
 
@@ -181,8 +171,6 @@ def validate_config(cfg: ExperimentConfig, explicit: set | None = None) -> None:
         raise ConfigError("rank must be >= 1 and alpha positive")
     if cfg.learning_rate <= 0 or cfg.batch_size < 1 or cfg.warmup_steps < 0:
         raise ConfigError("learning_rate > 0, batch_size >= 1, warmup_steps >= 0 required")
-    if cfg.weight_decay < 0:
-        raise ConfigError(f"weight_decay must be nonnegative, got {cfg.weight_decay}")
     if not cfg.seeds:
         raise ConfigError("at least one seed is required")
     if len(set(cfg.seeds)) != len(cfg.seeds):

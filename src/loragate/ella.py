@@ -1,7 +1,9 @@
 """Coordinate-overlap penalty against updates accumulated from past tasks.
 
 The past is a plain ``dict`` from adapted-layer id to the running sum of the
-final updates merged into that layer so far.
+final updates merged into that layer so far. They are summed unscaled: the
+weights take ``alpha / rank`` times each update, but the penalty is quadratic
+in the past, so the penalty weight absorbs that factor squared.
 """
 
 from __future__ import annotations

@@ -14,4 +14,5 @@ class StateError(RuntimeError):
 
 
 class StoreError(ValueError):
-    """An array store cannot be saved: an array name is not a safe file name."""
+    """An array store cannot be saved: an array name is not a safe file name,
+    or an array holds Python objects."""

@@ -161,7 +161,6 @@ def train_task(
         params.extend((adapters[lid].down, adapters[lid].up))
     thresholds = [gate.threshold for gate in gates]
     opt = AdamW(params + thresholds, lr=config.learning_rate,
-                weight_decay=config.weight_decay, no_decay=thresholds,
                 warmup_steps=config.warmup_steps)
 
     # the past is fixed within a task, so the layers it penalises are too
@@ -255,8 +254,7 @@ def _merge_updates(model, merged, config, past):
     for lid in model.adapted_layers:
         model.params[lid] = merge(model.params[lid], merged[lid], scaling)
         if past is not None:
-            update_past(past, merged[lid] * scaling if config.ella_scale_past
-                        else merged[lid], lid)
+            update_past(past, merged[lid], lid)
 
 
 def _train_and_merge(model, stream, task_id, config, seed, penalty_weight=0.0,

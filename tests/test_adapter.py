@@ -229,8 +229,10 @@ class TestInitThreshold:
 
     def test_saturated_budget_returns_floor(self):
         mags = Tensor(np.array([0.4, 0.2], dtype=np.float32))
-        assert init_threshold([mags], budget=2) == THRESHOLD_FLOOR
-        assert init_threshold([mags], budget=5) == THRESHOLD_FLOOR
+        with pytest.warns(UserWarning, match="budget"):
+            assert init_threshold([mags], budget=2) == THRESHOLD_FLOOR
+        with pytest.warns(UserWarning, match="budget"):
+            assert init_threshold([mags], budget=5) == THRESHOLD_FLOOR
 
     def test_total_tie_excludes_everything(self):
         mags = Tensor(np.full(6, 0.25, dtype=np.float32))

@@ -51,6 +51,10 @@ def test_unsafe_name_rejected(tmp_path, name):
 
 
 def test_object_array_rejected(tmp_path):
-    # a store never holds pickled data
+    # a store never holds pickled data, and a refused save leaves it as it was
+    store = tmp_path / "store"
+    save_arrays(store, {"a": np.zeros(2)}, {"run": 1})
     with pytest.raises(ValueError, match="allow_pickle"):
-        save_arrays(tmp_path / "store", {"x": np.array([{"a": 1}], dtype=object)})
+        save_arrays(store, {"b": np.ones(2), "x": np.array([{"a": 1}], dtype=object)})
+    assert sorted(p.name for p in store.iterdir()) == ["a.npy", "manifest.json"]
+    assert load_store(store)[1] == {"run": 1}

@@ -47,9 +47,11 @@ class TestParsing:
         cfg = parse_config_text("# a comment\n\nrank = 4\n")
         assert cfg.rank == 4
 
-    def test_unknown_key_is_hard_error(self):
+    # a typo, and two keys that older versions wrote into config.txt
+    @pytest.mark.parametrize("key", ["learning_rte", "ella_scale_past", "weight_decay"])
+    def test_unknown_key_is_hard_error(self, key):
         with pytest.raises(ConfigError, match="unknown key"):
-            parse_config_text("learning_rte = 0.001\n")
+            parse_config_text(f"{key} = 0.001\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -62,11 +64,10 @@ class TestParsing:
     def test_typed_values(self):
         cfg = parse_config_text(
             "method = jump-ella\nella_lambda = 0,1e4,1e5\nn_tasks = 3\n"
-            "ella_scale_past = true\nseeds = 1,2\n"
+            "seeds = 1,2\n"
         )
         assert cfg.method is Method.JUMP_ELLA
         assert cfg.ella_lambda == [0.0, 1e4, 1e5]
-        assert cfg.ella_scale_past is True
         assert cfg.seeds == [1, 2]
 
     def test_bad_enum_value(self):
@@ -122,7 +123,6 @@ class TestValidation:
         knobs = {
             "ella_variant = sparse": "ella_variant only applies to method jump-ella",
             "gate_scope = global": "gate_scope only applies to gated methods",
-            "ella_scale_past = false": "ella_scale_past only applies to ELLA methods",
         }
         dumped = format_config(ExperimentConfig(method=method)).splitlines()
         for line, message in knobs.items():

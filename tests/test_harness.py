@@ -362,8 +362,8 @@ class TestRunStream:
         assert not np.isnan(result.matrix.grid[0]).any()
 
     def test_replayed_first_position_equals_trained(self):
-        cfg = tiny_config(method=Method.JUMP_ELLA, ella_lambda=[50.0],
-                          ella_scale_past=True, gate_scope=GateScope.PER_BLOCK)
+        cfg = tiny_config(method=Method.JUMP_ELLA, ella_lambda=[800.0],
+                          gate_scope=GateScope.PER_BLOCK)
         stream = stream_for(cfg)
         order = [1, 0]
         isolated = {}
@@ -379,7 +379,7 @@ class TestRunStream:
         logs, masks, rows = [], [], []
         for pos, tid in enumerate(order):
             task_log, merged = harness._train_and_merge(
-                model, stream, tid, cfg, 42, 50.0, past)
+                model, stream, tid, cfg, 42, 800.0, past)
             logs.append(task_log)
             masks.append({lid: (dw != 0).astype(np.uint8) for lid, dw in merged.items()})
             rows.append([evaluate(model, stream, t) for t in order[:pos + 1]])
@@ -539,10 +539,9 @@ PINNED_HASHES = {
              "9ca15a8692f07a7ee5e5286f3892044a2b10d88736a75b7a167b13412b989d43"),
     "jump-ella": (dict(method=Method.JUMP_ELLA, ella_lambda=[1.0]),
                   "3bd74ed8d50a498969eff29f6ef51dd7b6f640ef98061330c21cf3076b70f174"),
-    "jump-ella-interpolated-scaled-per-block": (
-        dict(method=Method.JUMP_ELLA, ella_lambda=[1.0],
-             ella_variant=EllaVariant.INTERPOLATED, ella_scale_past=True,
-             gate_scope=GateScope.PER_BLOCK),
+    "jump-ella-interpolated-per-block": (
+        dict(method=Method.JUMP_ELLA, ella_lambda=[16.0],
+             ella_variant=EllaVariant.INTERPOLATED, gate_scope=GateScope.PER_BLOCK),
         "e472a749d88f9b80dae10b67024e9449b82c7634e33e77d09de0183fc6b1e05d"),
 }
 
