@@ -34,7 +34,6 @@ read.
 from __future__ import annotations
 
 import math
-import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -65,15 +64,8 @@ __all__ = [
     "threshold_pseudograd",
 ]
 
-_local = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_local, "stack", None)
-    if stack is None:
-        stack = []
-        _local.stack = stack
-    return stack
+# the tapes entered and not yet exited, innermost last
+_tapes: list["Tape"] = []
 
 
 class GradSlot:
@@ -152,17 +144,16 @@ class Tape:
         self._spent = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        _tape_stack().pop()
+        _tapes.pop()
         return False
 
     @staticmethod
     def active() -> Optional["Tape"]:
-        stack = _tape_stack()
-        return stack[-1] if stack else None
+        return _tapes[-1] if _tapes else None
 
     def record(self, fn: Callable[[], None]) -> None:
         self._records.append(fn)

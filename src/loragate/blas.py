@@ -1,7 +1,7 @@
 """One OpenBLAS thread for the duration of a run.
 
-A training step multiplies 512x64 by 64x64 matrices, which is past OpenBLAS's
-multithreading threshold, so OpenBLAS splits each product across its threads.
+A training step multiplies 512x64 by 64x64 matrices, which is past the size
+at which OpenBLAS splits a product across its threads.
 Between the many small products of a step the helper threads busy-wait: on
 two cores a run then takes twice the CPU time for about the same wall time,
 and two ``--jobs`` workers, each with a spinning helper, run slower together

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import multiprocessing
-import os
 import shutil
 import sys
 import traceback
@@ -35,14 +34,12 @@ from pathlib import Path
 import numpy as np
 
 from . import arrayio
-from .config import ExperimentConfig, format_config, load_config
+from .config import format_config, load_config
 from .data import generate_task_stream
 from .errors import ConfigError
 from .gradcheck import run_gradcheck
 from .harness import SoloRun, resolve_orders, run_stream
 from .metrics import MaskOverlap, backward_transfer, forward_transfer, overall_accuracy
-
-ENV_OUTPUT_ROOT = "LORAGATE_OUTPUT_ROOT"
 
 # glibc's mallopt parameters (malloc.h) and the values ``cmd_run`` pins
 _M_TRIM_THRESHOLD = -1
@@ -69,11 +66,6 @@ def _pin_malloc_thresholds() -> None:
     # a trim threshold alone would pin the mmap threshold at its 128 KiB start
     if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-
-
-def _output_dir(cfg: ExperimentConfig) -> Path:
-    root = os.environ.get(ENV_OUTPUT_ROOT)
-    return (Path(root) / cfg.output_dir) if root else Path(cfg.output_dir)
 
 
 def _fmt(value) -> str:
@@ -109,11 +101,13 @@ def _run_single(payload) -> dict:
 
     _write_accuracy_csv(out / f"accuracy_o{order_index}_s{seed}.csv", result.matrix)
     mask_root = out / "masks" / f"o{order_index}_s{seed}"
-    for pos, masks in enumerate(result.masks):
+    masks = [{lid: (dw != 0).astype(np.uint8) for lid, dw in log.merged.items()}
+             for log in result.logs]
+    for pos, task_masks in enumerate(masks):
         meta = {"task_position": pos, "task_id": order[pos],
                 "thresholds": result.logs[pos].thresholds}
-        arrayio.save_arrays(mask_root / f"task{pos}", masks, meta)
-    overlap = MaskOverlap(result.masks)
+        arrayio.save_arrays(mask_root / f"task{pos}", task_masks, meta)
+    overlap = MaskOverlap(masks)
     _write_isolation_csv(out / f"isolation_o{order_index}_s{seed}.csv", overlap, order)
 
     return {
@@ -161,7 +155,7 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = _output_dir(cfg)
+    out = Path(cfg.output_dir)
     for pattern in ARTIFACTS:
         for stale in out.glob(pattern):
             if stale.is_dir():

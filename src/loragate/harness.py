@@ -1,10 +1,11 @@
 """Continual-learning driver: per-task adapter lifecycle over a task stream.
 
-For each task: inject fresh adapters, train one epoch with the gated update
-interpolation, hard-threshold and merge the final update, record the support
-mask, optionally add it to the past that the overlap penalty reads, then drop
-the adapters. Isolated single-task runs fill the reference row of the accuracy
-matrix.
+``train_task`` is the whole per-task unit: it injects fresh adapters, trains
+one epoch with the gated update interpolation, and returns the task's log with
+its final update per layer, hard-thresholded for gated methods; the adapters
+die with it. ``run_stream`` merges that update into the model, adds it to the
+past that the overlap penalty reads, and hashes it. Isolated single-task runs
+fill the reference row of the accuracy matrix.
 
 An isolated run depends only on (config, stream, seed, task id), so a caller
 that runs several orders of one stream can pass ``run_stream`` one dict of
@@ -15,21 +16,22 @@ that exact:
   and task id) on the same shuffle from a clone of the same base model,
   whichever order asked for it;
 - stream position 0 is such a run: an all-zero past never adds the overlap
-  penalty, so its losses, merged updates and accuracy are the isolated run's.
+  penalty, so its log, final updates included, and its accuracy are the
+  isolated run's.
 
 Together they let position 0 always replay its task's solo run instead of
-training in the stream: merging the stored updates into a clone of the base
-model and adding them to the past leaves the model, the past and the trace as
-training there would have.
+training in the stream: recording a copy of the stored log merges its updates
+into a clone of the base model and adds them to the past, which leaves the
+model, the past and the trace as training there would have.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -71,18 +73,17 @@ class TaskLog:
     losses: np.ndarray
     gammas: list[float]
     threshold_init_step: Optional[int]
-    thresholds: dict[str, float] = field(default_factory=dict)
+    thresholds: dict[str, float]  # layer_id -> final threshold, gated methods only
+    merged: dict[str, np.ndarray]  # layer_id -> the final update merged into the model
 
 
 @dataclass(frozen=True)
 class SoloRun:
     """A task trained alone from the base model, as stream position 0 needs it
-    to replay the run: its log, its merged update per layer and its test
-    accuracy. Its arrays are read-only, because runs of other orders share
-    them."""
+    to replay the run: its log, final updates included, and its test accuracy.
+    The log's arrays are read-only, because runs of other orders share them."""
 
     log: TaskLog
-    merged: dict[str, np.ndarray]
     accuracy: float
 
 
@@ -90,10 +91,8 @@ class SoloRun:
 class RunResult:
     order: list[int]
     matrix: AccuracyMatrix
-    masks: list[dict[str, np.ndarray]]  # per stream position: layer_id -> 0/1 mask
-    logs: list[TaskLog]
+    logs: list[TaskLog]  # per stream position
     trace_hash: str
-    model: TinyTransformer
 
 
 def inject_adapters(
@@ -126,8 +125,6 @@ def inject_adapters(
 
 def train_task(
     model: TinyTransformer,
-    adapters: dict[str, Adapter],
-    gates: list[JumpGate],
     stream: TaskStream,
     task_id: int,
     config: ExperimentConfig,
@@ -135,20 +132,25 @@ def train_task(
     past: Optional[dict[str, np.ndarray]] = None,
     run_seed: int = 0,
 ) -> TaskLog:
-    """One epoch over the task's training split, exactly the per-step recipe:
-    threshold init at the ramp start, interpolation factor update, dense /
-    gated / interpolated updates, forward, loss plus optional overlap penalty,
-    and an optimizer step over the factors and thresholds.
+    """One epoch over the task's training split on fresh adapters, exactly the
+    per-step recipe: threshold init at the ramp start, interpolation factor
+    update, dense / gated / interpolated updates, forward, loss plus optional
+    overlap penalty, and an optimizer step over the factors and thresholds.
 
     From the step that initialises the thresholds on, the forward uses the
     interpolated update and the penalty the sparse or the interpolated one (by
     ``config.ella_variant``); before that step both use the dense update.
+
+    ``model`` is not changed. The log's ``merged`` holds each layer's final
+    update: the hard-thresholded factor product for gated methods, the plain
+    product otherwise.
 
     A non-finite loss raises ``StateError`` naming the task and the step."""
     tokens, labels = stream.fetch(task_id, "train")
     n = len(labels)
     if n == 0:
         raise ConfigError(f"task {task_id} has no training data")
+    adapters, gates = inject_adapters(model, config, run_seed, task_id)
     batch = config.batch_size
     total_steps = math.ceil(n / batch)
     start, final = ramp(total_steps, config.start_frac, config.end_frac)
@@ -215,8 +217,11 @@ def train_task(
 
     final_thresholds = {lid: float(gate.threshold.data.reshape(()))
                         for lid, gate in gate_of.items()}
+    merged = {lid: final_sparse_update(adapters[lid], gate_of[lid]) if gates
+              else adapters[lid].down.data @ adapters[lid].up.data
+              for lid in model.adapted_layers}
     return TaskLog(losses=losses, gammas=gammas, threshold_init_step=init_step,
-                   thresholds=final_thresholds)
+                   thresholds=final_thresholds, merged=merged)
 
 
 def evaluate(model: TinyTransformer, stream: TaskStream, task_id: int) -> float:
@@ -257,42 +262,15 @@ def _merge_updates(model, merged, config, past):
             update_past(past, merged[lid], lid)
 
 
-def _train_and_merge(model, stream, task_id, config, seed, penalty_weight=0.0,
-                     past=None):
-    """Train one task on fresh adapters, hard-threshold their final update,
-    then merge it into ``model``.
-
-    Returns the task log and the merged update per layer.
-    """
-    adapters, gates = inject_adapters(model, config, seed, task_id)
-    task_log = train_task(model, adapters, gates, stream, task_id, config,
-                          penalty_weight=penalty_weight, past=past, run_seed=seed)
-    gate_of = {lid: gate for gate in gates for lid in gate.layers}
-    merged = {}
-    for lid in model.adapted_layers:
-        if gates:
-            merged[lid] = final_sparse_update(adapters[lid], gate_of[lid])
-        else:
-            merged[lid] = adapters[lid].down.data @ adapters[lid].up.data
-    _merge_updates(model, merged, config, past)
-    return task_log, merged
-
-
 def _train_solo(base, stream, task_id, config, seed) -> SoloRun:
     """Train one task alone on a clone of ``base``; the stored arrays are
     made read-only."""
     model = base.clone()
-    task_log, merged = _train_and_merge(model, stream, task_id, config, seed)
-    for array in (task_log.losses, *merged.values()):
+    task_log = train_task(model, stream, task_id, config, run_seed=seed)
+    _merge_updates(model, task_log.merged, config, None)
+    for array in (task_log.losses, *task_log.merged.values()):
         array.flags.writeable = False
-    return SoloRun(task_log, merged, evaluate(model, stream, task_id))
-
-
-def _copy_log(task_log: TaskLog) -> TaskLog:
-    """A copy of ``task_log`` that shares no array, list or dict with it."""
-    return dataclasses.replace(task_log, losses=task_log.losses.copy(),
-                               gammas=list(task_log.gammas),
-                               thresholds=dict(task_log.thresholds))
+    return SoloRun(task_log, evaluate(model, stream, task_id))
 
 
 @one_blas_thread()
@@ -308,14 +286,17 @@ def run_stream(
     ``isolated`` maps task id to that task's run alone under this config,
     stream and seed (see ``SoloRun``); the caller owns it and may pass the same
     dict to runs of other orders. A solo run missing from it is trained from
-    the base model when first needed and written to it at once. Stream
-    position 0 replays the solo run of ``order[0]``: it merges the stored
-    updates, adds them to the past as training would, and takes their
-    accuracy. By the invariants in the module docstring, the results are the
-    same as when position 0 trains in the stream. Without a dict, no solo run
-    outlives its use. The solo training of ``order[0]`` and the stream
-    trainings come before the other solo trainings, and the returned arrays are
-    the caller's to modify.
+    the base model when first needed and written to it at once.
+
+    Every stream position goes through one record step: merge the task log's
+    final updates into the stream model and the past, keep the log, hash it.
+    Position 0 records a copy of the solo run of ``order[0]`` and takes its
+    accuracy; every later position records what ``train_task`` returns. By the
+    invariants in the module docstring, the results are the same as when
+    position 0 trains in the stream. Without a dict, no solo run outlives its
+    use. The solo training of ``order[0]`` and the stream trainings come before
+    the other solo trainings, and the returned arrays are the caller's to
+    modify.
 
     ``order`` must be a permutation of the stream's task ids; anything else
     raises ``ConfigError`` before any training.
@@ -345,7 +326,6 @@ def run_stream(
              for lid in base.adapted_layers}
             if any(w > 0 for w in penalty_weights) else None)
     matrix = AccuracyMatrix(len(stream))
-    masks: list[dict[str, np.ndarray]] = []
     logs: list[TaskLog] = []
 
     def solo(tid: int) -> SoloRun:
@@ -356,28 +336,26 @@ def run_stream(
             isolated[tid] = run
         return run
 
-    def record(task_log: TaskLog, merged: dict[str, np.ndarray]) -> None:
+    def record(task_log: TaskLog) -> None:
+        _merge_updates(model, task_log.merged, config, past)
         logs.append(task_log)
-        masks.append({lid: (merged[lid] != 0).astype(np.uint8)
-                      for lid in model.adapted_layers})
         hasher.update(task_log.losses.tobytes())
-        for lid in sorted(merged):
-            hasher.update(merged[lid].tobytes())
+        for lid in sorted(task_log.merged):
+            hasher.update(task_log.merged[lid].tobytes())
 
     first = solo(order[0])
-    _merge_updates(model, first.merged, config, past)
+    record(copy.deepcopy(first.log))  # writable arrays of the caller's own
     matrix.set(1, 0, first.accuracy)
     matrix.set_isolated(0, first.accuracy)
-    record(_copy_log(first.log), first.merged)
     del first  # frees the run's updates unless ``isolated`` keeps it
     for pos in range(1, len(order)):
-        record(*_train_and_merge(model, stream, order[pos], config, seed,
-                                 penalty_weights[pos], past))
+        record(train_task(model, stream, order[pos], config,
+                          penalty_weight=penalty_weights[pos], past=past, run_seed=seed))
         for j in range(pos + 1):
             matrix.set(pos + 1, j, evaluate(model, stream, order[j]))
+    del model  # freed before the solo runs left, which need only ``base``
     for pos in range(1, len(order)):
         matrix.set_isolated(pos, solo(order[pos]).accuracy)
 
     hasher.update(matrix.grid.tobytes())
-    return RunResult(order=order, matrix=matrix, masks=masks, logs=logs,
-                     trace_hash=hasher.hexdigest(), model=model)
+    return RunResult(order=order, matrix=matrix, logs=logs, trace_hash=hasher.hexdigest())

@@ -74,24 +74,19 @@ class TestRun:
 
     def test_masks_dumped_as_uint8(self, tmp_path, monkeypatch):
         # each dump is a plain .npy of the support of the update merged in
-        # the stream; solo runs merge into models of their own
-        results, merges = [], []
-        run_stream, merge_updates = cli.run_stream, harness._merge_updates
-
-        def keeping(*args, **kwargs):
-            results.append(run_stream(*args, **kwargs))
-            return results[-1]
+        # the stream; solo runs merge one task each into models of their own
+        merges = []
+        merge_updates = harness._merge_updates
 
         def keeping_merges(model, merged, *args):
             merges.append((model, merged))
             merge_updates(model, merged, *args)
 
-        monkeypatch.setattr(cli, "run_stream", keeping)
         monkeypatch.setattr(harness, "_merge_updates", keeping_merges)
         out = tmp_path / "artifacts"
         assert cmd_run(str(write_config(tmp_path, out=out))) == 0
-        (result,) = results
-        in_stream = [merged for model, merged in merges if model is result.model]
+        in_stream = [merged for model, merged in merges
+                     if sum(other is model for other, _ in merges) > 1]
         assert len(in_stream) == 2
         for pos, merged in enumerate(in_stream):
             task = out / "masks" / "o0_s42" / f"task{pos}"
@@ -132,7 +127,8 @@ class TestRun:
     def test_smaller_rerun_leaves_nothing_stale(self, tmp_path, monkeypatch):
         # TINY is 2 tasks x 1 order x 1 seed
         for name, texts in (("fresh", [TINY]), ("rerun", [PER_BLOCK_GRID, TINY])):
-            monkeypatch.setenv(cli.ENV_OUTPUT_ROOT, str(tmp_path / name))
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
             for text in texts:
                 assert cmd_run(str(write_config(tmp_path, text=text, out="grid"))) == 0
         fresh, rerun = (
@@ -182,13 +178,6 @@ class TestRun:
         assert cmd_run(str(write_config(tmp_path, text=text, out=out))) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
-
-    def test_output_root_override(self, tmp_path, monkeypatch):
-        root = tmp_path / "root"
-        monkeypatch.setenv(cli.ENV_OUTPUT_ROOT, str(root))
-        cfg = write_config(tmp_path, text=TINY.replace("{out}", "nested/run"))
-        assert cmd_run(str(cfg)) == 0
-        assert (root / "nested" / "run" / "metrics.csv").exists()
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         serial_out = tmp_path / "serial"
@@ -280,8 +269,10 @@ class TestRun:
     @staticmethod
     def grid_outputs(tmp_path, monkeypatch, name, jobs) -> dict:
         """Every artifact of a 2-seed x 2-order run of TINY, by relative path;
-        only the output root differs by ``name``, so config.txt compares too."""
-        monkeypatch.setenv(cli.ENV_OUTPUT_ROOT, str(tmp_path / name))
+        only the working directory differs by ``name``, so config.txt compares
+        too."""
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
         text = TINY.replace("seeds = 42", "seeds = 42,43\nn_orders = 2")
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(text.format(out="grid"))

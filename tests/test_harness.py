@@ -12,22 +12,18 @@ from loragate.config import ExperimentConfig, Method
 from loragate.data import generate_task_stream
 from loragate.ella import EllaVariant
 from loragate.errors import ConfigError, StateError
-from loragate.harness import (
-    TaskLog,
-    evaluate,
-    inject_adapters,
-    resolve_orders,
-    run_stream,
-    train_task,
-)
+from loragate.harness import TaskLog, evaluate, resolve_orders, run_stream, train_task
 from loragate.metrics import backward_transfer
 from loragate.model import build_model
 
 
 def tiny_config(**overrides):
+    # rank 2 at d_model 16 leaves the gate a budget below its scope's size
+    # (at rank 8, 2·r·d >= d² and θ sits at the floor), and batch 8 gives the
+    # ramp steps enough to start before the last one
     base = dict(vocab_size=24, d_model=16, n_heads=2, n_blocks=2, max_seq_len=10,
                 n_tasks=2, classes_per_task=2, samples_per_class=32, seq_len=8,
-                batch_size=16, warmup_steps=2, method=Method.JUMP_INCLORA)
+                batch_size=8, rank=2, warmup_steps=2, method=Method.JUMP_INCLORA)
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -55,13 +51,49 @@ def fresh_model(cfg, stream, seed):
                        cfg.max_seq_len, stream.num_classes, seed=seed)
 
 
+def record_merges(monkeypatch) -> list:
+    """The (model, updates) of every later ``_merge_updates`` call, in call
+    order."""
+    merges, merge_updates = [], harness._merge_updates
+
+    def keeping(model, merged, *args):
+        merges.append((model, merged))
+        merge_updates(model, merged, *args)
+
+    monkeypatch.setattr(harness, "_merge_updates", keeping)
+    return merges
+
+
+def stream_model(merges):
+    """The model merged into more than once: every solo run merges one task
+    into a model of its own, the stream merges every position into one."""
+    (model,) = {id(m): m for m, _ in merges
+                if sum(other is m for other, _ in merges) > 1}.values()
+    return model
+
+
 class TestTrainTask:
+    def test_tiny_gate_drops_entries(self, monkeypatch):
+        # the fixture's gate must gate: at rank 8 and batch 16 it zeroed no
+        # non-zero entry on any step, initialised on the all-zero first update
+        dropped = []
+        jump = harness.jump_update
+
+        def counting(dw, gate):
+            out = jump(dw, gate)
+            dropped.append(np.count_nonzero(dw.data) - np.count_nonzero(out.data))
+            return out
+
+        monkeypatch.setattr(harness, "jump_update", counting)
+        cfg = tiny_config()
+        run_stream(stream_for(cfg), cfg, seed=42)
+        assert max(dropped) > 0
+
     def test_gamma_trajectory_and_threshold_event(self):
         cfg = tiny_config(samples_per_class=48, batch_size=8)  # 12 steps
         stream = stream_for(cfg)
         model = fresh_model(cfg, stream, 42)
-        adapters, gates = inject_adapters(model, cfg, 42, 0)
-        log = train_task(model, adapters, gates, stream, 0, cfg, run_seed=42)
+        log = train_task(model, stream, 0, cfg, run_seed=42)
         total = len(log.losses)
         assert total == 12
         assert log.gammas[0] == 0.0
@@ -86,8 +118,7 @@ class TestTrainTask:
         stream = stream_for(cfg)
         model = fresh_model(cfg, stream, 42)
         accessed = record_fetches(monkeypatch, stream)
-        adapters, gates = inject_adapters(model, cfg, 42, 1)
-        train_task(model, adapters, gates, stream, 1, cfg, run_seed=42)
+        train_task(model, stream, 1, cfg, run_seed=42)
         assert accessed == [(1, "train")]
 
     def test_empty_task_rejected(self):
@@ -96,18 +127,16 @@ class TestTrainTask:
         empty = (np.zeros((0, cfg.seq_len), dtype=np.int64), np.zeros(0, dtype=np.int64))
         stream.tasks[0].splits["train"] = empty
         model = fresh_model(cfg, stream, 42)
-        adapters, gates = inject_adapters(model, cfg, 42, 0)
         with pytest.raises(ConfigError):
-            train_task(model, adapters, gates, stream, 0, cfg, run_seed=42)
+            train_task(model, stream, 0, cfg, run_seed=42)
 
     def test_nonfinite_loss_raises_naming_task_and_step(self):
         cfg = tiny_config()
         stream = stream_for(cfg)
         model = fresh_model(cfg, stream, 42)
         model.params["head"].data[0, 0] = np.nan
-        adapters, gates = inject_adapters(model, cfg, 42, 1)
         with pytest.raises(StateError, match=r"task 1: non-finite loss nan at step 0"):
-            train_task(model, adapters, gates, stream, 1, cfg, run_seed=42)
+            train_task(model, stream, 1, cfg, run_seed=42)
 
 
     def test_traced_memory_peak_of_a_default_task(self):
@@ -122,14 +151,13 @@ class TestTrainTask:
         rng = np.random.default_rng(0)
         past = {lid: rng.normal(size=model.layer_shape(lid)).astype(np.float32)
                 for lid in model.adapted_layers}
-        adapters, gates = inject_adapters(model, cfg, 42, 1)
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            train_task(model, adapters, gates, stream, 1, cfg, penalty_weight=1.0,
-                       past=past, run_seed=42)
+            train_task(model, stream, 1, cfg, penalty_weight=1.0, past=past,
+                       run_seed=42)
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             if not tracing:
@@ -169,9 +197,8 @@ class TestTrainTask:
         rng = np.random.default_rng(0)
         past = {lid: rng.normal(size=model.layer_shape(lid)).astype(np.float32)
                 for lid in model.adapted_layers}
-        adapters, gates = inject_adapters(model, cfg, 42, 1)
-        log = train_task(model, adapters, gates, stream, 1, cfg, penalty_weight=50.0,
-                         past=past, run_seed=42)
+        log = train_task(model, stream, 1, cfg, penalty_weight=50.0, past=past,
+                         run_seed=42)
 
         # 12 steps: the init falls at step 2, or after the last step
         assert log.threshold_init_step == (2 if start_frac < 1.0 else len(log.losses))
@@ -242,28 +269,37 @@ class TestRunStream:
         cfg = tiny_config()
         stream = stream_for(cfg)
         result = run_stream(stream, cfg, seed=42)
-        layers = result.model.adapted_layers
-        assert len(result.masks) == 2
-        for masks in result.masks:
-            assert list(masks) == layers
-            for mask in masks.values():
-                assert mask.dtype == np.uint8
-                assert set(np.unique(mask)) <= {0, 1}
+        model = fresh_model(cfg, stream, 42)
+        assert len(result.logs) == 2
+        for log in result.logs:
+            assert list(log.merged) == model.adapted_layers
+            for lid, update in log.merged.items():
+                assert update.dtype == np.float32
+                assert update.shape == model.layer_shape(lid)
         assert result.matrix.grid.shape == (3, 2)
         assert not np.isnan(result.matrix.final_row()).any()
 
-    def test_mask_equals_final_update_support(self):
+    def test_mask_equals_final_update_support(self, monkeypatch):
         cfg = tiny_config()
         stream = stream_for(cfg)
         result = run_stream(stream, cfg, seed=42)
-        # reconstruct task 0 exactly: same model seed, adapter seeds, data order
+        # reconstruct task 0 exactly: same model seed, adapter seeds, data
+        # order; keep the adapters and gates that train_task injects
+        injected = []
+        inject = harness.inject_adapters
+
+        def keeping(*args):
+            injected.append(inject(*args))
+            return injected[-1]
+
+        monkeypatch.setattr(harness, "inject_adapters", keeping)
         model = fresh_model(cfg, stream, 42)
-        adapters, gates = inject_adapters(model, cfg, 42, 0)
-        train_task(model, adapters, gates, stream, 0, cfg, run_seed=42)
-        (gate,) = gates  # the default scope is global
+        log = train_task(model, stream, 0, cfg, run_seed=42)
+        ((adapters, (gate,)),) = injected  # the default scope is global
         for lid in model.adapted_layers:
             dwf = final_sparse_update(adapters[lid], gate)
-            np.testing.assert_array_equal(result.masks[0][lid], (dwf != 0).astype(np.uint8))
+            np.testing.assert_array_equal(log.merged[lid], dwf)
+            np.testing.assert_array_equal(result.logs[0].merged[lid], dwf)
 
     def test_single_task_bwt_not_applicable(self):
         cfg = tiny_config(n_tasks=1, ella_lambda=[0.0])
@@ -279,7 +315,8 @@ class TestRunStream:
         order = [1, 0]
         result = run_stream(stream, cfg, seed=42, order=order)
         iso = fresh_model(cfg, stream, 42)
-        harness._train_and_merge(iso, stream, order[0], cfg, 42)
+        log = train_task(iso, stream, order[0], cfg, run_seed=42)
+        harness._merge_updates(iso, log.merged, cfg, None)
         assert result.matrix.grid[0, 0] == evaluate(iso, stream, order[0])
 
     def test_deterministic_matrix_and_hash(self):
@@ -288,11 +325,11 @@ class TestRunStream:
         r2 = run_stream(stream_for(cfg), cfg, seed=42)
         np.testing.assert_array_equal(r1.matrix.grid, r2.matrix.grid)
         assert r1.trace_hash == r2.trace_hash
-        assert len(r1.masks) == len(r2.masks)
-        for masks1, masks2 in zip(r1.masks, r2.masks):
-            assert masks1.keys() == masks2.keys()
-            for lid, m1 in masks1.items():
-                np.testing.assert_array_equal(m1, masks2[lid])
+        assert len(r1.logs) == len(r2.logs)
+        for log1, log2 in zip(r1.logs, r2.logs):
+            assert log1.merged.keys() == log2.merged.keys()
+            for lid, dw1 in log1.merged.items():
+                np.testing.assert_array_equal(dw1, log2.merged[lid])
 
     def test_seed_changes_run(self):
         cfg = tiny_config()
@@ -317,9 +354,9 @@ class TestRunStream:
         trained = []
         train = harness.train_task
 
-        def counting_train_task(model, adapters, gates, stream, task_id, *args, **kwargs):
+        def counting_train_task(model, stream, task_id, *args, **kwargs):
             trained.append(task_id)
-            return train(model, adapters, gates, stream, task_id, *args, **kwargs)
+            return train(model, stream, task_id, *args, **kwargs)
 
         cfg = tiny_config(n_tasks=3)
         alone = [run_stream(stream_for(cfg), cfg, seed=42, order=order)
@@ -361,30 +398,34 @@ class TestRunStream:
         assert len(runs) == 3 and all(ref() is None for ref in runs)
         assert not np.isnan(result.matrix.grid[0]).any()
 
-    def test_replayed_first_position_equals_trained(self):
+    def test_replayed_first_position_equals_trained(self, monkeypatch):
         cfg = tiny_config(method=Method.JUMP_ELLA, ella_lambda=[800.0],
                           gate_scope=GateScope.PER_BLOCK)
         stream = stream_for(cfg)
         order = [1, 0]
         isolated = {}
         run_stream(stream, cfg, seed=42, order=[0, 1], isolated=isolated)
+        merges = record_merges(monkeypatch)
         shared = run_stream(stream, cfg, seed=42, order=order, isolated=isolated)
+        shared_model = stream_model(merges)
+        merges.clear()
         fresh = run_stream(stream, cfg, seed=42, order=order)
+        fresh_stream_model = stream_model(merges)
+        monkeypatch.undo()
 
         # the same order trained in the stream by hand, position 0 included,
         # with the overlap penalty on from the first task
         model = fresh_model(cfg, stream, 42)
         past = {lid: np.zeros(model.layer_shape(lid), dtype=np.float32)
                 for lid in model.adapted_layers}
-        logs, masks, rows = [], [], []
+        logs, rows = [], []
         for pos, tid in enumerate(order):
-            task_log, merged = harness._train_and_merge(
-                model, stream, tid, cfg, 42, 800.0, past)
-            logs.append(task_log)
-            masks.append({lid: (dw != 0).astype(np.uint8) for lid, dw in merged.items()})
+            logs.append(train_task(model, stream, tid, cfg, penalty_weight=800.0,
+                                   past=past, run_seed=42))
+            harness._merge_updates(model, logs[-1].merged, cfg, past)
             rows.append([evaluate(model, stream, t) for t in order[:pos + 1]])
 
-        for result in (shared, fresh):
+        for result, result_model in ((shared, shared_model), (fresh, fresh_stream_model)):
             assert len(result.logs) == len(logs) == 2
             for r, t in zip(result.logs, logs):
                 for f in dataclasses.fields(TaskLog):
@@ -392,16 +433,16 @@ class TestRunStream:
                     if isinstance(tv, np.ndarray):
                         assert rv.dtype == tv.dtype
                         np.testing.assert_array_equal(rv, tv)
+                    elif f.name == "merged":
+                        assert rv.keys() == tv.keys()
+                        for lid, dw in tv.items():
+                            assert rv[lid].dtype == dw.dtype
+                            np.testing.assert_array_equal(rv[lid], dw)
                     else:
                         assert rv == tv, f.name
-            assert [m.keys() for m in result.masks] == [m.keys() for m in masks]
-            for got, want in zip(result.masks, masks):
-                for lid, mask in want.items():
-                    assert got[lid].dtype == mask.dtype
-                    np.testing.assert_array_equal(got[lid], mask)
-            assert result.model.params.keys() == model.params.keys()
+            assert result_model.params.keys() == model.params.keys()
             for name, param in model.params.items():
-                np.testing.assert_array_equal(result.model.params[name].data,
+                np.testing.assert_array_equal(result_model.params[name].data,
                                               param.data)
             for pos, row in enumerate(rows):
                 assert list(result.matrix.grid[pos + 1, :pos + 1]) == row
@@ -418,9 +459,9 @@ class TestRunStream:
         stored = isolated[1]
         assert not stored.log.losses.flags.writeable
         with pytest.raises(ValueError):
-            stored.merged[lid][0, 0] = 1
+            stored.log.merged[lid][0, 0] = 1
         assert shared.logs[0].losses.flags.writeable
-        assert shared.masks[0][lid].flags.writeable
+        assert shared.logs[0].merged[lid].flags.writeable
 
     @pytest.mark.parametrize("order", [[0, 0], [0], [0, 1, 0]])
     def test_order_must_be_a_permutation(self, order, monkeypatch):
@@ -432,19 +473,19 @@ class TestRunStream:
         with pytest.raises(ConfigError, match="not a permutation"):
             run_stream(stream_for(cfg), cfg, seed=42, order=order)
 
-    def test_merges_applied_per_task(self):
+    def test_merges_applied_per_task(self, monkeypatch):
         cfg = tiny_config()
         stream = stream_for(cfg)
         base = fresh_model(cfg, stream, 42)
-        result = run_stream(stream, cfg, seed=42)
+        merges = record_merges(monkeypatch)
+        run_stream(stream, cfg, seed=42)
+        model = stream_model(merges)
         for lid in base.adapted_layers:
-            assert not np.array_equal(result.model.params[lid].data,
-                                      base.params[lid].data)
+            assert not np.array_equal(model.params[lid].data, base.params[lid].data)
         # non-adapted weights never move
         for k in base.params:
             if k not in base.adapted_layers:
-                np.testing.assert_array_equal(result.model.params[k].data,
-                                              base.params[k].data)
+                np.testing.assert_array_equal(model.params[k].data, base.params[k].data)
 
 
 class TestDegenerateModes:
@@ -477,12 +518,8 @@ class TestDegenerateModes:
             np.testing.assert_array_equal(e, b)
 
     def test_gated_methods_diverge_only_after_gamma_turns_on(self):
-        # rank 2 at d_model 16 leaves the gate a budget below its scope's size;
-        # at rank 8 (2·r·d >= d²) θ sits at the floor and the gate is inert
-        cfg_inc = tiny_config(method=Method.INCLORA, samples_per_class=48, batch_size=8,
-                              rank=2)
-        cfg_jump = tiny_config(method=Method.JUMP_INCLORA, samples_per_class=48,
-                               batch_size=8, rank=2)
+        cfg_inc = tiny_config(method=Method.INCLORA, samples_per_class=48)
+        cfg_jump = tiny_config(method=Method.JUMP_INCLORA, samples_per_class=48)
         r_inc = run_stream(stream_for(cfg_inc), cfg_inc, seed=42)
         r_jump = run_stream(stream_for(cfg_jump), cfg_jump, seed=42)
         gammas = r_jump.logs[0].gammas

@@ -135,8 +135,7 @@ class TestTrainingInvariants:
         model = build_model(cfg.vocab_size, cfg.d_model, cfg.n_heads, cfg.n_blocks,
                             cfg.max_seq_len, stream.num_classes, seed=42)
         before = {k: v.data.copy() for k, v in model.params.items()}
-        adapters, gates = inject_adapters(model, cfg, 42, 0)
-        train_task(model, adapters, gates, stream, 0, cfg, run_seed=42)
+        train_task(model, stream, 0, cfg, run_seed=42)
         for k in model.params:
             np.testing.assert_array_equal(model.params[k].data, before[k])
 
