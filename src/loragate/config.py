@@ -4,8 +4,13 @@ Each value is an int, a float, a string, an enum value, or a comma-separated
 list of one of these. Unknown keys are hard errors: silent hyperparameter
 typos are the dominant reproduction hazard, and a key that an older version
 wrote must fail loudly rather than be ignored. A knob that only some methods
-read (``_METHOD_KNOBS``) is rejected when written under another method.
-``parse_config_text`` and ``format_config`` round-trip exactly.
+read (``_METHOD_KNOBS``) is rejected when written under another method, so
+every key a config accepts is one its method reads. ``parse_config_text`` and
+``format_config`` round-trip exactly.
+
+``ella_lambda`` holds one penalty weight, or one per stream position (not per
+task id); position 0 has no past, so its weight is never read. An ELLA method
+with no positive weight after it would train its unpenalised twin bit for bit.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ class ExperimentConfig:
     d_model: int = 64
     n_heads: int = 4
     n_blocks: int = 4
-    max_seq_len: int = 32
     # stream
     n_tasks: int = 4
     classes_per_task: int = 3
@@ -71,7 +75,8 @@ class ExperimentConfig:
     output_dir: str = "runs/default"
 
     def penalty_weights(self) -> list[float]:
-        """Per-task penalty weights (single values broadcast to all tasks)."""
+        """The penalty weight of each stream position (a single value is
+        broadcast to all); position 0's is never read, as it has no past."""
         lam = self.ella_lambda
         if len(lam) == 1:
             return [lam[0]] * self.n_tasks
@@ -131,8 +136,12 @@ def load_config(path) -> ExperimentConfig:
 # the method grid: each knob that only some methods read, which methods those
 # are, and how the error for a knob set under another method names them
 _METHOD_KNOBS = {
+    "ella_lambda": (lambda m: m.penalized, "ELLA methods"),
     "ella_variant": (lambda m: m is Method.JUMP_ELLA, "method jump-ella"),
     "gate_scope": (lambda m: m.gated, "gated methods"),
+    "bandwidth": (lambda m: m.gated, "gated methods"),
+    "start_frac": (lambda m: m.gated, "gated methods"),
+    "end_frac": (lambda m: m.gated, "gated methods"),
 }
 
 
@@ -152,8 +161,8 @@ def format_config(cfg: ExperimentConfig) -> str:
 def validate_config(cfg: ExperimentConfig, explicit: set | None = None) -> None:
     """Reject inconsistent settings; ``explicit`` holds keys the user wrote."""
     explicit = explicit or set()
-    for name in ("vocab_size", "d_model", "n_heads", "n_blocks", "max_seq_len",
-                 "n_tasks", "classes_per_task", "samples_per_class"):
+    for name in ("vocab_size", "d_model", "n_heads", "n_blocks", "n_tasks",
+                 "classes_per_task", "samples_per_class"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     if cfg.seq_len < 2:
@@ -177,20 +186,17 @@ def validate_config(cfg: ExperimentConfig, explicit: set | None = None) -> None:
         raise ConfigError(f"seeds must be distinct, got {cfg.seeds}")
     if not (0.0 <= cfg.difficulty <= 1.0):
         raise ConfigError(f"difficulty must lie in [0, 1], got {cfg.difficulty}")
-    if cfg.max_seq_len < cfg.seq_len:
-        raise ConfigError(
-            f"seq_len {cfg.seq_len} exceeds max_seq_len {cfg.max_seq_len}"
-        )
     if any(w < 0 for w in cfg.ella_lambda):
         raise ConfigError("ella_lambda values must be nonnegative")
     if len(cfg.ella_lambda) not in (1, cfg.n_tasks):
         raise ConfigError(
-            f"ella_lambda needs 1 or n_tasks={cfg.n_tasks} values, "
-            f"got {len(cfg.ella_lambda)}"
+            f"ella_lambda needs 1 value or one per stream position "
+            f"(n_tasks={cfg.n_tasks}), got {len(cfg.ella_lambda)}"
         )
+    if cfg.method.penalized and not any(cfg.penalty_weights()[1:]):
+        raise ConfigError(f"{cfg.method.value} needs ella_lambda > 0 at a stream "
+                          f"position past 0, got {_format_value(cfg.ella_lambda)}")
     # combinations outside the supported method grid
-    if not cfg.method.penalized and any(w != 0 for w in cfg.ella_lambda):
-        raise ConfigError(f"nonzero ella_lambda requires an ELLA method, got {cfg.method.value}")
     for name, (applies, methods) in _METHOD_KNOBS.items():
         if name in explicit and not applies(cfg.method):
             raise ConfigError(f"{name} only applies to {methods}, got {cfg.method.value}")

@@ -27,7 +27,6 @@ Split = tuple[np.ndarray, np.ndarray]  # (tokens [n, seq], labels [n])
 
 @dataclass
 class Task:
-    task_id: int
     classes: list[int]  # global class ids, disjoint across the stream
     splits: dict[str, Split]
 
@@ -35,8 +34,6 @@ class Task:
 @dataclass
 class TaskStream:
     tasks: list[Task]
-    vocab_size: int
-    seq_len: int
     num_classes: int
 
     def __len__(self) -> int:
@@ -142,6 +139,5 @@ def generate_task_stream(
             order = rng.permutation(len(labels))
             splits[split] = (tokens[order].astype(np.int64),
                              (labels[order] + classes[0]).astype(np.int64))
-        tasks.append(Task(task_id=t, classes=classes, splits=splits))
-    return TaskStream(tasks=tasks, vocab_size=vocab_size, seq_len=seq_len,
-                      num_classes=n_tasks * classes_per_task)
+        tasks.append(Task(classes=classes, splits=splits))
+    return TaskStream(tasks=tasks, num_classes=n_tasks * classes_per_task)

@@ -12,6 +12,7 @@ overlap-penalty gradients through a small model; it prints PASS or FAIL per chec
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,6 +75,22 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max(initial=0.0)) / denom
 
 
+def _check(results, name, builder, arrays, wrt, tol=1e-4) -> None:
+    """Append (name, max relative error, tol) for the taped gradient of the
+    scalar ``builder(*tensors)`` against finite differences, worst over the
+    argument indices in ``wrt``; all in float64."""
+    worst = 0.0
+    for i in wrt:
+        tensors = [Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
+        with Tape() as tape:
+            tape.backward(builder(*tensors))
+
+        def forward(*arr):
+            return builder(*[Tensor(a, dtype=np.float64) for a in arr]).item()
+        worst = max(worst, rel_error(tensors[i].grad, numeric_grad(forward, arrays, i)))
+    results.append((name, worst, tol))
+
+
 def _fd_checks() -> list[tuple[str, float, float]]:
     """Finite-difference suite over every differentiable primitive.
 
@@ -82,18 +99,7 @@ def _fd_checks() -> list[tuple[str, float, float]]:
     """
     rng = np.random.default_rng(20240901)
     results = []
-
-    def run(name, builder, arrays, wrt, tol=1e-4):
-        worst = 0.0
-        for i in wrt:
-            tensors = [Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
-            with Tape() as tape:
-                out = builder(*tensors)
-                tape.backward(out)
-            def forward(*arr):
-                return builder(*[Tensor(a, dtype=np.float64) for a in arr]).item()
-            worst = max(worst, rel_error(tensors[i].grad, numeric_grad(forward, arrays, i)))
-        results.append((name, worst, tol))
+    run = partial(_check, results)
 
     a, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 4))
     run("matmul", lambda x, y: mean(matmul(x, y)), [a, b], (0, 1), tol=1e-6)
@@ -171,43 +177,24 @@ def _psi_casewise_check(points: int = 10_000) -> tuple[str, float, float]:
 
 
 def _model_gradient_checks() -> list[tuple[str, float, float]]:
-    """End-to-end factor, threshold, and penalty gradients on a small model."""
+    """End-to-end factor and penalty gradients on a small model."""
     rng = np.random.default_rng(3)
     model = build_model(vocab_size=16, d_model=16, n_heads=2, n_blocks=1,
-                        max_seq_len=8, num_classes=3, seed=5, dtype=np.float64)
+                        seq_len=6, num_classes=3, seed=5, dtype=np.float64)
     tokens = rng.integers(0, 16, size=(4, 6))
     labels = rng.integers(0, 3, size=4)
-    lid = "blk0.q"
-    adapter = init_adapter(16, 16, 2, seed=11, dtype=np.float64)
-    adapter.up.data = rng.normal(scale=0.2, size=adapter.up.shape)
+    factors = [init_adapter(16, 16, 2, seed=11, dtype=np.float64).down.data,
+               rng.normal(scale=0.2, size=(2, 16))]
     results = []
 
-    def loss_fn(down, up):
-        ad = Tensor(down, dtype=np.float64)
-        au = Tensor(up, dtype=np.float64)
-        return cross_entropy(model.forward(
-            tokens, {lid: matmul(ad, au)}, 4.0), labels).item()
-
-    with Tape() as tape:
-        out = cross_entropy(model.forward(
-            tokens, {lid: matmul(adapter.down, adapter.up)}, 4.0), labels)
-        tape.backward(out)
-    analytic = {0: adapter.down.grad.copy(), 1: adapter.up.grad.copy()}
-    adapter.down.zero_grad()
-    adapter.up.zero_grad()
-    for name, idx in (("model_down_factor", 0), ("model_up_factor", 1)):
-        numeric = numeric_grad(loss_fn, [adapter.down.data, adapter.up.data], idx)
-        results.append((name, rel_error(analytic[idx], numeric), 1e-4))
-
+    def task_loss(down, up):
+        return cross_entropy(model.forward(tokens, {"blk0.q": matmul(down, up)}, 4.0),
+                             labels)
+    _check(results, "model_down_factor", task_loss, factors, (0,))
+    _check(results, "model_up_factor", task_loss, factors, (1,))
     past = rng.normal(size=(16, 16))
-    def pen_fn(down, up):
-        dw = matmul(Tensor(down, dtype=np.float64), Tensor(up, dtype=np.float64))
-        return ella_penalty(dw, past, 2.0).item()
-    with Tape() as tape:
-        dw = matmul(adapter.down, adapter.up)
-        tape.backward(ella_penalty(dw, past, 2.0))
-    numeric = numeric_grad(pen_fn, [adapter.down.data, adapter.up.data], 1)
-    results.append(("overlap_penalty", rel_error(adapter.up.grad, numeric), 1e-4))
+    _check(results, "overlap_penalty",
+           lambda down, up: ella_penalty(matmul(down, up), past, 2.0), factors, (1,))
     return results
 
 

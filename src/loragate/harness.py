@@ -89,7 +89,6 @@ class SoloRun:
 
 @dataclass
 class RunResult:
-    order: list[int]
     matrix: AccuracyMatrix
     logs: list[TaskLog]  # per stream position
     trace_hash: str
@@ -318,7 +317,7 @@ def run_stream(
     hasher = hashlib.sha256()
 
     base = build_model(config.vocab_size, config.d_model, config.n_heads,
-                       config.n_blocks, config.max_seq_len, stream.num_classes,
+                       config.n_blocks, config.seq_len, stream.num_classes,
                        seed=seed)
 
     model = base.clone()
@@ -358,4 +357,4 @@ def run_stream(
         matrix.set_isolated(pos, solo(order[pos]).accuracy)
 
     hasher.update(matrix.grid.tobytes())
-    return RunResult(order=order, matrix=matrix, logs=logs, trace_hash=hasher.hexdigest())
+    return RunResult(matrix=matrix, logs=logs, trace_hash=hasher.hexdigest())

@@ -43,19 +43,17 @@ from .errors import ConfigError
 from .rng import named_rng
 
 MLP_RATIO = 4
+# the fewest positional rows ``build_model`` draws: a fixed floor keeps the
+# draw order, and so the base model, the same for every seq_len up to it
+POSITIONS = 32
 
 
 class TinyTransformer:
     """Frozen-base encoder: embeddings, attention blocks, mean-pool head."""
 
-    def __init__(self, vocab_size, d_model, n_heads, n_blocks, max_seq_len,
-                 num_classes, params: dict[str, Tensor]):
-        self.vocab_size = vocab_size
-        self.d_model = d_model
+    def __init__(self, n_heads: int, n_blocks: int, params: dict[str, Tensor]):
         self.n_heads = n_heads
         self.n_blocks = n_blocks
-        self.max_seq_len = max_seq_len
-        self.num_classes = num_classes
         self.params = params
 
     @property
@@ -70,9 +68,7 @@ class TinyTransformer:
 
     def clone(self) -> "TinyTransformer":
         params = {k: Tensor(v.data.copy()) for k, v in self.params.items()}
-        return TinyTransformer(self.vocab_size, self.d_model, self.n_heads,
-                               self.n_blocks, self.max_seq_len, self.num_classes,
-                               params)
+        return TinyTransformer(self.n_heads, self.n_blocks, params)
 
     def forward(
         self,
@@ -117,15 +113,16 @@ def build_model(
     d_model: int = 64,
     n_heads: int = 4,
     n_blocks: int = 4,
-    max_seq_len: int = 32,
+    seq_len: int = 16,
     num_classes: int = 12,
     seed: int = 0,
     dtype=np.float32,
 ) -> TinyTransformer:
-    """Deterministic random frozen base model for the given seed."""
+    """Deterministic random frozen base model for the given seed, for
+    sequences of up to ``max(POSITIONS, seq_len)`` tokens."""
     if d_model % n_heads != 0:
         raise ConfigError(f"d_model {d_model} not divisible by n_heads {n_heads}")
-    if min(vocab_size, d_model, n_heads, n_blocks, max_seq_len, num_classes) < 1:
+    if min(vocab_size, d_model, n_heads, n_blocks, seq_len, num_classes) < 1:
         raise ConfigError("model dimensions must be positive")
     rng = named_rng(seed, "model-init")
 
@@ -133,9 +130,10 @@ def build_model(
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
 
+    positions = max(POSITIONS, seq_len)
     params: dict[str, Tensor] = {
         "tok_emb": Tensor(rng.normal(0.0, 1.0, size=(vocab_size, d_model)).astype(dtype)),
-        "pos_emb": Tensor(rng.normal(0.0, 1.0, size=(max_seq_len, d_model)).astype(dtype)),
+        "pos_emb": Tensor(rng.normal(0.0, 1.0, size=(positions, d_model)).astype(dtype)),
     }
     hidden = MLP_RATIO * d_model
     for i in range(n_blocks):
@@ -147,6 +145,5 @@ def build_model(
     # carried by adapter updates of non-negligible magnitude (as with a
     # pretrained backbone whose task head starts near zero)
     params["head"] = Tensor(0.1 * xavier(d_model, num_classes))
-    return TinyTransformer(vocab_size, d_model, n_heads, n_blocks, max_seq_len,
-                           num_classes, params)
+    return TinyTransformer(n_heads, n_blocks, params)
 

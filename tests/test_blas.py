@@ -13,7 +13,7 @@ from loragate.errors import StateError
 
 def tiny_run():
     cfg = ExperimentConfig(vocab_size=24, d_model=16, n_heads=2, n_blocks=2,
-                           max_seq_len=10, n_tasks=2, classes_per_task=2,
+                           n_tasks=2, classes_per_task=2,
                            samples_per_class=32, seq_len=8, batch_size=16,
                            warmup_steps=2, method=Method.JUMP_INCLORA)
     stream = generate_task_stream(cfg.data_seed, cfg.n_tasks, cfg.samples_per_class,

@@ -24,7 +24,6 @@ vocab_size = 24
 d_model = 16
 n_heads = 2
 n_blocks = 2
-max_seq_len = 10
 n_tasks = 2
 classes_per_task = 2
 samples_per_class = 32
@@ -166,7 +165,7 @@ class TestRun:
 
     @pytest.mark.parametrize("line", [
         "n_heads = 0", "vocab_size = 0", "d_model = -16", "n_blocks = 0",
-        "max_seq_len = 0", "n_tasks = 0", "classes_per_task = 0",
+        "n_tasks = 0", "classes_per_task = 0",
         "samples_per_class = 0", "seq_len = 1", "seeds = 42,42",
         "n_orders = 3",  # more than the 2! orders of 2 tasks
         "n_tasks = 8"])  # 8 tasks x 2 classes do not fit in 24 tokens

@@ -1,10 +1,16 @@
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from loragate.adapter import GateScope
 from loragate.config import (
+    _METHOD_KNOBS,
     ExperimentConfig,
     Method,
+    _format_value,
     format_config,
+    load_config,
     parse_config_text,
 )
 from loragate.ella import EllaVariant
@@ -43,12 +49,26 @@ class TestParsing:
         assert back == cfg
         assert format_config(back) == text
 
+    @pytest.mark.parametrize("method", list(Method))
+    def test_round_trip_per_method(self, method):
+        cfg = ExperimentConfig(method=method,
+                               ella_lambda=[1.0] if method.penalized else [0.0])
+        assert parse_config_text(format_config(cfg)) == cfg
+
+    def test_separable_config_changes_two_fields(self):
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "separable.txt")
+        changed = {f.name for f in fields(cfg)
+                   if getattr(cfg, f.name) != getattr(ExperimentConfig(), f.name)}
+        assert changed == {"samples_per_class", "learning_rate"}
+        assert (cfg.samples_per_class, cfg.learning_rate) == (1024, 0.01)
+
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config_text("# a comment\n\nrank = 4\n")
         assert cfg.rank == 4
 
-    # a typo, and two keys that older versions wrote into config.txt
-    @pytest.mark.parametrize("key", ["learning_rte", "ella_scale_past", "weight_decay"])
+    # a typo, and three keys that older versions wrote into config.txt
+    @pytest.mark.parametrize("key", ["learning_rte", "ella_scale_past", "weight_decay",
+                                     "max_seq_len"])
     def test_unknown_key_is_hard_error(self, key):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text(f"{key} = 0.001\n")
@@ -89,12 +109,20 @@ class TestValidation:
             parse_config_text("method = ella\ngate_scope = global\nella_lambda = 1\n")
 
     def test_nonzero_lambda_requires_ella(self):
-        with pytest.raises(ConfigError, match="ella_lambda"):
+        with pytest.raises(ConfigError, match="ella_lambda only applies to ELLA methods"):
             parse_config_text("method = jump-inclora\nella_lambda = 100\n")
 
-    def test_zero_lambda_fine_for_any_method(self):
-        cfg = parse_config_text("method = inclora\nella_lambda = 0\n")
-        assert cfg.method is Method.INCLORA
+    @pytest.mark.parametrize("method", list(Method))
+    def test_zero_lambda_rejected_under_every_method(self, method):
+        # an unpenalised method does not read it; a penalised one would not bite
+        with pytest.raises(ConfigError, match="ella_lambda"):
+            parse_config_text(f"method = {method.value}\nella_lambda = 0\n")
+
+    # no λ, and a λ only at position 0, which has no past
+    @pytest.mark.parametrize("lam", ["", "ella_lambda = 1,0,0,0\n"])
+    def test_ella_method_needs_lambda_past_position_zero(self, lam):
+        with pytest.raises(ConfigError, match="ella needs ella_lambda > 0"):
+            parse_config_text(f"method = ella\n{lam}")
 
     def test_lambda_length_must_match_tasks(self):
         with pytest.raises(ConfigError, match="ella_lambda"):
@@ -109,30 +137,24 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_config_text("start_frac = 0.9\nend_frac = 0.5\n")
 
-    def test_seq_len_within_model_window(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("seq_len = 40\nmax_seq_len = 32\n")
-
     def test_head_divisibility(self):
         with pytest.raises(ConfigError):
             parse_config_text("d_model = 50\nn_heads = 4\n")
 
     @pytest.mark.parametrize("method", list(Method))
     def test_method_grid_dump_and_checks_agree(self, method):
-        # a knob is dumped exactly when writing it explicitly is accepted
-        knobs = {
-            "ella_variant = sparse": "ella_variant only applies to method jump-ella",
-            "gate_scope = global": "gate_scope only applies to gated methods",
-        }
-        dumped = format_config(ExperimentConfig(method=method)).splitlines()
-        for line, message in knobs.items():
-            text = f"method = {method.value}\n{line}\n"
-            if line in dumped:
-                parse_config_text(text)
-            else:
+        # a knob is dumped exactly when writing it explicitly is accepted: the
+        # dump parses, and adding any knob it left out is rejected
+        cfg = ExperimentConfig(method=method, ella_lambda=[1.0])
+        text = format_config(cfg)
+        parse_config_text(text)
+        for name, (applies, methods) in _METHOD_KNOBS.items():
+            line = f"{name} = {_format_value(getattr(cfg, name))}"
+            assert (line in text.splitlines()) == applies(method)
+            if not applies(method):
                 with pytest.raises(ConfigError) as err:
-                    parse_config_text(text)
-                assert str(err.value) == f"{message}, got {method.value}"
+                    parse_config_text(text + line + "\n")
+                assert str(err.value) == f"{name} only applies to {methods}, got {method.value}"
 
     def test_variant_on_jump_ella_accepted(self):
         cfg = parse_config_text(

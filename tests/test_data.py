@@ -122,8 +122,8 @@ class TestGeneration:
             assert labels <= ids
 
     def test_signature_bands_disjoint_across_tasks(self):
-        stream = generate_task_stream(2, 4, samples_per_class=8)
-        background = stream.vocab_size // 2  # tokens below it are shared by all tasks
+        stream = generate_task_stream(2, 4, samples_per_class=8, vocab_size=64)
+        background = 64 // 2  # tokens below it are shared by all tasks
         seen = set()
         for task in stream.tasks:
             band = {int(tok) for tokens, _ in task.splits.values()
@@ -195,10 +195,10 @@ class TestDrawSequence:
         signal_count = min(3, args["seq_len"] - 2)
         for split, difficulty in (("train", 0.0), ("test", args["difficulty"])):
             stream = generate_task_stream(**dict(args, difficulty=difficulty))
-            for task in stream.tasks:
-                band = named_rng(args["seed"], f"data/task{task.task_id}").permutation(
-                    np.arange(background + task.task_id * band_width,
-                              background + (task.task_id + 1) * band_width))
+            for t, task in enumerate(stream.tasks):
+                band = named_rng(args["seed"], f"data/task{t}").permutation(
+                    np.arange(background + t * band_width,
+                              background + (t + 1) * band_width))
                 owner = {int(tok): i % k for i, tok in enumerate(band)}
                 tokens, labels = task.splits[split]
                 for row, label in zip(tokens.tolist(), (labels - task.classes[0]).tolist()):

@@ -32,10 +32,9 @@ from loragate.data import generate_task_stream
 from loragate.ella import ella_penalty
 from loragate.errors import ConfigError
 from loragate.harness import inject_adapters, train_task
-from loragate.model import build_model
+from loragate.model import POSITIONS, build_model
 
-SMALL = dict(vocab_size=24, d_model=16, n_heads=2, n_blocks=2, max_seq_len=10,
-             num_classes=4)
+SMALL = dict(vocab_size=24, d_model=16, n_heads=2, n_blocks=2, num_classes=4)
 
 
 def small_model(seed=0):
@@ -57,6 +56,15 @@ class TestBuild:
         assert len(model.adapted_layers) == 8
         assert model.adapted_layers[0] == "blk0.q"
         assert model.adapted_layers[-1] == "blk3.v"
+
+    def test_same_base_for_every_seq_len_up_to_the_floor(self):
+        short, full = (build_model(seed=7, seq_len=n, **SMALL) for n in (2, POSITIONS))
+        for k in full.params:
+            np.testing.assert_array_equal(short.params[k].data, full.params[k].data)
+
+    def test_runs_sequences_longer_than_the_floor(self, rng):
+        model = build_model(seed=0, seq_len=40, **SMALL)
+        assert model.forward(rng.integers(0, 24, size=(3, 40))).shape == (3, 4)
 
     def test_head_count_rejects_indivisible(self):
         with pytest.raises(ConfigError):
@@ -90,7 +98,7 @@ class TestForward:
     def test_sequence_length_capped(self, rng):
         model = small_model()
         with pytest.raises(ValueError):
-            model.forward(rng.integers(0, 24, size=(2, 11)))
+            model.forward(rng.integers(0, 24, size=(2, POSITIONS + 1)))
 
     def test_token_range_checked(self):
         model = small_model()
@@ -122,7 +130,7 @@ class TestCloneAndMerge:
 class TestTrainingInvariants:
     def stream_and_config(self):
         cfg = ExperimentConfig(vocab_size=24, d_model=16, n_heads=2, n_blocks=2,
-                               max_seq_len=10, n_tasks=2, classes_per_task=2,
+                               n_tasks=2, classes_per_task=2,
                                samples_per_class=48, seq_len=8,
                                method=Method.JUMP_INCLORA)
         stream = generate_task_stream(cfg.data_seed, cfg.n_tasks, cfg.samples_per_class,
@@ -133,7 +141,7 @@ class TestTrainingInvariants:
     def test_frozen_base_bit_identical_after_training(self):
         cfg, stream = self.stream_and_config()
         model = build_model(cfg.vocab_size, cfg.d_model, cfg.n_heads, cfg.n_blocks,
-                            cfg.max_seq_len, stream.num_classes, seed=42)
+                            cfg.seq_len, stream.num_classes, seed=42)
         before = {k: v.data.copy() for k, v in model.params.items()}
         train_task(model, stream, 0, cfg, run_seed=42)
         for k in model.params:
@@ -142,7 +150,7 @@ class TestTrainingInvariants:
     def test_gate_scope_counts(self):
         cfg, stream = self.stream_and_config()
         model = build_model(cfg.vocab_size, cfg.d_model, cfg.n_heads, cfg.n_blocks,
-                            cfg.max_seq_len, stream.num_classes, seed=42)
+                            cfg.seq_len, stream.num_classes, seed=42)
         _, gates = inject_adapters(model, cfg, 42, 0)
         assert [g.layers for g in gates] == [model.adapted_layers]
 
@@ -161,7 +169,7 @@ def chain_forward(model, tokens, updates, scaling):
     p = model.params
     x = embed(tokens, p["tok_emb"], p["pos_emb"])
     batch, seq = tokens.shape
-    d, h = model.d_model, model.n_heads
+    d, h = p["tok_emb"].shape[1], model.n_heads
     hd = d // h
 
     def effective(lid):
@@ -194,9 +202,9 @@ class TestFusedBlock:
     def test_matches_chain_of_small_primitives(self, dtype, shape, batch, seq):
         model = build_model(seed=4, dtype=dtype, **shape)
         rng = np.random.default_rng(9)
-        tokens = rng.integers(0, model.vocab_size, size=(batch, seq))
-        labels = rng.integers(0, model.num_classes, size=batch)
-        d = model.d_model
+        vocab_size, d = model.params["tok_emb"].shape
+        tokens = rng.integers(0, vocab_size, size=(batch, seq))
+        labels = rng.integers(0, model.params["head"].shape[1], size=batch)
         # every adapted layer but the last, so one projection runs without update
         lids = model.adapted_layers[:-1]
         factors = {lid: (Tensor(rng.normal(scale=0.3, size=(d, 4)).astype(dtype), True),
@@ -210,8 +218,7 @@ class TestFusedBlock:
                 tape.backward(cross_entropy(logits, labels))
             results.append((logits.data, [t.grad for f in factors.values() for t in f]))
             for a, b in factors.values():
-                a.zero_grad()
-                b.zero_grad()
+                a.grad = b.grad = None
         (fused, fused_grads), (chain, chain_grads) = results
         assert fused.dtype == dtype and np.array_equal(fused, chain)
         for got, want in zip(fused_grads, chain_grads):
@@ -277,9 +284,9 @@ class TestGradientLifetime:
         the records produced, and the factor and threshold gradients."""
         model = small_model(3)
         rng = np.random.default_rng(5)
-        d = model.d_model
-        tokens = rng.integers(0, model.vocab_size, size=(6, 8))
-        labels = rng.integers(0, model.num_classes, size=6)
+        d = SMALL["d_model"]
+        tokens = rng.integers(0, SMALL["vocab_size"], size=(6, 8))
+        labels = rng.integers(0, SMALL["num_classes"], size=6)
         gate = make_gate(model.adapted_layers, 0.05)
         gate.threshold.data = np.asarray(0.1, np.float32)
         gate.initialized = True
