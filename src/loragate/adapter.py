@@ -46,8 +46,7 @@ class JumpGate:
 
 
 def make_gate(layers: list[str], bandwidth: float, dtype=np.float32) -> JumpGate:
-    if bandwidth <= 0:
-        raise ConfigError(f"gate bandwidth must be positive, got {bandwidth}")
+    """An uninitialised gate; ``bandwidth`` comes from a validated config."""
     threshold = Tensor(np.zeros((), dtype=dtype), requires_grad=True)
     return JumpGate(layers=list(layers), threshold=threshold, bandwidth=bandwidth)
 
@@ -97,15 +96,8 @@ def jump_update(dw: Tensor, gate: JumpGate) -> Tensor:
 
 
 def ramp(total_steps: int, start_frac: float, end_frac: float) -> tuple[int, int]:
-    """The (start, final) steps of the interpolation ramp, from fractions of
-    the epoch's steps (e.g. 0.2 and 0.8), rounded down."""
-    if not (0.0 <= start_frac <= end_frac <= 1.0):
-        raise ConfigError(
-            f"fractions must satisfy 0 <= start <= end <= 1, got "
-            f"({start_frac}, {end_frac})"
-        )
-    if total_steps < 1:
-        raise ConfigError(f"total_steps must be positive, got {total_steps}")
+    """The (start, final) steps of the interpolation ramp, from a validated
+    config's fractions of the epoch's steps (e.g. 0.2 and 0.8), rounded down."""
     return math.floor(start_frac * total_steps), math.floor(end_frac * total_steps)
 
 
@@ -120,11 +112,8 @@ def gamma(step: int, start: int, final: int) -> float:
 
 
 def interpolate_update(dw: Tensor, dw_jump: Tensor, gamma: float) -> Tensor:
-    """Convex combination (1 - gamma) * dw + gamma * dw_jump."""
-    if not (0.0 <= gamma <= 1.0):
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    if dw.shape != dw_jump.shape:
-        raise ShapeError(f"update shapes differ: {dw.shape} vs {dw_jump.shape}")
+    """Convex combination (1 - gamma) * dw + gamma * dw_jump. ``gamma`` comes
+    from ``gamma()`` over a validated config's ramp, so it lies in [0, 1]."""
     if gamma == 0.0:
         return dw
     if gamma == 1.0:

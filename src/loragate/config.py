@@ -3,10 +3,15 @@
 Each value is an int, a float, a string, an enum value, or a comma-separated
 list of one of these. Unknown keys are hard errors: silent hyperparameter
 typos are the dominant reproduction hazard, and a key that an older version
-wrote must fail loudly rather than be ignored. A knob that only some methods
-read (``_METHOD_KNOBS``) is rejected when written under another method, so
-every key a config accepts is one its method reads. ``parse_config_text`` and
+wrote must fail loudly rather than be ignored. ``parse_config_text`` and
 ``format_config`` round-trip exactly.
+
+A config is validated when made (parsed, built in code or through
+``dataclasses.replace``) and frozen, so nothing downstream re-checks it. Only
+text is held to the method grid: a knob that only some methods read
+(``_METHOD_KNOBS``) is rejected when written under another method. An object
+cannot tell a written default from an unwritten one; ``format_config`` omits
+the knobs its method does not read.
 
 ``ella_lambda`` holds one penalty weight, or one per stream position (not per
 task id); position 0 has no past, so its weight is never read. An ELLA method
@@ -39,7 +44,7 @@ class Method(enum.Enum):
         return self in (Method.ELLA, Method.JUMP_ELLA)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     # model shape
     vocab_size: int = 64
@@ -73,6 +78,9 @@ class ExperimentConfig:
     n_orders: int = 1
     # output
     output_dir: str = "runs/default"
+
+    def __post_init__(self):
+        validate_config(self)
 
     def penalty_weights(self) -> list[float]:
         """The penalty weight of each stream position (a single value is
@@ -125,7 +133,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _parse_value(key, value, defaults[key])
     cfg = ExperimentConfig(**values)
-    validate_config(cfg, explicit=set(values))
+    # the method grid, on the written keys only (see the module docstring)
+    for name, (applies, methods) in _METHOD_KNOBS.items():
+        if name in values and not applies(cfg.method):
+            raise ConfigError(f"{name} only applies to {methods}, got {cfg.method.value}")
     return cfg
 
 
@@ -158,9 +169,8 @@ def format_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def validate_config(cfg: ExperimentConfig, explicit: set | None = None) -> None:
-    """Reject inconsistent settings; ``explicit`` holds keys the user wrote."""
-    explicit = explicit or set()
+def validate_config(cfg: ExperimentConfig) -> None:
+    """Reject inconsistent settings; every config runs this when it is made."""
     for name in ("vocab_size", "d_model", "n_heads", "n_blocks", "n_tasks",
                  "classes_per_task", "samples_per_class"):
         if getattr(cfg, name) < 1:
@@ -196,7 +206,3 @@ def validate_config(cfg: ExperimentConfig, explicit: set | None = None) -> None:
     if cfg.method.penalized and not any(cfg.penalty_weights()[1:]):
         raise ConfigError(f"{cfg.method.value} needs ella_lambda > 0 at a stream "
                           f"position past 0, got {_format_value(cfg.ella_lambda)}")
-    # combinations outside the supported method grid
-    for name, (applies, methods) in _METHOD_KNOBS.items():
-        if name in explicit and not applies(cfg.method):
-            raise ConfigError(f"{name} only applies to {methods}, got {cfg.method.value}")

@@ -27,7 +27,7 @@ Split = tuple[np.ndarray, np.ndarray]  # (tokens [n, seq], labels [n])
 
 @dataclass
 class Task:
-    classes: list[int]  # global class ids, disjoint across the stream
+    # labels are global class ids: task t's are t * classes_per_task onwards
     splits: dict[str, Split]
 
 
@@ -100,7 +100,6 @@ def generate_task_stream(
         signatures = np.zeros((classes_per_task, sig_len.max()), dtype=np.int64)
         for c in range(classes_per_task):
             signatures[c, :sig_len[c]] = np.sort(band[c::classes_per_task])
-        classes = [t * classes_per_task + c for c in range(classes_per_task)]
 
         def fresh_rows(labels):
             n = len(labels)
@@ -138,6 +137,6 @@ def generate_task_stream(
                 tokens = fresh_rows(labels)
             order = rng.permutation(len(labels))
             splits[split] = (tokens[order].astype(np.int64),
-                             (labels[order] + classes[0]).astype(np.int64))
-        tasks.append(Task(classes=classes, splits=splits))
+                             (labels[order] + t * classes_per_task).astype(np.int64))
+        tasks.append(Task(splits=splits))
     return TaskStream(tasks=tasks, num_classes=n_tasks * classes_per_task)

@@ -13,7 +13,7 @@ import enum
 import numpy as np
 
 from .autodiff import Tensor, frobenius_sq, mul, scale
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ShapeError, StateError
 
 
 class EllaVariant(enum.Enum):
@@ -26,12 +26,9 @@ def ella_penalty(update: Tensor, past: np.ndarray, weight: float) -> Tensor:
     graph, including the gate's straight-through rules.
 
     The caller passes the update it penalises: the dense one before the gate
-    exists, then the sparse or the interpolated one, by variant.
+    exists, then the sparse or the interpolated one, by variant. The weight
+    comes from a validated config, so it is nonnegative.
     """
-    if weight < 0:
-        raise ConfigError(f"penalty weight must be nonnegative, got {weight}")
-    if update.shape != past.shape:
-        raise ShapeError(f"penalty shapes differ: {update.shape} vs {past.shape}")
     return scale(frobenius_sq(mul(update, Tensor(past))), weight)
 
 

@@ -297,23 +297,19 @@ def run_stream(
     the other solo trainings, and the returned arrays are the caller's to
     modify.
 
-    ``order`` must be a permutation of the stream's task ids; anything else
-    raises ``ConfigError`` before any training.
+    A stream that is not the config's (not ``config.n_tasks`` long) or an
+    ``order`` that is not a permutation raises ``ConfigError`` before training.
 
     The run uses one BLAS thread and restores the caller's count on return
     (see ``blas``).
     """
-    penalty_weights = (config.penalty_weights() if config.method.penalized
-                       else [0.0] * len(stream))
-    if len(penalty_weights) != len(stream):
-        raise ConfigError(
-            f"{len(penalty_weights)} penalty weights for {len(stream)} tasks"
-        )
+    if len(stream) != config.n_tasks:
+        raise ConfigError(f"stream has {len(stream)} tasks, config n_tasks={config.n_tasks}")
+    penalized = config.method.penalized
+    penalty_weights = config.penalty_weights() if penalized else [0.0] * len(stream)
     order = list(range(len(stream))) if order is None else list(order)
     if sorted(order) != list(range(len(stream))):
-        raise ConfigError(
-            f"order {order} is not a permutation of the {len(stream)} task ids"
-        )
+        raise ConfigError(f"order {order} is not a permutation of the {len(stream)} task ids")
     hasher = hashlib.sha256()
 
     base = build_model(config.vocab_size, config.d_model, config.n_heads,
@@ -322,8 +318,7 @@ def run_stream(
 
     model = base.clone()
     past = ({lid: np.zeros(base.layer_shape(lid), dtype=np.float32)
-             for lid in base.adapted_layers}
-            if any(w > 0 for w in penalty_weights) else None)
+             for lid in base.adapted_layers} if penalized else None)
     matrix = AccuracyMatrix(len(stream))
     logs: list[TaskLog] = []
 

@@ -207,13 +207,6 @@ class TestInterpolate:
         out = interpolate_update(Tensor([2.0]), Tensor([0.0]), 0.5)
         np.testing.assert_array_equal(out.data, [1.0])
 
-    def test_gamma_out_of_range(self):
-        dw = Tensor([1.0])
-        with pytest.raises(ValueError):
-            interpolate_update(dw, dw, -0.1)
-        with pytest.raises(ValueError):
-            interpolate_update(dw, dw, 1.5)
-
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             interpolate_update(Tensor([1.0, 2.0]), Tensor([1.0]), 0.5)
@@ -404,13 +397,3 @@ class TestFromFractions:
 
     def test_floor_arithmetic(self):
         assert ramp(7, 0.2, 0.8) == (1, 5)
-
-    def test_fraction_ordering_rejected(self):
-        with pytest.raises(ConfigError):
-            ramp(10, 0.8, 0.2)
-        with pytest.raises(ConfigError):
-            ramp(10, -0.1, 0.5)
-        with pytest.raises(ConfigError):
-            ramp(10, 0.2, 1.1)
-        with pytest.raises(ConfigError):
-            ramp(0, 0.2, 0.8)

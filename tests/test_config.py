@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -155,6 +155,37 @@ class TestValidation:
                 with pytest.raises(ConfigError) as err:
                     parse_config_text(text + line + "\n")
                 assert str(err.value) == f"{name} only applies to {methods}, got {method.value}"
+
+    # the rules that the gate, the ramp and the penalty rely on without
+    # re-checking: a positive bandwidth, ordered fractions in [0, 1], a
+    # nonnegative weight, and a positive batch (so an epoch has a step)
+    @pytest.mark.parametrize("key, value, match", [
+        ("bandwidth", 0.0, "bandwidth must be positive"),
+        ("bandwidth", -1.0, "bandwidth must be positive"),
+        ("start_frac", -0.1, "fractions must satisfy"),
+        ("end_frac", 1.1, "fractions must satisfy"),
+        ("ella_lambda", [-1.0], "ella_lambda values must be nonnegative"),
+        ("batch_size", 0, "batch_size >= 1"),
+    ])
+    def test_rule_holds_in_code_and_in_text(self, key, value, match):
+        method = Method.ELLA if key == "ella_lambda" else Method.JUMP_INCLORA
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(method=method, **{key: value})
+        with pytest.raises(ConfigError, match=match):
+            parse_config_text(f"method = {method.value}\n{key} = {_format_value(value)}\n")
+
+    def test_ella_built_in_code_needs_lambda(self):
+        with pytest.raises(ConfigError, match="ella needs ella_lambda > 0"):
+            ExperimentConfig(method=Method.ELLA)
+
+    def test_replace_revalidates(self):
+        with pytest.raises(ConfigError, match="bandwidth must be positive"):
+            replace(ExperimentConfig(), bandwidth=0.0)
+
+    def test_config_is_frozen(self):
+        cfg = ExperimentConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.rank = 4
 
     def test_variant_on_jump_ella_accepted(self):
         cfg = parse_config_text(

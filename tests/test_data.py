@@ -112,14 +112,13 @@ class TestGeneration:
         assert stream.num_classes == n_tasks
 
     def test_class_ranges_disjoint(self):
-        stream = generate_task_stream(2, 4, samples_per_class=8)
-        seen = set()
-        for task in stream.tasks:
-            ids = set(task.classes)
-            assert not (ids & seen)
-            seen |= ids
-            labels = set(task.splits["train"][1].tolist())
-            assert labels <= ids
+        # task t labels the union head's classes t·k .. t·k + k - 1
+        k = 3
+        stream = generate_task_stream(2, 4, samples_per_class=8, classes_per_task=k)
+        for t, task in enumerate(stream.tasks):
+            ids = set(range(t * k, (t + 1) * k))
+            assert set(task.splits["train"][1].tolist()) <= ids
+            assert set(task.splits["test"][1].tolist()) == ids
 
     def test_signature_bands_disjoint_across_tasks(self):
         stream = generate_task_stream(2, 4, samples_per_class=8, vocab_size=64)
@@ -201,7 +200,7 @@ class TestDrawSequence:
                               background + (t + 1) * band_width))
                 owner = {int(tok): i % k for i, tok in enumerate(band)}
                 tokens, labels = task.splits[split]
-                for row, label in zip(tokens.tolist(), (labels - task.classes[0]).tolist()):
+                for row, label in zip(tokens.tolist(), (labels - t * k).tolist()):
                     placed = [owner[tok] for tok in row if tok >= background]
                     assert len(placed) == signal_count + (k > 1)
                     assert placed.count(label) == signal_count

@@ -3,7 +3,7 @@ import pytest
 
 from loragate.autodiff import Tape, Tensor, matmul
 from loragate.ella import ella_penalty, update_past
-from loragate.errors import ConfigError, ShapeError, StateError
+from loragate.errors import ShapeError, StateError
 
 from conftest import fd_grad, rel_err
 
@@ -35,11 +35,6 @@ class TestPenalty:
         two = ella_penalty(dense, past, 3.0).item()
         assert two == pytest.approx(2.0 * one, rel=1e-6)
         assert one >= 0.0
-
-    def test_negative_weight_rejected(self):
-        dense = Tensor(np.ones((2, 2)))
-        with pytest.raises(ConfigError):
-            ella_penalty(dense, np.ones((2, 2)), -1.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):

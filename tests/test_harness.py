@@ -64,6 +64,30 @@ def record_merges(monkeypatch) -> list:
     return merges
 
 
+def assert_zero_weight_trains_twin(method, twin):
+    """``train_task`` under ``method`` at penalty weight 0 against a non-zero
+    past trains as ``twin`` does without a past, bit for bit; weight 1 bites."""
+    cfg = tiny_config(method=method, ella_lambda=[1.0])
+    stream = stream_for(cfg)
+    model = fresh_model(cfg, stream, 42)
+    rng = np.random.default_rng(0)
+    past = {lid: rng.normal(size=model.layer_shape(lid)).astype(np.float32)
+            for lid in model.adapted_layers}
+    zero = train_task(model, stream, 1, cfg, penalty_weight=0.0, past=past, run_seed=42)
+    plain = train_task(model, stream, 1, dataclasses.replace(cfg, method=twin),
+                       run_seed=42)
+    np.testing.assert_array_equal(zero.losses, plain.losses)
+    assert zero.merged.keys() == plain.merged.keys()
+    for lid, dw in plain.merged.items():
+        np.testing.assert_array_equal(zero.merged[lid], dw)
+    bitten = train_task(model, stream, 1, cfg, penalty_weight=1.0, past=past, run_seed=42)
+    assert not np.array_equal(bitten.losses, plain.losses)
+
+
+def no_training(*args, **kwargs):
+    raise AssertionError("trained before the stream and order were checked")
+
+
 def stream_model(merges):
     """The model merged into more than once: every solo run merges one task
     into a model of its own, the stream merges every position into one."""
@@ -104,14 +128,7 @@ class TestTrainTask:
         assert all(b >= a for a, b in zip(log.gammas, log.gammas[1:]))
 
     def test_zero_penalty_matches_unpenalized_bitwise(self):
-        cfg_jump = tiny_config(method=Method.JUMP_INCLORA)
-        cfg_ella = tiny_config(method=Method.JUMP_ELLA, ella_lambda=[0.0])
-        stream = stream_for(cfg_jump)
-        r1 = run_stream(stream, cfg_jump, seed=42)
-        r2 = run_stream(stream_for(cfg_ella), cfg_ella, seed=42)
-        for l1, l2 in zip(r1.logs, r2.logs):
-            np.testing.assert_array_equal(l1.losses, l2.losses)
-        assert r1.trace_hash == r2.trace_hash
+        assert_zero_weight_trains_twin(Method.JUMP_ELLA, Method.JUMP_INCLORA)
 
     def test_rehearsal_free_data_access(self, monkeypatch):
         cfg = tiny_config()
@@ -449,7 +466,7 @@ class TestRunStream:
         np.testing.assert_array_equal(shared.matrix.grid, fresh.matrix.grid)
         assert shared.trace_hash == fresh.trace_hash
         # position 1 trained against the past that position 0 fed
-        unpenalized = tiny_config(method=Method.JUMP_ELLA, ella_lambda=[0.0],
+        unpenalized = tiny_config(method=Method.JUMP_INCLORA,
                                   gate_scope=GateScope.PER_BLOCK)
         plain = run_stream(stream, unpenalized, seed=42, order=order)
         assert not np.array_equal(plain.logs[1].losses, shared.logs[1].losses)
@@ -465,13 +482,18 @@ class TestRunStream:
 
     @pytest.mark.parametrize("order", [[0, 0], [0], [0, 1, 0]])
     def test_order_must_be_a_permutation(self, order, monkeypatch):
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained before the order was checked")
-
         monkeypatch.setattr(harness, "train_task", no_training)
         cfg = tiny_config()
         with pytest.raises(ConfigError, match="not a permutation"):
             run_stream(stream_for(cfg), cfg, seed=42, order=order)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_stream_must_be_the_configs(self, method, monkeypatch):
+        monkeypatch.setattr(harness, "train_task", no_training)
+        cfg = tiny_config(n_tasks=3, method=method, ella_lambda=[1.0])
+        stream = stream_for(dataclasses.replace(cfg, n_tasks=2))
+        with pytest.raises(ConfigError, match="stream has 2 tasks, config n_tasks=3"):
+            run_stream(stream, cfg, seed=42)
 
     def test_merges_applied_per_task(self, monkeypatch):
         cfg = tiny_config()
@@ -490,11 +512,7 @@ class TestRunStream:
 
 class TestDegenerateModes:
     def test_gating_off_zero_penalty_is_inclora(self):
-        cfg_ella = tiny_config(method=Method.ELLA, ella_lambda=[0.0])
-        cfg_base = tiny_config(method=Method.INCLORA)
-        r_ella = run_stream(stream_for(cfg_ella), cfg_ella, seed=42)
-        r_base = run_stream(stream_for(cfg_base), cfg_base, seed=42)
-        assert r_ella.trace_hash == r_base.trace_hash
+        assert_zero_weight_trains_twin(Method.ELLA, Method.INCLORA)
 
     def test_penalty_applies_only_to_stream_tasks_after_the_first(self, monkeypatch):
         logs = []

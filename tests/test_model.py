@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -154,12 +155,12 @@ class TestTrainingInvariants:
         _, gates = inject_adapters(model, cfg, 42, 0)
         assert [g.layers for g in gates] == [model.adapted_layers]
 
-        cfg.gate_scope = GateScope.PER_BLOCK
+        cfg = dataclasses.replace(cfg, gate_scope=GateScope.PER_BLOCK)
         _, gates = inject_adapters(model, cfg, 42, 0)
         assert [g.layers for g in gates] == [["blk0.q", "blk0.v"], ["blk1.q", "blk1.v"]]
         assert len({id(g.threshold) for g in gates}) == cfg.n_blocks
 
-        cfg.method = Method.INCLORA
+        cfg = dataclasses.replace(cfg, method=Method.INCLORA)
         assert inject_adapters(model, cfg, 42, 0)[1] == []
 
 
