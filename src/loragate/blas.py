@@ -5,8 +5,10 @@ at which OpenBLAS splits a product across its threads.
 Between the many small products of a step the helper threads busy-wait: on
 two cores a run then takes twice the CPU time for about the same wall time,
 and two ``--jobs`` workers, each with a spinning helper, run slower together
-than one worker alone. With one BLAS thread per run, process-level ``--jobs``
-is the only parallelism: N workers use N cores.
+than one worker alone. With one BLAS thread per run, processes are the only
+parallelism. A run forks its solo-run helper from inside ``one_blas_thread``,
+so the helper inherits the single thread, and a run with its helper uses two
+cores. ``--jobs`` workers fork no helper: N >= 2 workers use N cores.
 
 The thread count is set through the OpenBLAS library numpy has already loaded,
 found by path in ``/proc/self/maps`` on first use, never at import. The setting

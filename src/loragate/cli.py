@@ -6,7 +6,10 @@ those masks; ``metrics.csv`` and ``report.txt`` then summarise the grid. It
 first deletes every artifact of the names in ``ARTIFACTS``, so a smaller rerun
 into the same directory leaves nothing stale. It generates the task stream
 once and hands out one seed at a time: a seed's orders share its solo runs, so
-each is trained once at any --jobs.
+each is trained once at any --jobs. With one worker, ``run_stream`` trains a
+seed's solo runs on a second core while it trains the stream; two or more
+workers each stay on one core (see ``harness._helper_has_a_core``). A worker
+that dies fails every order of its seed in ``report.txt``.
 
 ``loragate run`` pins two glibc malloc thresholds for its process, which its
 pool workers inherit: arrays below 64 MiB come from the heap rather than from
@@ -141,6 +144,16 @@ def _run_seed(unit) -> list:
             for o in range(len(orders))]
 
 
+def _seed_outcomes(future, seed: int, n_orders: int) -> list:
+    """What the future of ``_run_seed`` holds, or a failure of each order of
+    the seed if its worker raised or died (``BrokenProcessPool``)."""
+    try:
+        return future.result()
+    except Exception as exc:  # noqa: BLE001 - one lost seed must not lose the grid
+        traceback.print_exc()
+        return [(o, seed, repr(exc)) for o in range(n_orders)]
+
+
 def cmd_run(config_path: str, jobs: int = 1) -> int:
     if jobs < 1:
         print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
@@ -168,8 +181,14 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
     units = [(cfg, stream, orders, s, out) for s in cfg.seeds]
     workers = min(jobs, len(units))
     if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            per_seed = pool.map(_run_seed, units)
+        # imported here: the executor's modules add ~1.3 MiB of RSS to every
+        # process that imports this one, and only a pool needs them
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_run_seed, unit) for unit in units]
+            per_seed = [_seed_outcomes(f, s, len(orders)) for f, s in zip(futures, cfg.seeds)]
     else:
         per_seed = list(map(_run_seed, units))
     outcomes = [r for runs in per_seed for r in runs]
@@ -223,10 +242,11 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True, help="path to a key = value config file")
     p_run.add_argument("--jobs", type=int, default=1,
                        help="parallel worker processes, each running one seed "
-                            "(all its orders) at a time, at most one per seed; "
-                            "each worker runs on one BLAS thread, so N workers "
-                            "use N cores; a failed run is reported in "
-                            "report.txt at any job count")
+                            "(all its orders) at a time, at most one per seed, "
+                            "on one BLAS thread; a single worker uses a second "
+                            "core for its seed's solo runs, and two or more "
+                            "workers stay one core each; a failed run or a "
+                            "dead worker is reported in report.txt")
 
     sub.add_parser("gradcheck", help="finite-difference and kernel gradient checks")
 

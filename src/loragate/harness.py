@@ -23,6 +23,11 @@ Together they let position 0 always replay its task's solo run instead of
 training in the stream: recording a copy of the stored log merges its updates
 into a clone of the base model and adds them to the past, which leaves the
 model, the past and the trace as training there would have.
+
+The other solo runs need only the base model, so where a second core is free
+``run_stream`` trains them in a forked helper process while it trains the
+stream (see ``_helper_has_a_core``). Each run is the same computation in either
+process, so the results, ``trace_hash`` included, are those of a serial run.
 """
 
 from __future__ import annotations
@@ -30,9 +35,13 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
+import multiprocessing
+import os
+import sys
 import warnings
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -261,15 +270,103 @@ def _merge_updates(model, merged, config, past):
             update_past(past, merged[lid], lid)
 
 
+def _freeze(task_log: TaskLog) -> None:
+    for array in (task_log.losses, *task_log.merged.values()):
+        array.flags.writeable = False
+
+
 def _train_solo(base, stream, task_id, config, seed) -> SoloRun:
     """Train one task alone on a clone of ``base``; the stored arrays are
     made read-only."""
     model = base.clone()
     task_log = train_task(model, stream, task_id, config, run_seed=seed)
     _merge_updates(model, task_log.merged, config, None)
-    for array in (task_log.losses, *task_log.merged.values()):
-        array.flags.writeable = False
+    _freeze(task_log)
     return SoloRun(task_log, evaluate(model, stream, task_id))
+
+
+def _helper_has_a_core() -> bool:
+    """Whether ``run_stream`` forks a helper for its solo runs: only where the
+    fork start method exists, the process may run on two or more CPUs, and it
+    is not itself a multiprocessing child. A ``loragate run --jobs`` worker is
+    such a child, so N >= 2 workers still use one core each."""
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+            and multiprocessing.parent_process() is None)
+
+
+def _helper_main(sender, base, stream, config, seed, task_ids, keep_runs) -> None:
+    """The forked helper: train each task of ``task_ids`` alone and send
+    (task id -> solo run, or its accuracy unless ``keep_runs``; the exception
+    that stopped it, or None; every warning issued, as (message, category,
+    filename, line))."""
+    runs: dict = {}
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # the caller's filters decide what shows
+        try:
+            for tid in task_ids:
+                run = _train_solo(base, stream, tid, config, seed)
+                runs[tid] = run if keep_runs else run.accuracy
+        except Exception as exc:  # noqa: BLE001 - re-raised in the caller
+            error = exc
+    sender.send((runs, error, [(w.message, w.category, w.filename, w.lineno)
+                               for w in caught]))
+
+
+def _reissue(caught) -> None:
+    """Issue the helper's warnings here as ``warnings.warn`` issued them
+    there: at their origin, under the caller's filters and the registry of
+    the module that raised them, so a warning shown once per process is shown
+    once whichever process raised it."""
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in caught:
+        module = modules.get(filename)
+        warnings.warn_explicit(
+            message, category, filename, lineno,
+            module=module.__name__ if module else None,
+            registry=vars(module).setdefault("__warningregistry__", {}) if module else None)
+
+
+@contextmanager
+def _solo_helper(base, stream, config, seed, task_ids,
+                 keep_runs) -> Iterator[Callable[[], dict]]:
+    """Fork a helper that trains the solo runs of ``task_ids`` (see
+    ``_helper_main``) and yield the call that waits for them.
+
+    The call re-issues the helper's warnings, then re-raises its exception or
+    returns its runs, with their arrays read-only again. A helper that dies
+    without sending raises ``StateError`` with its exit code. The helper is
+    terminated if still running and joined on every exit from the block."""
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    helper = ctx.Process(target=_helper_main, daemon=True,
+                         args=(sender, base, stream, config, seed, task_ids, keep_runs))
+    helper.start()
+    sender.close()  # the helper holds the only write end, so its death reads as EOF
+
+    def collect() -> dict:
+        try:
+            runs, error, caught = receiver.recv()
+        except (EOFError, OSError):  # OSError: EOF inside a message
+            helper.join()
+            raise StateError(f"solo-run helper exited with code {helper.exitcode} "
+                             "before sending its runs") from None
+        helper.join()
+        _reissue(caught)
+        if error is not None:
+            raise error
+        if keep_runs:
+            for run in runs.values():
+                _freeze(run.log)  # pickling drops the flag
+        return runs
+
+    try:
+        yield collect
+    finally:
+        receiver.close()
+        helper.terminate()  # a no-op once it has been joined
+        helper.join()
 
 
 @one_blas_thread()
@@ -285,7 +382,7 @@ def run_stream(
     ``isolated`` maps task id to that task's run alone under this config,
     stream and seed (see ``SoloRun``); the caller owns it and may pass the same
     dict to runs of other orders. A solo run missing from it is trained from
-    the base model when first needed and written to it at once.
+    the base model and written to it, read-only.
 
     Every stream position goes through one record step: merge the task log's
     final updates into the stream model and the past, keep the log, hash it.
@@ -293,15 +390,20 @@ def run_stream(
     accuracy; every later position records what ``train_task`` returns. By the
     invariants in the module docstring, the results are the same as when
     position 0 trains in the stream. Without a dict, no solo run outlives its
-    use. The solo training of ``order[0]`` and the stream trainings come before
-    the other solo trainings, and the returned arrays are the caller's to
-    modify.
+    use. The returned arrays are the caller's to modify.
+
+    The solo training of ``order[0]`` comes first, then the stream trainings.
+    The missing solo runs of ``order[1:]`` are trained meanwhile in a forked
+    helper process where ``_helper_has_a_core``, else after the stream. The
+    helper's warnings are re-issued here, its exception re-raised here, and it
+    never outlives the call: a helper that dies without sending its runs raises
+    ``StateError``, and an exception here terminates it.
 
     A stream that is not the config's (not ``config.n_tasks`` long) or an
     ``order`` that is not a permutation raises ``ConfigError`` before training.
 
-    The run uses one BLAS thread and restores the caller's count on return
-    (see ``blas``).
+    The run uses one BLAS thread, and so does its helper; the caller's count
+    is restored on return (see ``blas``).
     """
     if len(stream) != config.n_tasks:
         raise ConfigError(f"stream has {len(stream)} tasks, config n_tasks={config.n_tasks}")
@@ -315,10 +417,9 @@ def run_stream(
     base = build_model(config.vocab_size, config.d_model, config.n_heads,
                        config.n_blocks, config.seq_len, stream.num_classes,
                        seed=seed)
-
-    model = base.clone()
-    past = ({lid: np.zeros(base.layer_shape(lid), dtype=np.float32)
-             for lid in base.adapted_layers} if penalized else None)
+    aside = [tid for tid in order[1:] if isolated is None or tid not in isolated]
+    helper = (_solo_helper(base, stream, config, seed, aside, keep_runs=isolated is not None)
+              if aside and _helper_has_a_core() else nullcontext(dict))
     matrix = AccuracyMatrix(len(stream))
     logs: list[TaskLog] = []
 
@@ -337,19 +438,30 @@ def run_stream(
         for lid in sorted(task_log.merged):
             hasher.update(task_log.merged[lid].tobytes())
 
-    first = solo(order[0])
-    record(copy.deepcopy(first.log))  # writable arrays of the caller's own
-    matrix.set(1, 0, first.accuracy)
-    matrix.set_isolated(0, first.accuracy)
-    del first  # frees the run's updates unless ``isolated`` keeps it
+    with helper as collect:
+        model = base.clone()
+        past = ({lid: np.zeros(base.layer_shape(lid), dtype=np.float32)
+                 for lid in base.adapted_layers} if penalized else None)
+        first = solo(order[0])
+        record(copy.deepcopy(first.log))  # writable arrays of the caller's own
+        matrix.set(1, 0, first.accuracy)
+        matrix.set_isolated(0, first.accuracy)
+        del first  # frees the run's updates unless ``isolated`` keeps it
+        for pos in range(1, len(order)):
+            record(train_task(model, stream, order[pos], config,
+                              penalty_weight=penalty_weights[pos], past=past, run_seed=seed))
+            for j in range(pos + 1):
+                matrix.set(pos + 1, j, evaluate(model, stream, order[j]))
+        del model  # freed before the solo runs left, which need only ``base``
+        aside_runs = collect()  # task id -> solo run, or its accuracy without a dict
+    if isolated is not None:
+        isolated.update(aside_runs)
     for pos in range(1, len(order)):
-        record(train_task(model, stream, order[pos], config,
-                          penalty_weight=penalty_weights[pos], past=past, run_seed=seed))
-        for j in range(pos + 1):
-            matrix.set(pos + 1, j, evaluate(model, stream, order[j]))
-    del model  # freed before the solo runs left, which need only ``base``
-    for pos in range(1, len(order)):
-        matrix.set_isolated(pos, solo(order[pos]).accuracy)
+        tid = order[pos]
+        if isolated is None and tid in aside_runs:
+            matrix.set_isolated(pos, aside_runs[tid])
+        else:
+            matrix.set_isolated(pos, solo(tid).accuracy)
 
     hasher.update(matrix.grid.tobytes())
     return RunResult(matrix=matrix, logs=logs, trace_hash=hasher.hexdigest())

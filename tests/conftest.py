@@ -1,8 +1,11 @@
+import signal
 import types
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import loragate.harness as harness
 from loragate.autodiff import Tape, Tensor
 
 
@@ -67,3 +70,35 @@ def records_hold_no_tensor(monkeypatch):
         return record(tape, fn)
 
     monkeypatch.setattr(Tape, "record", checked)
+
+
+@pytest.fixture
+def serial_solo_runs(monkeypatch):
+    """Train every solo run in this process, after the stream: for tests that
+    watch calls or objects in-process (the helper's happen in a forked one)."""
+    monkeypatch.setattr(harness, "_helper_has_a_core", lambda: False)
+
+
+@pytest.fixture
+def helper_solo_runs(monkeypatch):
+    """Train the solo runs of ``order[1:]`` in a forked helper, whatever the
+    CPU count of the machine."""
+    monkeypatch.setattr(harness, "_helper_has_a_core", lambda: True)
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail the test from inside the body once it has run ``seconds``, so a
+    hang fails it instead of stalling the suite (main thread only). The
+    failure is no ``Exception``, so no handler in the code under test takes
+    it for an error of its own."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -35,18 +35,21 @@ def threads():
     setter(before)
 
 
-def test_one_thread_inside_run_stream(threads, monkeypatch):
+def test_one_thread_inside_run_stream(threads, monkeypatch, tmp_path):
+    # written to a file: the isolated run may train in a forked helper
     _, getter = threads
-    seen = []
+    log = tmp_path / "threads.log"
     for name in ("train_task", "evaluate"):
         original = getattr(harness, name)
 
         def observed(*args, _original=original, **kwargs):
-            seen.append(getter())
+            with log.open("a") as f:
+                f.write(f"{getter()}\n")
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(harness, name, observed)
     tiny_run()
+    seen = [int(line) for line in log.read_text().split()]
     # 2 stream trainings, 3 evaluations, 1 isolated training and its evaluation
     assert seen == [1] * 7
 

@@ -1,15 +1,19 @@
+import concurrent.futures
 import csv
 import fnmatch
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import types
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import time_limit
 
 import loragate.autodiff as autodiff
 import loragate.cli as cli
@@ -197,13 +201,13 @@ class TestRun:
 
     def test_pool_no_larger_than_the_grid(self, tmp_path, monkeypatch):
         sizes = []
-        pool = cli.multiprocessing.Pool
+        pool = concurrent.futures.ProcessPoolExecutor
 
-        def recording_pool(processes):
-            sizes.append(processes)
-            return pool(processes)
+        def recording_pool(max_workers, **kwargs):
+            sizes.append(max_workers)
+            return pool(max_workers, **kwargs)
 
-        monkeypatch.setattr(cli.multiprocessing, "Pool", recording_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
         two_runs = TINY.replace("seeds = 42", "seeds = 42,43")
         assert cmd_run(str(write_config(tmp_path, text=two_runs,
                                         out=tmp_path / "two")), jobs=8) == 0
@@ -235,6 +239,46 @@ class TestRun:
         assert "INCOMPLETE: some runs failed" in report
         assert "order 0 seed 43: StateError('injected failure')" in report
 
+    def test_dead_worker_fails_its_seed_in_bounded_time(self, tmp_path, monkeypatch):
+        # a worker that dies without raising fails every order of its seed,
+        # and the grid still ends; pool workers fork no solo-run helper
+        out = tmp_path / "artifacts"
+        log = tmp_path / "train_task.log"
+        train_task, run_stream = harness.train_task, cli.run_stream
+
+        def logging_train_task(*args, **kwargs):
+            with log.open("a") as f:
+                f.write(f"{os.getpid()} {os.getppid()}\n")
+            return train_task(*args, **kwargs)
+
+        def dying_seed_43(stream, config, seed, **kwargs):
+            if seed == 43:
+                # once seed 42 has written its last artifact, so that all its
+                # training is logged
+                deadline = time.monotonic() + 30
+                while (not (out / "isolation_o1_s42.csv").exists()
+                       and time.monotonic() < deadline):
+                    time.sleep(0.05)
+                os._exit(1)
+            return run_stream(stream, config, seed, **kwargs)
+
+        monkeypatch.setattr(harness, "train_task", logging_train_task)
+        monkeypatch.setattr(cli, "run_stream", dying_seed_43)
+        text = TINY.replace("seeds = 42", "seeds = 42,43\nn_orders = 2")
+        with time_limit(60):
+            assert cmd_run(str(write_config(tmp_path, text=text, out=out)), jobs=2) == 1
+        assert multiprocessing.active_children() == []
+        report = (out / "report.txt").read_text()
+        assert "INCOMPLETE: some runs failed" in report
+        for o in (0, 1):
+            assert f"order {o} seed 43: BrokenProcessPool" in report
+            assert (out / f"accuracy_o{o}_s42.csv").is_file()
+        # seed 42: each task once alone, then position 1 of each order, all in
+        # a worker of this process and none in a helper of a worker
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert len(calls) == 4
+        assert {ppid for _, ppid in calls} == {str(os.getpid())}
+
     def test_isolated_runs_trained_once_per_grid(self, tmp_path, monkeypatch):
         text = TINY.replace("seeds = 42", "seeds = 42\nn_orders = 2")
         artifacts = ["metrics.csv", "accuracy_o0_s42.csv", "accuracy_o1_s42.csv"]
@@ -248,16 +292,11 @@ class TestRun:
         cmd_run(str(write_config(tmp_path, text=text, out=ref)))
         monkeypatch.setattr(cli, "run_stream", run_stream)
 
-        calls = []
-        train_task = harness.train_task
-
-        def counting_train_task(*args, **kwargs):
-            calls.append(1)
-            return train_task(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "train_task", counting_train_task)
+        log = tmp_path / "train_task.log"  # a solo run may train in a forked helper
+        self.count_calls(monkeypatch, harness, "train_task", log)
         out = tmp_path / "shared"
         assert cmd_run(str(write_config(tmp_path, text=text, out=out)), jobs=1) == 0
+        calls = log.read_text().splitlines()
         n_orders, n_tasks = 2, 2
         # each task once alone; each order then trains every position but 0,
         # which replays its task's solo run
@@ -283,7 +322,7 @@ class TestRun:
     @staticmethod
     def count_calls(monkeypatch, owner, name, log: Path) -> None:
         """Append a line to ``log`` on each call of ``owner.name``, in this
-        process or in a pool worker forked from it."""
+        process or in a pool worker or solo-run helper forked from it."""
         original = getattr(owner, name)
 
         def counting(*args, **kwargs):

@@ -1,12 +1,18 @@
 import dataclasses
 import itertools
+import multiprocessing
+import os
+import time
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
+from conftest import time_limit
 
 import loragate.harness as harness
+from loragate import blas
 from loragate.adapter import GateScope, final_sparse_update
 from loragate.config import ExperimentConfig, Method
 from loragate.data import generate_task_stream
@@ -82,6 +88,22 @@ def assert_zero_weight_trains_twin(method, twin):
         np.testing.assert_array_equal(zero.merged[lid], dw)
     bitten = train_task(model, stream, 1, cfg, penalty_weight=1.0, past=past, run_seed=42)
     assert not np.array_equal(bitten.losses, plain.losses)
+
+
+def assert_same_log(got: TaskLog, want: TaskLog) -> None:
+    """Every field equal, arrays bit for bit and of the same dtype."""
+    for f in dataclasses.fields(TaskLog):
+        gv, wv = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(wv, np.ndarray):
+            assert gv.dtype == wv.dtype
+            np.testing.assert_array_equal(gv, wv)
+        elif f.name == "merged":
+            assert gv.keys() == wv.keys()
+            for lid, dw in wv.items():
+                assert gv[lid].dtype == dw.dtype
+                np.testing.assert_array_equal(gv[lid], dw)
+        else:
+            assert gv == wv, f.name
 
 
 def no_training(*args, **kwargs):
@@ -354,20 +376,29 @@ class TestRunStream:
         r2 = run_stream(stream_for(cfg), cfg, seed=43)
         assert r1.trace_hash != r2.trace_hash
 
-    def test_first_stream_task_trained_once_others_twice(self, monkeypatch):
+    def test_first_stream_task_trained_once_others_twice(self, monkeypatch, tmp_path):
         # stream position 0 doubles as its task's isolated run; every other task
-        # trains in the stream and alone; no other task's train data is read
+        # trains in the stream and alone; no other task's train data is read.
+        # Fetches go to a file: a solo run may train in a forked helper
         cfg = tiny_config()
         stream = stream_for(cfg)
-        accesses = record_fetches(monkeypatch, stream)
+        log, fetch = tmp_path / "fetches.log", stream.fetch
+
+        def logging_fetch(task_id, split):
+            with log.open("a") as f:
+                f.write(f"{task_id} {split}\n")
+            return fetch(task_id, split)
+
+        monkeypatch.setattr(stream, "fetch", logging_fetch)
         run_stream(stream, cfg, seed=42, order=[1, 0])
+        accesses = [(int(t), split) for t, split in map(str.split, log.read_text().splitlines())]
         train_counts = {}
         for tid, split in accesses:
             if split == "train":
                 train_counts[tid] = train_counts.get(tid, 0) + 1
         assert train_counts == {1: 1, 0: 2}
 
-    def test_shared_isolated_accuracies_are_exact(self, monkeypatch):
+    def test_shared_isolated_accuracies_are_exact(self, monkeypatch, serial_solo_runs):
         trained = []
         train = harness.train_task
 
@@ -391,7 +422,8 @@ class TestRunStream:
             np.testing.assert_array_equal(a.matrix.grid, b.matrix.grid)
             assert a.trace_hash == b.trace_hash
 
-    def test_unshared_solo_runs_are_freed_once_replayed(self, monkeypatch):
+    def test_unshared_solo_runs_are_freed_once_replayed(self, monkeypatch,
+                                                         serial_solo_runs):
         # without a caller's dict no solo run outlives its use: order[0]'s is
         # gone once position 0 has replayed it, every other one once trained
         runs, alive_at_training = [], []
@@ -445,18 +477,7 @@ class TestRunStream:
         for result, result_model in ((shared, shared_model), (fresh, fresh_stream_model)):
             assert len(result.logs) == len(logs) == 2
             for r, t in zip(result.logs, logs):
-                for f in dataclasses.fields(TaskLog):
-                    rv, tv = getattr(r, f.name), getattr(t, f.name)
-                    if isinstance(tv, np.ndarray):
-                        assert rv.dtype == tv.dtype
-                        np.testing.assert_array_equal(rv, tv)
-                    elif f.name == "merged":
-                        assert rv.keys() == tv.keys()
-                        for lid, dw in tv.items():
-                            assert rv[lid].dtype == dw.dtype
-                            np.testing.assert_array_equal(rv[lid], dw)
-                    else:
-                        assert rv == tv, f.name
+                assert_same_log(r, t)
             assert result_model.params.keys() == model.params.keys()
             for name, param in model.params.items():
                 np.testing.assert_array_equal(result_model.params[name].data,
@@ -508,6 +529,90 @@ class TestRunStream:
         for k in base.params:
             if k not in base.adapted_layers:
                 np.testing.assert_array_equal(model.params[k].data, base.params[k].data)
+
+
+class TestSoloHelper:
+    """The solo runs of ``order[1:]`` trained in a forked helper: it fails
+    loudly, sends its warnings, and never outlives ``run_stream``."""
+
+    def test_forked_only_with_a_free_core(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert not harness._helper_has_a_core()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert harness._helper_has_a_core() == (
+            "fork" in multiprocessing.get_all_start_methods())
+        # a --jobs worker already has a core of its own
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        assert not harness._helper_has_a_core()
+
+    def test_not_forked_when_every_solo_run_is_shared(self, monkeypatch,
+                                                      helper_solo_runs):
+        cfg = tiny_config()
+        stream = stream_for(cfg)
+        isolated = {}
+        run_stream(stream, cfg, seed=42, order=[0, 1], isolated=isolated)
+        monkeypatch.setattr(harness, "_solo_helper", no_training)
+        run_stream(stream, cfg, seed=42, order=[1, 0], isolated=isolated)
+        assert sorted(isolated) == [0, 1]
+
+    def test_exception_in_the_helper_is_raised_here(self, monkeypatch, helper_solo_runs):
+        caller, train = os.getpid(), harness.train_task
+
+        def poisoned_in_helper(model, *args, **kwargs):
+            if os.getpid() != caller:
+                model.params["head"].data[0, 0] = np.nan
+            return train(model, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_task", poisoned_in_helper)
+        cfg = tiny_config()
+        with time_limit(60), pytest.raises(
+                StateError, match=r"^task 1: non-finite loss nan at step 0$"):
+            run_stream(stream_for(cfg), cfg, seed=42)
+        assert multiprocessing.active_children() == []
+
+    def test_helper_that_dies_raises_with_its_exit_code(self, monkeypatch,
+                                                        helper_solo_runs):
+        caller, train_solo = os.getpid(), harness._train_solo
+
+        def dying_in_helper(*args):
+            if os.getpid() != caller:
+                os._exit(3)
+            return train_solo(*args)
+
+        monkeypatch.setattr(harness, "_train_solo", dying_in_helper)
+        cfg = tiny_config()
+        with time_limit(60), pytest.raises(StateError, match="exited with code 3"):
+            run_stream(stream_for(cfg), cfg, seed=42)
+        assert multiprocessing.active_children() == []
+
+    def test_exception_here_ends_the_helper(self, monkeypatch, helper_solo_runs):
+        caller = os.getpid()
+
+        def failing_here(*args, **kwargs):
+            if os.getpid() == caller:
+                raise StateError("injected failure")
+            time.sleep(600)  # outlasts the time limit unless terminated
+
+        monkeypatch.setattr(harness, "train_task", failing_here)
+        cfg = tiny_config()
+        with time_limit(60), pytest.raises(StateError, match="injected failure"):
+            run_stream(stream_for(cfg), cfg, seed=42)
+        assert multiprocessing.active_children() == []
+
+    def test_helper_warnings_reach_the_caller(self, monkeypatch):
+        # start_frac 1 puts every gated task's threshold init past its epoch:
+        # 3 trainings warn, and the helper makes one of them
+        cfg = tiny_config(start_frac=1.0, end_frac=1.0)
+        seen = {}
+        for helper in (False, True):
+            monkeypatch.setattr(harness, "_helper_has_a_core", lambda helper=helper: helper)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_stream(stream_for(cfg), cfg, seed=42)
+            seen[helper] = sorted((str(w.message), w.category.__name__, w.filename, w.lineno)
+                                  for w in caught)
+        assert seen[True] == seen[False]
+        assert sum("fell past the epoch" in w[0] for w in seen[True]) == 3
 
 
 class TestDegenerateModes:
@@ -605,3 +710,47 @@ def test_pinned_trace_hash(name):
     overrides, expected = PINNED_HASHES[name]
     cfg = ExperimentConfig(samples_per_class=64, **overrides)
     assert run_stream(stream_for(cfg), cfg, seed=42).trace_hash == expected
+
+
+@pytest.mark.parametrize("name", list(PINNED_HASHES))
+def test_helper_trains_as_the_serial_path(name, monkeypatch, tmp_path):
+    # the solo runs of order[1:] after the stream, then in a forked helper,
+    # with a dict and without: the same pinned hash, matrix, logs and solo runs
+    overrides, expected = PINNED_HASHES[name]
+    cfg = ExperimentConfig(samples_per_class=64, **overrides)
+    stream = stream_for(cfg)
+    found = blas.openblas_threads()
+    log, train = tmp_path / "train_task.log", harness.train_task
+
+    def logging_train_task(*args, **kwargs):
+        with log.open("a") as f:
+            f.write(f"{os.getpid()} {found[1]() if found else 1}\n")
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train_task", logging_train_task)
+    results, dicts = [], []
+    for helper, shared in ((False, True), (True, True), (True, False)):
+        monkeypatch.setattr(harness, "_helper_has_a_core", lambda helper=helper: helper)
+        dicts.append({} if shared else None)
+        results.append(run_stream(stream, cfg, seed=42, isolated=dicts[-1]))
+
+    serial = results[0]
+    for result in results:
+        assert result.trace_hash == expected
+        np.testing.assert_array_equal(result.matrix.grid, serial.matrix.grid)
+        assert len(result.logs) == len(serial.logs)
+        for got, want in zip(result.logs, serial.logs):
+            assert_same_log(got, want)
+    assert sorted(dicts[1]) == sorted(dicts[0]) == list(range(cfg.n_tasks))
+    for tid, want in dicts[0].items():
+        got = dicts[1][tid]
+        assert got.accuracy == want.accuracy
+        assert_same_log(got.log, want.log)
+        for array in (got.log.losses, *got.log.merged.values()):
+            assert not array.flags.writeable
+
+    calls = [line.split() for line in log.read_text().splitlines()]
+    # 3 stream positions and 4 solo runs a run; the helper trains 3 solo runs
+    assert len(calls) == 3 * 7
+    assert sum(pid != str(os.getpid()) for pid, _ in calls) == 2 * 3
+    assert {threads for _, threads in calls} == {"1"}

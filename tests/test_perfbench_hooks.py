@@ -47,7 +47,8 @@ def bindings(instrument) -> dict:
             for owner in owners for name, value in vars(owner).items()}
 
 
-def test_hooks_keep_trace_hash_and_uninstall_restores_bindings():
+def test_hooks_keep_trace_hash_and_uninstall_restores_bindings(serial_solo_runs):
+    # serial: the hooks see only this process, not a solo-run helper
     instrument = load_instrument()
     plain = tiny_run(order=[1, 0])
     # taken after a plain run, which may add a module's warning registry
@@ -91,7 +92,9 @@ output_dir = {out}
 """
 
 
-def test_tracer_follows_a_grid_that_shares_solo_runs_and_the_stream(tmp_path):
+def test_tracer_follows_a_grid_that_shares_solo_runs_and_the_stream(tmp_path,
+                                                                   serial_solo_runs):
+    # serial: the tracer sees only this process, not a solo-run helper
     instrument = load_instrument()
     before = bindings(instrument)
     config = tmp_path / "grid.cfg"
