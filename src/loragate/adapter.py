@@ -1,15 +1,15 @@
 """Low-rank adapter lifecycle: init, gated update construction, merge.
 
 An adapter is a pair of factors (down: [d_in, r], up: [r, d_out]) whose
-product is the weight update for one base matrix. A jump gate holds one
-learnable threshold for the layers of its scope and zeroes update entries
-whose magnitude falls below it. The interpolation factor ``gamma`` ramps the
-update from the dense product to the gated one over a window of steps.
+product is the weight update for one base matrix. A gated task has one jump
+gate over all of its adapters: one learnable threshold that zeroes every
+update entry whose magnitude falls below it. The interpolation factor
+``gamma`` ramps the update from the dense product to the gated one over a
+window of steps.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,11 +20,6 @@ from .autodiff import Tensor, add, jumprelu, matmul, scale
 from .errors import ConfigError, ShapeError, StateError
 
 THRESHOLD_FLOOR = 1e-8
-
-
-class GateScope(enum.Enum):
-    GLOBAL = "global"
-    PER_BLOCK = "per-block"
 
 
 @dataclass
@@ -39,16 +34,15 @@ class Adapter:
 
 @dataclass
 class JumpGate:
-    layers: list[str]  # the scope: layer ids whose updates this gate thresholds
     threshold: Tensor  # scalar, learnable
     bandwidth: float
     initialized: bool = False
 
 
-def make_gate(layers: list[str], bandwidth: float, dtype=np.float32) -> JumpGate:
+def make_gate(bandwidth: float, dtype=np.float32) -> JumpGate:
     """An uninitialised gate; ``bandwidth`` comes from a validated config."""
     threshold = Tensor(np.zeros((), dtype=dtype), requires_grad=True)
-    return JumpGate(layers=list(layers), threshold=threshold, bandwidth=bandwidth)
+    return JumpGate(threshold=threshold, bandwidth=bandwidth)
 
 
 def init_adapter(
@@ -151,9 +145,10 @@ def init_threshold(updates, budget: int) -> float:
 
 
 def init_gate(gate: JumpGate, adapters: dict[str, Adapter]) -> None:
-    """Set the gate's threshold from the current updates of its scope, with
-    the scope's summed factor budget, and mark the gate initialised."""
-    scope = [adapters[lid] for lid in gate.layers]
+    """Set the gate's threshold from the current updates of every adapter,
+    pooled in the dict's order, with their summed factor budget, and mark the
+    gate initialised."""
+    scope = list(adapters.values())
     threshold = init_threshold([a.down.data @ a.up.data for a in scope],
                                sum(a.budget() for a in scope))
     gate.threshold.data = np.asarray(threshold, dtype=gate.threshold.dtype)

@@ -9,7 +9,9 @@ once and hands out one seed at a time: a seed's orders share its solo runs, so
 each is trained once at any --jobs. With one worker, ``run_stream`` trains a
 seed's solo runs on a second core while it trains the stream; two or more
 workers each stay on one core (see ``harness._helper_has_a_core``). A worker
-that dies fails every order of its seed in ``report.txt``.
+that dies breaks its whole pool, so every seed the pool still held runs again,
+alone in a fresh one-worker pool; a seed whose worker dies there too fails
+every one of its orders in ``report.txt``.
 
 ``loragate run`` pins two glibc malloc thresholds for its process, which its
 pool workers inherit: arrays below 64 MiB come from the heap rather than from
@@ -108,7 +110,7 @@ def _run_single(payload) -> dict:
              for log in result.logs]
     for pos, task_masks in enumerate(masks):
         meta = {"task_position": pos, "task_id": order[pos],
-                "thresholds": result.logs[pos].thresholds}
+                "threshold": result.logs[pos].threshold}
         arrayio.save_arrays(mask_root / f"task{pos}", task_masks, meta)
     overlap = MaskOverlap(masks)
     _write_isolation_csv(out / f"isolation_o{order_index}_s{seed}.csv", overlap, order)
@@ -144,14 +146,36 @@ def _run_seed(unit) -> list:
             for o in range(len(orders))]
 
 
-def _seed_outcomes(future, seed: int, n_orders: int) -> list:
-    """What the future of ``_run_seed`` holds, or a failure of each order of
-    the seed if its worker raised or died (``BrokenProcessPool``)."""
-    try:
-        return future.result()
-    except Exception as exc:  # noqa: BLE001 - one lost seed must not lose the grid
-        traceback.print_exc()
-        return [(o, seed, repr(exc)) for o in range(n_orders)]
+def _run_pool(units, workers: int) -> list:
+    """``_run_seed`` of each unit in a pool of ``workers`` forked processes,
+    or for a seed whose worker raised or died, a failure of each of its orders.
+
+    A worker that dies breaks the pool, and the pool then fails every seed it
+    still held with ``BrokenProcessPool``, the dead worker's and the others'
+    alike. Each of those seeds runs again, one at a time, alone in a fresh
+    one-worker pool, so only a seed whose worker dies there too is lost."""
+    # imported here: the executor's modules add ~1.3 MiB of RSS to every
+    # process that imports this one, and only a pool needs them
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+        futures = [pool.submit(_run_seed, unit) for unit in units]
+    per_seed = []
+    for unit, future in zip(units, futures):
+        _, _, orders, seed, _ = unit
+        if isinstance(future.exception(), BrokenProcessPool):
+            print(f"seed {seed}: {future.exception()!r}; running it again alone",
+                  file=sys.stderr)
+            with ProcessPoolExecutor(1, mp_context=fork) as alone:
+                future = alone.submit(_run_seed, unit)
+        try:
+            per_seed.append(future.result())
+        except Exception as exc:  # noqa: BLE001 - one lost seed must not lose the grid
+            traceback.print_exc()
+            per_seed.append([(o, seed, repr(exc)) for o in range(len(orders))])
+    return per_seed
 
 
 def cmd_run(config_path: str, jobs: int = 1) -> int:
@@ -180,17 +204,8 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
 
     units = [(cfg, stream, orders, s, out) for s in cfg.seeds]
     workers = min(jobs, len(units))
-    if workers > 1:
-        # imported here: the executor's modules add ~1.3 MiB of RSS to every
-        # process that imports this one, and only a pool needs them
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers,
-                                 mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_run_seed, unit) for unit in units]
-            per_seed = [_seed_outcomes(f, s, len(orders)) for f, s in zip(futures, cfg.seeds)]
-    else:
-        per_seed = list(map(_run_seed, units))
+    per_seed = (_run_pool(units, workers) if workers > 1
+                else list(map(_run_seed, units)))
     outcomes = [r for runs in per_seed for r in runs]
     failures = sorted(r for r in outcomes if isinstance(r, tuple))
     summaries = sorted((r for r in outcomes if isinstance(r, dict)),

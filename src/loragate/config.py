@@ -11,7 +11,10 @@ A config is validated when made (parsed, built in code or through
 text is held to the method grid: a knob that only some methods read
 (``_METHOD_KNOBS``) is rejected when written under another method. An object
 cannot tell a written default from an unwritten one; ``format_config`` omits
-the knobs its method does not read.
+the knobs its method does not read. The gated methods read the gate's
+``bandwidth`` and the ramp's ``start_frac`` and ``end_frac``; the ELLA methods
+read ``ella_lambda``. A gated task has one gate over every adapted layer, so
+the gate's scope is no knob, and neither is the update the penalty reads.
 
 ``ella_lambda`` holds one penalty weight, or one per stream position (not per
 task id); position 0 has no past, so its weight is never read. An ELLA method
@@ -24,8 +27,6 @@ import enum
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .adapter import GateScope
-from .ella import EllaVariant
 from .errors import ConfigError
 
 
@@ -60,8 +61,6 @@ class ExperimentConfig:
     data_seed: int = 7
     # method
     method: Method = Method.JUMP_INCLORA
-    gate_scope: GateScope = GateScope.GLOBAL
-    ella_variant: EllaVariant = EllaVariant.SPARSE
     ella_lambda: list[float] = field(default_factory=lambda: [0.0])
     # adapters
     rank: int = 8
@@ -148,8 +147,6 @@ def load_config(path) -> ExperimentConfig:
 # are, and how the error for a knob set under another method names them
 _METHOD_KNOBS = {
     "ella_lambda": (lambda m: m.penalized, "ELLA methods"),
-    "ella_variant": (lambda m: m is Method.JUMP_ELLA, "method jump-ella"),
-    "gate_scope": (lambda m: m.gated, "gated methods"),
     "bandwidth": (lambda m: m.gated, "gated methods"),
     "start_frac": (lambda m: m.gated, "gated methods"),
     "end_frac": (lambda m: m.gated, "gated methods"),

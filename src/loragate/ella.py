@@ -8,26 +8,19 @@ in the past, so the penalty weight absorbs that factor squared.
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from .autodiff import Tensor, frobenius_sq, mul, scale
 from .errors import ShapeError, StateError
 
 
-class EllaVariant(enum.Enum):
-    SPARSE = "sparse"
-    INTERPOLATED = "interpolated"
-
-
 def ella_penalty(update: Tensor, past: np.ndarray, weight: float) -> Tensor:
     """weight * ||update (*) past||_F^2, differentiable through the update's
     graph, including the gate's straight-through rules.
 
-    The caller passes the update it penalises: the dense one before the gate
-    exists, then the sparse or the interpolated one, by variant. The weight
-    comes from a validated config, so it is nonnegative.
+    The caller passes the update it penalises: the dense one, or for a gated
+    method the sparse one once the gate exists. The weight comes from a
+    validated config, so it is nonnegative.
     """
     return scale(frobenius_sq(mul(update, Tensor(past))), weight)
 

@@ -1,11 +1,12 @@
 """Continual-learning driver: per-task adapter lifecycle over a task stream.
 
-``train_task`` is the whole per-task unit: it injects fresh adapters, trains
-one epoch with the gated update interpolation, and returns the task's log with
-its final update per layer, hard-thresholded for gated methods; the adapters
-die with it. ``run_stream`` merges that update into the model, adds it to the
-past that the overlap penalty reads, and hashes it. Isolated single-task runs
-fill the reference row of the accuracy matrix.
+``train_task`` is the whole per-task unit: it injects fresh adapters (and, for
+a gated method, one jump gate over all of them), trains one epoch with the
+gated update interpolation, and returns the task's log with its final update
+per layer, hard-thresholded for gated methods; the adapters die with it.
+``run_stream`` merges that update into the model, adds it to the past that the
+overlap penalty reads, and hashes it. Isolated single-task runs fill the
+reference row of the accuracy matrix.
 
 An isolated run depends only on (config, stream, seed, task id), so a caller
 that runs several orders of one stream can pass ``run_stream`` one dict of
@@ -47,7 +48,6 @@ import numpy as np
 
 from .adapter import (
     Adapter,
-    GateScope,
     JumpGate,
     THRESHOLD_FLOOR,
     dense_update,
@@ -65,7 +65,7 @@ from .autodiff import Tape, add, cross_entropy
 from .blas import one_blas_thread
 from .config import ExperimentConfig
 from .data import TaskStream
-from .ella import EllaVariant, ella_penalty, update_past
+from .ella import ella_penalty, update_past
 from .errors import ConfigError, StateError
 from .metrics import AccuracyMatrix
 from .model import TinyTransformer, build_model
@@ -82,7 +82,7 @@ class TaskLog:
     losses: np.ndarray
     gammas: list[float]
     threshold_init_step: Optional[int]
-    thresholds: dict[str, float]  # layer_id -> final threshold, gated methods only
+    threshold: Optional[float]  # the gate's final threshold, gated methods only
     merged: dict[str, np.ndarray]  # layer_id -> the final update merged into the model
 
 
@@ -108,9 +108,9 @@ def inject_adapters(
     config: ExperimentConfig,
     run_seed: int,
     task_id: int,
-) -> tuple[dict[str, Adapter], list[JumpGate]]:
-    """Fresh adapters for every adapted layer, plus one gate per scope (all
-    layers, or one block's) when the configured method is gated.
+) -> tuple[dict[str, Adapter], Optional[JumpGate]]:
+    """Fresh adapters for every adapted layer, in ``adapted_layers`` order,
+    plus one gate over all of them when the configured method is gated.
 
     Adapter seeds are derived from (run seed, task id, layer id), so the same
     task gets bit-identical initialization in stream and isolated runs.
@@ -122,13 +122,7 @@ def inject_adapters(
             d_in, d_out, config.rank,
             seed=named_seed(run_seed, f"adapter/task{task_id}/{lid}"),
         )
-    if not config.method.gated:
-        return adapters, []
-    per_block = config.gate_scope is GateScope.PER_BLOCK
-    scopes: dict[int, list[str]] = {}
-    for lid in model.adapted_layers:
-        scopes.setdefault(model.block_of(lid) if per_block else 0, []).append(lid)
-    return adapters, [make_gate(lids, config.bandwidth) for lids in scopes.values()]
+    return adapters, make_gate(config.bandwidth) if config.method.gated else None
 
 
 def train_task(
@@ -143,35 +137,31 @@ def train_task(
     """One epoch over the task's training split on fresh adapters, exactly the
     per-step recipe: threshold init at the ramp start, interpolation factor
     update, dense / gated / interpolated updates, forward, loss plus optional
-    overlap penalty, and an optimizer step over the factors and thresholds.
+    overlap penalty, and an optimizer step over the factors and the threshold.
 
-    From the step that initialises the thresholds on, the forward uses the
-    interpolated update and the penalty the sparse or the interpolated one (by
-    ``config.ella_variant``); before that step both use the dense update.
+    From the step that initialises the gate's threshold on, the forward uses
+    the interpolated update and the penalty the sparse one; before that step
+    both use the dense update.
 
     ``model`` is not changed. The log's ``merged`` holds each layer's final
     update: the hard-thresholded factor product for gated methods, the plain
-    product otherwise.
+    product otherwise; its ``threshold`` is the gate's final one, or None.
 
     A non-finite loss raises ``StateError`` naming the task and the step."""
     tokens, labels = stream.fetch(task_id, "train")
     n = len(labels)
     if n == 0:
         raise ConfigError(f"task {task_id} has no training data")
-    adapters, gates = inject_adapters(model, config, run_seed, task_id)
+    adapters, gate = inject_adapters(model, config, run_seed, task_id)
     batch = config.batch_size
     total_steps = math.ceil(n / batch)
     start, final = ramp(total_steps, config.start_frac, config.end_frac)
-    gate_of = {lid: gate for gate in gates for lid in gate.layers}
-    sparse_penalty = config.ella_variant is EllaVariant.SPARSE
     scaling = config.alpha / config.rank
 
-    params = []
-    for lid in model.adapted_layers:
-        params.extend((adapters[lid].down, adapters[lid].up))
-    thresholds = [gate.threshold for gate in gates]
-    opt = AdamW(params + thresholds, lr=config.learning_rate,
-                warmup_steps=config.warmup_steps)
+    params = [t for a in adapters.values() for t in (a.down, a.up)]
+    if gate is not None:
+        params.append(gate.threshold)
+    opt = AdamW(params, lr=config.learning_rate, warmup_steps=config.warmup_steps)
 
     # the past is fixed within a task, so the layers it penalises are too
     penalized = ([lid for lid in model.adapted_layers if past[lid].any()]
@@ -183,11 +173,10 @@ def train_task(
     init_step = None
 
     for s in range(total_steps):
-        if gates and s == start:
-            for gate in gates:
-                init_gate(gate, adapters)
+        if gate is not None and s == start:
+            init_gate(gate, adapters)
             init_step = s
-        g = gamma(s, start, final) if gates else 0.0
+        g = gamma(s, start, final) if gate is not None else 0.0
         gammas.append(g)
         idx = perm[s * batch:(s + 1) * batch]
         bt, bl = tokens[idx], labels[idx]
@@ -200,9 +189,8 @@ def train_task(
                 if init_step is None:
                     updates[lid] = penalty_updates[lid] = dw
                 else:
-                    dj = jump_update(dw, gate_of[lid])
+                    penalty_updates[lid] = dj = jump_update(dw, gate)
                     updates[lid] = interpolate_update(dw, dj, g)
-                    penalty_updates[lid] = dj if sparse_penalty else updates[lid]
             logits = model.forward(bt, updates, scaling)
             loss = cross_entropy(logits, bl)
             for lid in penalized:
@@ -213,23 +201,23 @@ def train_task(
             tape.backward(loss)
         opt.step()
         opt.zero_grad()
-        for th in thresholds:
+        if gate is not None:
+            th = gate.threshold
             th.data = np.maximum(th.data, np.asarray(THRESHOLD_FLOOR, th.dtype))
 
-    if gates and init_step is None:
-        # the ramp never reached its start inside this epoch
-        warnings.warn("threshold init fell past the epoch; initializing at the end")
-        for gate in gates:
+    if gate is None:
+        threshold = None
+        merged = {lid: a.down.data @ a.up.data for lid, a in adapters.items()}
+    else:
+        if init_step is None:
+            # the ramp never reached its start inside this epoch
+            warnings.warn("threshold init fell past the epoch; initializing at the end")
             init_gate(gate, adapters)
-        init_step = total_steps
-
-    final_thresholds = {lid: float(gate.threshold.data.reshape(()))
-                        for lid, gate in gate_of.items()}
-    merged = {lid: final_sparse_update(adapters[lid], gate_of[lid]) if gates
-              else adapters[lid].down.data @ adapters[lid].up.data
-              for lid in model.adapted_layers}
+            init_step = total_steps
+        threshold = float(gate.threshold.data.reshape(()))
+        merged = {lid: final_sparse_update(a, gate) for lid, a in adapters.items()}
     return TaskLog(losses=losses, gammas=gammas, threshold_init_step=init_step,
-                   thresholds=final_thresholds, merged=merged)
+                   threshold=threshold, merged=merged)
 
 
 def evaluate(model: TinyTransformer, stream: TaskStream, task_id: int) -> float:

@@ -29,7 +29,7 @@ UPDATES = arrays(np.float32, st.tuples(st.integers(1, 6), st.integers(1, 6)),
 
 
 def gate_with(tau, bandwidth=1e-3, dtype=np.float32):
-    g = make_gate(["l"], bandwidth, dtype=dtype)
+    g = make_gate(bandwidth, dtype=dtype)
     g.threshold.data = np.asarray(tau, dtype=dtype)
     g.initialized = True
     return g
@@ -179,7 +179,7 @@ class TestJumpUpdate:
             assert len(tape) == 1
 
     def test_uninitialized_gate_rejected(self):
-        gate = make_gate(["l"], 1e-3)
+        gate = make_gate(1e-3)
         with pytest.raises(StateError):
             jump_update(Tensor(np.ones((2, 2))), gate)
 
@@ -281,16 +281,16 @@ class TestInitGate:
         adapters = {lid: init_adapter(4, 6, 2, seed=i) for i, lid in enumerate("abc")}
         for ad in adapters.values():
             ad.up.data = rng.normal(size=(2, 6)).astype(np.float32)
-        gate = make_gate(["a", "c"], 1e-3)
+        gate = make_gate(1e-3)
         init_gate(gate, adapters)
-        scope = [adapters[lid].down.data @ adapters[lid].up.data for lid in "ac"]
+        scope = [ad.down.data @ ad.up.data for ad in adapters.values()]
         assert gate.initialized
         assert gate.threshold.dtype == np.float32
-        assert gate.threshold.data == np.float32(init_threshold(scope, 2 * (2 * (4 + 6))))
+        assert gate.threshold.data == np.float32(init_threshold(scope, 3 * (2 * (4 + 6))))
 
     def test_all_zero_scope_falls_back_to_floor(self):
         adapters = {"a": init_adapter(4, 6, 2, seed=0)}  # up starts at zero
-        gate = make_gate(["a"], 1e-3)
+        gate = make_gate(1e-3)
         init_gate(gate, adapters)
         assert gate.threshold.data == np.float32(THRESHOLD_FLOOR)
 

@@ -39,13 +39,13 @@ output_dir = {out}
 """
 
 
-# 3 tasks x 2 orders x 2 seeds under per-block gates, whose thresholds start
-# at the floor on most gates of the grid
-PER_BLOCK_GRID = TINY.replace("n_tasks = 2", "n_tasks = 3").replace(
-    "seeds = 42", "seeds = 42,43\nn_orders = 2\ngate_scope = per-block")
+# 3 tasks x 2 orders x 2 seeds of 4 steps a task: the ramp starts at step 0,
+# while every up factor is still zero, so every gate starts at the floor
+FLOOR_GRID = TINY.replace("n_tasks = 2", "n_tasks = 3").replace(
+    "seeds = 42", "seeds = 42,43\nn_orders = 2")
 # the same grid at rank 2 and a high learning rate: the gates keep a part of
 # each update
-PARTLY_KEPT_GRID = PER_BLOCK_GRID.replace(
+PARTLY_KEPT_GRID = FLOOR_GRID.replace(
     "method = jump-inclora", "method = jump-inclora\nrank = 2\nlearning_rate = 0.05"
 ).replace("samples_per_class = 32", "samples_per_class = 128")
 
@@ -99,6 +99,26 @@ class TestRun:
                 assert mask.dtype == np.uint8
                 np.testing.assert_array_equal(mask, (update != 0).astype(np.uint8))
 
+    @pytest.mark.parametrize("method", ["jump-inclora", "inclora"])
+    def test_manifest_holds_the_task_threshold(self, tmp_path, monkeypatch, method):
+        # each position's store records its log's gate threshold, null when dense
+        results, run_stream = [], cli.run_stream
+
+        def keeping_results(*args, **kwargs):
+            results.append(run_stream(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_stream", keeping_results)
+        text = TINY.replace("jump-inclora", method)
+        out = tmp_path / "artifacts"
+        assert cmd_run(str(write_config(tmp_path, text=text, out=out))) == 0
+        (result,) = results
+        stored = [json.loads((out / "masks" / "o0_s42" / f"task{pos}" / "manifest.json")
+                             .read_text())["meta"]["threshold"] for pos in range(2)]
+        assert stored == [log.threshold for log in result.logs]
+        gated = method == "jump-inclora"
+        assert [isinstance(t, float) for t in stored] == [gated, gated]
+
     def test_accuracy_csv_schema(self, tmp_path):
         out = tmp_path / "artifacts"
         cmd_run(str(write_config(tmp_path, out=out)))
@@ -129,7 +149,7 @@ class TestRun:
 
     def test_smaller_rerun_leaves_nothing_stale(self, tmp_path, monkeypatch):
         # TINY is 2 tasks x 1 order x 1 seed
-        for name, texts in (("fresh", [TINY]), ("rerun", [PER_BLOCK_GRID, TINY])):
+        for name, texts in (("fresh", [TINY]), ("rerun", [FLOOR_GRID, TINY])):
             (tmp_path / name).mkdir()
             monkeypatch.chdir(tmp_path / name)
             for text in texts:
@@ -142,7 +162,7 @@ class TestRun:
 
     def test_every_artifact_is_cleared_before_a_run(self, tmp_path):
         out = tmp_path / "artifacts"
-        assert cmd_run(str(write_config(tmp_path, text=PER_BLOCK_GRID, out=out))) == 0
+        assert cmd_run(str(write_config(tmp_path, text=FLOOR_GRID, out=out))) == 0
         written = [p.relative_to(out) for p in out.rglob("*") if p.is_file()]
         assert len(written) > 5
         for path in written:
@@ -150,7 +170,7 @@ class TestRun:
                 fnmatch.fnmatchcase(path.parts[0], pattern) for pattern in cli.ARTIFACTS), path
 
     def test_floor_warning_printed_once(self, tmp_path):
-        cfg = write_config(tmp_path, text=PER_BLOCK_GRID, out=tmp_path / "artifacts")
+        cfg = write_config(tmp_path, text=FLOOR_GRID, out=tmp_path / "artifacts")
         floor = "all update entries are zero at threshold init"
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
@@ -239,9 +259,26 @@ class TestRun:
         assert "INCOMPLETE: some runs failed" in report
         assert "order 0 seed 43: StateError('injected failure')" in report
 
+    @staticmethod
+    def mark_received(monkeypatch, marks: Path) -> None:
+        """Have every pool touch ``marks/seed<N>`` once this process holds
+        the outcomes of seed N's worker."""
+        pool = concurrent.futures.ProcessPoolExecutor
+
+        class MarkingPool(pool):
+            def submit(self, fn, unit):
+                future = super().submit(fn, unit)
+                future.add_done_callback(
+                    lambda f: f.exception() or (marks / f"seed{unit[3]}").touch())
+                return future
+
+        marks.mkdir()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", MarkingPool)
+
     def test_dead_worker_fails_its_seed_in_bounded_time(self, tmp_path, monkeypatch):
-        # a worker that dies without raising fails every order of its seed,
-        # and the grid still ends; pool workers fork no solo-run helper
+        # a worker that dies without raising, in the pool and again alone,
+        # fails every order of its seed, and the grid still ends; pool workers
+        # fork no solo-run helper
         out = tmp_path / "artifacts"
         log = tmp_path / "train_task.log"
         train_task, run_stream = harness.train_task, cli.run_stream
@@ -253,15 +290,16 @@ class TestRun:
 
         def dying_seed_43(stream, config, seed, **kwargs):
             if seed == 43:
-                # once seed 42 has written its last artifact, so that all its
-                # training is logged
+                # once this process holds seed 42's outcomes, so that seed 42
+                # is not run again and all its training is logged
                 deadline = time.monotonic() + 30
-                while (not (out / "isolation_o1_s42.csv").exists()
+                while (not (tmp_path / "received" / "seed42").exists()
                        and time.monotonic() < deadline):
                     time.sleep(0.05)
                 os._exit(1)
             return run_stream(stream, config, seed, **kwargs)
 
+        self.mark_received(monkeypatch, tmp_path / "received")
         monkeypatch.setattr(harness, "train_task", logging_train_task)
         monkeypatch.setattr(cli, "run_stream", dying_seed_43)
         text = TINY.replace("seeds = 42", "seeds = 42,43\nn_orders = 2")
@@ -278,6 +316,35 @@ class TestRun:
         calls = [line.split() for line in log.read_text().splitlines()]
         assert len(calls) == 4
         assert {ppid for _, ppid in calls} == {str(os.getpid())}
+
+    def test_dead_worker_loses_no_other_seed(self, tmp_path, monkeypatch):
+        # seed 43's worker dies at once, which breaks the pool while seed 42
+        # still runs; seed 42 runs again alone, and seed 43 dies again alone
+        out = tmp_path / "artifacts"
+        run_stream = cli.run_stream
+
+        def dying_seed_43(stream, config, seed, **kwargs):
+            if seed == 43:
+                os._exit(1)
+            return run_stream(stream, config, seed, **kwargs)
+
+        monkeypatch.setattr(cli, "run_stream", dying_seed_43)
+        text = TINY.replace("seeds = 42", "seeds = 42,43\nn_orders = 2")
+        with time_limit(60):
+            assert cmd_run(str(write_config(tmp_path, text=text, out=out)), jobs=2) == 1
+        assert multiprocessing.active_children() == []
+        for o in (0, 1):
+            assert (out / f"accuracy_o{o}_s42.csv").is_file()
+            assert (out / f"isolation_o{o}_s42.csv").is_file()
+            assert sorted(p.name for p in (out / "masks" / f"o{o}_s42").iterdir()) == [
+                "task0", "task1"]
+        report = (out / "report.txt").read_text().splitlines()
+        assert [line.split(":")[0] for line in report if line.startswith("order ")] == [
+            "order 0 seed 42", "order 1 seed 42"]
+        failed = report[report.index("INCOMPLETE: some runs failed") + 1:]
+        assert [line.split(":")[0] for line in failed] == [
+            "  order 0 seed 43", "  order 1 seed 43"]
+        assert all("BrokenProcessPool" in line for line in failed)
 
     def test_isolated_runs_trained_once_per_grid(self, tmp_path, monkeypatch):
         text = TINY.replace("seeds = 42", "seeds = 42\nn_orders = 2")
@@ -442,7 +509,7 @@ class TestIsolationTable:
         return out
 
     def test_schema(self, tmp_path):
-        out = self.run_once(tmp_path, text=PER_BLOCK_GRID)
+        out = self.run_once(tmp_path, text=FLOOR_GRID)
         for o in range(2):
             for seed in (42, 43):
                 csv_path = out / f"isolation_o{o}_s{seed}.csv"

@@ -3,7 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from loragate.adapter import GateScope
 from loragate.config import (
     _METHOD_KNOBS,
     ExperimentConfig,
@@ -13,7 +12,6 @@ from loragate.config import (
     load_config,
     parse_config_text,
 )
-from loragate.ella import EllaVariant
 from loragate.errors import ConfigError
 
 
@@ -36,18 +34,22 @@ class TestDefaults:
         assert cfg.penalty_weights() == [0.0, 1.0, 2.0]
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
 class TestParsing:
     def test_round_trip(self):
-        cfg = ExperimentConfig(method=Method.JUMP_ELLA,
-                               ella_lambda=[0.0, 30000.0],
-                               ella_variant=EllaVariant.INTERPOLATED,
-                               gate_scope=GateScope.PER_BLOCK,
-                               n_tasks=2, seeds=[1, 2, 3],
-                               learning_rate=0.0005)
-        text = format_config(cfg)
-        back = parse_config_text(text)
-        assert back == cfg
-        assert format_config(back) == text
+        built = ExperimentConfig(method=Method.JUMP_ELLA,
+                                 ella_lambda=[0.0, 30000.0],
+                                 n_tasks=2, seeds=[1, 2, 3],
+                                 learning_rate=0.0005)
+        checked_in = [load_config(path) for path in sorted(CONFIGS.glob("*.txt"))]
+        assert checked_in
+        for cfg in [built, *checked_in]:
+            text = format_config(cfg)
+            back = parse_config_text(text)
+            assert back == cfg
+            assert format_config(back) == text
 
     @pytest.mark.parametrize("method", list(Method))
     def test_round_trip_per_method(self, method):
@@ -56,7 +58,7 @@ class TestParsing:
         assert parse_config_text(format_config(cfg)) == cfg
 
     def test_separable_config_changes_two_fields(self):
-        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "separable.txt")
+        cfg = load_config(CONFIGS / "separable.txt")
         changed = {f.name for f in fields(cfg)
                    if getattr(cfg, f.name) != getattr(ExperimentConfig(), f.name)}
         assert changed == {"samples_per_class", "learning_rate"}
@@ -66,9 +68,9 @@ class TestParsing:
         cfg = parse_config_text("# a comment\n\nrank = 4\n")
         assert cfg.rank == 4
 
-    # a typo, and three keys that older versions wrote into config.txt
+    # a typo, and keys that older versions wrote into config.txt
     @pytest.mark.parametrize("key", ["learning_rte", "ella_scale_past", "weight_decay",
-                                     "max_seq_len"])
+                                     "max_seq_len", "gate_scope", "ella_variant"])
     def test_unknown_key_is_hard_error(self, key):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text(f"{key} = 0.001\n")
@@ -100,14 +102,6 @@ class TestParsing:
 
 
 class TestValidation:
-    def test_variant_requires_jump_ella(self):
-        with pytest.raises(ConfigError, match="ella_variant"):
-            parse_config_text("method = inclora\nella_variant = sparse\n")
-
-    def test_scope_requires_gated_method(self):
-        with pytest.raises(ConfigError, match="gate_scope"):
-            parse_config_text("method = ella\ngate_scope = global\nella_lambda = 1\n")
-
     def test_nonzero_lambda_requires_ella(self):
         with pytest.raises(ConfigError, match="ella_lambda only applies to ELLA methods"):
             parse_config_text("method = jump-inclora\nella_lambda = 100\n")
@@ -186,9 +180,3 @@ class TestValidation:
         cfg = ExperimentConfig()
         with pytest.raises(FrozenInstanceError):
             cfg.rank = 4
-
-    def test_variant_on_jump_ella_accepted(self):
-        cfg = parse_config_text(
-            "method = jump-ella\nella_variant = interpolated\nella_lambda = 1000\n"
-        )
-        assert cfg.ella_variant is EllaVariant.INTERPOLATED

@@ -13,10 +13,9 @@ from conftest import time_limit
 
 import loragate.harness as harness
 from loragate import blas
-from loragate.adapter import GateScope, final_sparse_update
+from loragate.adapter import final_sparse_update
 from loragate.config import ExperimentConfig, Method
 from loragate.data import generate_task_stream
-from loragate.ella import EllaVariant
 from loragate.errors import ConfigError, StateError
 from loragate.harness import TaskLog, evaluate, resolve_orders, run_stream, train_task
 from loragate.metrics import backward_transfer
@@ -203,12 +202,10 @@ class TestTrainTask:
                 tracemalloc.stop()
         assert peak < 7.5 * 2**20
 
-    @pytest.mark.parametrize("variant", list(EllaVariant))
     @pytest.mark.parametrize("start_frac", [0.2, 1.0])
-    def test_penalty_receives_the_update_its_variant_names(self, monkeypatch,
-                                                           variant, start_frac):
-        # the dense update before the thresholds exist, then the sparse or the
-        # interpolated one; with start_frac = 1 they exist only after the epoch
+    def test_penalty_receives_the_sparse_update_once_gated(self, monkeypatch, start_frac):
+        # the dense update before the threshold exists, then the sparse one;
+        # with start_frac = 1 it exists only after the epoch
         made = {"dense": [], "jump": [], "interp": []}
         penalised = []
 
@@ -228,7 +225,7 @@ class TestTrainTask:
             return penalty(update, past, weight)
 
         monkeypatch.setattr(harness, "ella_penalty", recording_penalty)
-        cfg = tiny_config(method=Method.JUMP_ELLA, ella_lambda=[50.0], ella_variant=variant,
+        cfg = tiny_config(method=Method.JUMP_ELLA, ella_lambda=[50.0],
                           samples_per_class=48, batch_size=8, start_frac=start_frac,
                           end_frac=max(start_frac, 0.8))
         stream = stream_for(cfg)
@@ -245,8 +242,7 @@ class TestTrainTask:
         before_init = layers * log.threshold_init_step
         assert len(penalised) == len(made["dense"]) == layers * len(log.losses)
         assert len(made["jump"]) == len(made["interp"]) == len(penalised) - before_init
-        gated = made["jump"] if variant is EllaVariant.SPARSE else made["interp"]
-        expected = made["dense"][:before_init] + gated
+        expected = made["dense"][:before_init] + made["jump"]
         assert all(got is want for got, want in zip(penalised, expected, strict=True))
 
 
@@ -334,7 +330,7 @@ class TestRunStream:
         monkeypatch.setattr(harness, "inject_adapters", keeping)
         model = fresh_model(cfg, stream, 42)
         log = train_task(model, stream, 0, cfg, run_seed=42)
-        ((adapters, (gate,)),) = injected  # the default scope is global
+        ((adapters, gate),) = injected
         for lid in model.adapted_layers:
             dwf = final_sparse_update(adapters[lid], gate)
             np.testing.assert_array_equal(log.merged[lid], dwf)
@@ -448,8 +444,7 @@ class TestRunStream:
         assert not np.isnan(result.matrix.grid[0]).any()
 
     def test_replayed_first_position_equals_trained(self, monkeypatch):
-        cfg = tiny_config(method=Method.JUMP_ELLA, ella_lambda=[800.0],
-                          gate_scope=GateScope.PER_BLOCK)
+        cfg = tiny_config(method=Method.JUMP_ELLA, ella_lambda=[800.0])
         stream = stream_for(cfg)
         order = [1, 0]
         isolated = {}
@@ -487,8 +482,7 @@ class TestRunStream:
         np.testing.assert_array_equal(shared.matrix.grid, fresh.matrix.grid)
         assert shared.trace_hash == fresh.trace_hash
         # position 1 trained against the past that position 0 fed
-        unpenalized = tiny_config(method=Method.JUMP_INCLORA,
-                                  gate_scope=GateScope.PER_BLOCK)
+        unpenalized = tiny_config(method=Method.JUMP_INCLORA)
         plain = run_stream(stream, unpenalized, seed=42, order=order)
         assert not np.array_equal(plain.logs[1].losses, shared.logs[1].losses)
 
@@ -698,10 +692,9 @@ PINNED_HASHES = {
              "9ca15a8692f07a7ee5e5286f3892044a2b10d88736a75b7a167b13412b989d43"),
     "jump-ella": (dict(method=Method.JUMP_ELLA, ella_lambda=[1.0]),
                   "3bd74ed8d50a498969eff29f6ef51dd7b6f640ef98061330c21cf3076b70f174"),
-    "jump-ella-interpolated-per-block": (
-        dict(method=Method.JUMP_ELLA, ella_lambda=[16.0],
-             ella_variant=EllaVariant.INTERPOLATED, gate_scope=GateScope.PER_BLOCK),
-        "e472a749d88f9b80dae10b67024e9449b82c7634e33e77d09de0183fc6b1e05d"),
+    "jump-ella-lambda16": (
+        dict(method=Method.JUMP_ELLA, ella_lambda=[16.0]),
+        "783ee69f3b06d91de3f3b700d18f7f1cd60e4101bdc5028a0cb75d65562ed1b5"),
 }
 
 

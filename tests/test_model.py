@@ -6,7 +6,7 @@ import pytest
 
 from loragate import autodiff, harness
 from loragate.adapter import (
-    GateScope,
+    JumpGate,
     dense_update,
     init_adapter,
     interpolate_update,
@@ -148,20 +148,18 @@ class TestTrainingInvariants:
         for k in model.params:
             np.testing.assert_array_equal(model.params[k].data, before[k])
 
-    def test_gate_scope_counts(self):
+    def test_one_gate_per_gated_task(self):
         cfg, stream = self.stream_and_config()
         model = build_model(cfg.vocab_size, cfg.d_model, cfg.n_heads, cfg.n_blocks,
                             cfg.seq_len, stream.num_classes, seed=42)
-        _, gates = inject_adapters(model, cfg, 42, 0)
-        assert [g.layers for g in gates] == [model.adapted_layers]
-
-        cfg = dataclasses.replace(cfg, gate_scope=GateScope.PER_BLOCK)
-        _, gates = inject_adapters(model, cfg, 42, 0)
-        assert [g.layers for g in gates] == [["blk0.q", "blk0.v"], ["blk1.q", "blk1.v"]]
-        assert len({id(g.threshold) for g in gates}) == cfg.n_blocks
+        adapters, gate = inject_adapters(model, cfg, 42, 0)
+        assert list(adapters) == model.adapted_layers
+        assert isinstance(gate, JumpGate) and not gate.initialized
+        assert gate.threshold.requires_grad and gate.bandwidth == cfg.bandwidth
 
         cfg = dataclasses.replace(cfg, method=Method.INCLORA)
-        assert inject_adapters(model, cfg, 42, 0)[1] == []
+        adapters, gate = inject_adapters(model, cfg, 42, 0)
+        assert list(adapters) == model.adapted_layers and gate is None
 
 
 def chain_forward(model, tokens, updates, scaling):
@@ -288,7 +286,7 @@ class TestGradientLifetime:
         d = SMALL["d_model"]
         tokens = rng.integers(0, SMALL["vocab_size"], size=(6, 8))
         labels = rng.integers(0, SMALL["num_classes"], size=6)
-        gate = make_gate(model.adapted_layers, 0.05)
+        gate = make_gate(0.05)
         gate.threshold.data = np.asarray(0.1, np.float32)
         gate.initialized = True
         adapters = {lid: init_adapter(d, d, 4, seed=i)
