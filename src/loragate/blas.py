@@ -8,7 +8,11 @@ and two ``--jobs`` workers, each with a spinning helper, run slower together
 than one worker alone. With one BLAS thread per run, processes are the only
 parallelism. A run forks its solo-run helper from inside ``one_blas_thread``,
 so the helper inherits the single thread, and a run with its helper uses two
-cores. ``--jobs`` workers fork no helper: N >= 2 workers use N cores.
+cores. ``loragate run`` splits a seed of several orders with a helper forked
+before any run; the solo runs that each process trains before the orders run
+outside ``run_stream``, so ``harness.train_solo_runs`` enters
+``one_blas_thread`` itself, and the seed uses two cores throughout.
+``--jobs`` workers fork no helper: N >= 2 workers use N cores.
 
 The thread count is set through the OpenBLAS library numpy has already loaded,
 found by path in ``/proc/self/maps`` on first use, never at import. The setting

@@ -6,12 +6,16 @@ those masks; ``metrics.csv`` and ``report.txt`` then summarise the grid. It
 first deletes every artifact of the names in ``ARTIFACTS``, so a smaller rerun
 into the same directory leaves nothing stale. It generates the task stream
 once and hands out one seed at a time: a seed's orders share its solo runs, so
-each is trained once at any --jobs. With one worker, ``run_stream`` trains a
-seed's solo runs on a second core while it trains the stream; two or more
-workers each stay on one core (see ``harness._helper_has_a_core``). A worker
-that dies breaks its whole pool, so every seed the pool still held runs again,
-alone in a fresh one-worker pool; a seed whose worker dies there too fails
-every one of its orders in ``report.txt``.
+each is trained once at any --jobs. With one worker, a seed uses a second core
+where ``harness.second_core_free``: a seed of several orders is split with one
+helper process, forked before any training, that trains half its solo runs,
+swaps them for the other half, then runs half its orders (see ``_run_seed``);
+a seed of one order has ``run_stream`` train its solo runs beside the stream.
+Two or more workers each stay on one core. A worker that dies breaks its whole
+pool, so every seed the pool still held runs again, alone in a fresh
+one-worker pool; a seed whose worker dies there too fails every one of its
+orders in ``report.txt``, as does a seed whose helper dies before its solo
+runs are swapped; a helper that dies later fails only its own orders.
 
 ``loragate run`` pins two glibc malloc thresholds for its process, which its
 pool workers inherit: arrays below 64 MiB come from the heap rather than from
@@ -38,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import arrayio
+from . import arrayio, harness
 from .config import format_config, load_config
 from .data import generate_task_stream
 from .errors import ConfigError
@@ -137,13 +141,50 @@ def _run_grid_point(payload):
         return (payload[1], payload[2], repr(exc))
 
 
-def _run_seed(unit) -> list:
-    """Every order of one seed, in order, through ``_run_grid_point``; the
-    orders share the seed's solo runs, so each task is trained alone once."""
+def _seed_helper(send, recv, unit, task_ids, order_indices) -> None:
+    """The helper of a split seed (see ``_run_seed``): train the solo runs of
+    ``task_ids`` and send them, add the caller's, then send the outcome of
+    each order of ``order_indices``, by order index."""
     cfg, stream, orders, seed, out = unit
-    isolated: dict[int, SoloRun] = {}
-    return [_run_grid_point(((cfg, stream, orders, isolated), o, seed, out))
-            for o in range(len(orders))]
+    isolated = harness.train_solo_runs(stream, cfg, seed, task_ids)
+    send(isolated)
+    isolated.update(recv())
+    send({o: _run_grid_point(((cfg, stream, orders, isolated), o, seed, out))
+          for o in order_indices})
+
+
+def _run_seed(unit) -> list:
+    """Every order of one seed, in order, through ``_run_grid_point``; never
+    raises. The orders share the seed's solo runs, so each task is trained
+    alone once.
+
+    Where the seed has two or more orders and ``harness.second_core_free``,
+    one helper is forked before any training (see ``harness.forked``). It
+    trains every other solo run while this process trains the rest, each
+    process from its own base model; the two swap their runs, and the helper
+    then runs every other order while this process runs the rest. Each run is
+    the computation a serial seed makes, so every artifact is the same. An
+    exception here, a dead helper included, fails every order whose outcome
+    this process does not yet hold as (order, seed, repr(exc))."""
+    cfg, stream, orders, seed, out = unit
+    if len(orders) < 2 or not harness.second_core_free():
+        isolated: dict[int, SoloRun] = {}
+        return [_run_grid_point(((cfg, stream, orders, isolated), o, seed, out))
+                for o in range(len(orders))]
+    tasks, indices = range(cfg.n_tasks), range(len(orders))
+    outcomes: dict = {}
+    try:
+        with harness.forked(_seed_helper, unit, tasks[1::2], indices[1::2]) as helper:
+            mine = harness.train_solo_runs(stream, cfg, seed, tasks[::2])
+            isolated = {**mine, **helper.recv()}
+            helper.send(mine)
+            for o in indices[::2]:
+                outcomes[o] = _run_grid_point(((cfg, stream, orders, isolated), o, seed, out))
+            outcomes.update(helper.recv())
+    except Exception as exc:  # noqa: BLE001 - one lost seed must not lose the grid
+        traceback.print_exc()
+        outcomes = {o: outcomes.get(o, (o, seed, repr(exc))) for o in indices}
+    return [outcomes[o] for o in indices]
 
 
 def _run_pool(units, workers: int) -> list:
@@ -259,9 +300,11 @@ def main(argv=None) -> int:
                        help="parallel worker processes, each running one seed "
                             "(all its orders) at a time, at most one per seed, "
                             "on one BLAS thread; a single worker uses a second "
-                            "core for its seed's solo runs, and two or more "
-                            "workers stay one core each; a failed run or a "
-                            "dead worker is reported in report.txt")
+                            "core, which trains half of a seed's solo runs and "
+                            "then runs half its orders, or for a seed of one "
+                            "order its solo runs beside the stream; two or more "
+                            "workers stay one core each; a failed run or a dead "
+                            "worker or helper is reported in report.txt")
 
     sub.add_parser("gradcheck", help="finite-difference and kernel gradient checks")
 

@@ -26,9 +26,14 @@ into a clone of the base model and adds them to the past, which leaves the
 model, the past and the trace as training there would have.
 
 The other solo runs need only the base model, so where a second core is free
-``run_stream`` trains them in a forked helper process while it trains the
-stream (see ``_helper_has_a_core``). Each run is the same computation in either
-process, so the results, ``trace_hash`` included, are those of a serial run.
+(``second_core_free``) ``run_stream`` trains them in a helper process, forked
+by ``forked``, while it trains the stream. ``loragate run`` splits a seed of
+several orders over the same primitive: its helper trains half the solo runs
+through ``train_solo_runs`` while the caller trains the other half, the two
+swap them, and each then runs half the orders. That solo phase runs outside
+``run_stream``, so ``train_solo_runs`` holds OpenBLAS to one thread itself.
+Each run is the same computation in either process, so the results,
+``trace_hash`` included, are those of a serial run.
 """
 
 from __future__ import annotations
@@ -94,6 +99,11 @@ class SoloRun:
 
     log: TaskLog
     accuracy: float
+
+    def __setstate__(self, state) -> None:
+        # pickling drops the flag, so a run sent from a helper is frozen again
+        self.__dict__.update(state)
+        _freeze(self.log)
 
 
 @dataclass
@@ -263,6 +273,11 @@ def _freeze(task_log: TaskLog) -> None:
         array.flags.writeable = False
 
 
+def _base_model(stream: TaskStream, config: ExperimentConfig, seed: int) -> TinyTransformer:
+    return build_model(config.vocab_size, config.d_model, config.n_heads,
+                       config.n_blocks, config.seq_len, stream.num_classes, seed=seed)
+
+
 def _train_solo(base, stream, task_id, config, seed) -> SoloRun:
     """Train one task alone on a clone of ``base``; the stored arrays are
     made read-only."""
@@ -273,33 +288,24 @@ def _train_solo(base, stream, task_id, config, seed) -> SoloRun:
     return SoloRun(task_log, evaluate(model, stream, task_id))
 
 
-def _helper_has_a_core() -> bool:
-    """Whether ``run_stream`` forks a helper for its solo runs: only where the
-    fork start method exists, the process may run on two or more CPUs, and it
-    is not itself a multiprocessing child. A ``loragate run --jobs`` worker is
-    such a child, so N >= 2 workers still use one core each."""
+@one_blas_thread()
+def train_solo_runs(stream: TaskStream, config: ExperimentConfig, seed: int,
+                    task_ids) -> dict[int, SoloRun]:
+    """The solo runs of ``task_ids`` under this config, stream and seed, as
+    ``run_stream`` trains them (see ``SoloRun``), on one BLAS thread."""
+    base = _base_model(stream, config, seed)
+    return {tid: _train_solo(base, stream, tid, config, seed) for tid in task_ids}
+
+
+def second_core_free() -> bool:
+    """Whether a run forks a helper to train beside it: only where the fork
+    start method exists, the process may run on two or more CPUs, and it is
+    not itself a multiprocessing child. A ``loragate run --jobs`` worker is
+    such a child, so N >= 2 workers still use one core each; so is a helper,
+    which forks none of its own."""
     return ("fork" in multiprocessing.get_all_start_methods()
             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
             and multiprocessing.parent_process() is None)
-
-
-def _helper_main(sender, base, stream, config, seed, task_ids, keep_runs) -> None:
-    """The forked helper: train each task of ``task_ids`` alone and send
-    (task id -> solo run, or its accuracy unless ``keep_runs``; the exception
-    that stopped it, or None; every warning issued, as (message, category,
-    filename, line))."""
-    runs: dict = {}
-    error = None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")  # the caller's filters decide what shows
-        try:
-            for tid in task_ids:
-                run = _train_solo(base, stream, tid, config, seed)
-                runs[tid] = run if keep_runs else run.accuracy
-        except Exception as exc:  # noqa: BLE001 - re-raised in the caller
-            error = exc
-    sender.send((runs, error, [(w.message, w.category, w.filename, w.lineno)
-                               for w in caught]))
 
 
 def _reissue(caught) -> None:
@@ -316,45 +322,85 @@ def _reissue(caught) -> None:
             registry=vars(module).setdefault("__warningregistry__", {}) if module else None)
 
 
-@contextmanager
-def _solo_helper(base, stream, config, seed, task_ids,
-                 keep_runs) -> Iterator[Callable[[], dict]]:
-    """Fork a helper that trains the solo runs of ``task_ids`` (see
-    ``_helper_main``) and yield the call that waits for them.
+class Helper:
+    """The caller's end of a helper process forked by ``forked``."""
 
-    The call re-issues the helper's warnings, then re-raises its exception or
-    returns its runs, with their arrays read-only again. A helper that dies
-    without sending raises ``StateError`` with its exit code. The helper is
-    terminated if still running and joined on every exit from the block."""
-    ctx = multiprocessing.get_context("fork")
-    receiver, sender = ctx.Pipe(duplex=False)
-    helper = ctx.Process(target=_helper_main, daemon=True,
-                         args=(sender, base, stream, config, seed, task_ids, keep_runs))
-    helper.start()
-    sender.close()  # the helper holds the only write end, so its death reads as EOF
+    def __init__(self, process, conn):
+        self._process, self._conn = process, conn
 
-    def collect() -> dict:
+    def send(self, value) -> None:
+        """Pass ``value`` to the helper's next ``recv``."""
+        self._conn.send(value)
+
+    def recv(self):
+        """The helper's next value. The warnings it issued since its last one
+        are re-issued here first; then its exception is re-raised here, or the
+        value returned. A helper that exits without sending raises
+        ``StateError`` with its exit code."""
         try:
-            runs, error, caught = receiver.recv()
+            value, error, caught = self._conn.recv()
         except (EOFError, OSError):  # OSError: EOF inside a message
-            helper.join()
-            raise StateError(f"solo-run helper exited with code {helper.exitcode} "
-                             "before sending its runs") from None
-        helper.join()
+            self._process.join()
+            raise StateError(f"helper process exited with code {self._process.exitcode} "
+                             "before sending its results") from None
         _reissue(caught)
         if error is not None:
             raise error
-        if keep_runs:
-            for run in runs.values():
-                _freeze(run.log)  # pickling drops the flag
-        return runs
+        return value
 
+
+def _helper_main(conn, callers_end, target, args) -> None:
+    """The forked helper: run ``target(send, recv, *args)``. ``send(value)``
+    passes a value to the caller with every warning issued since the last
+    one, as (message, category, filename, line); ``recv()`` takes the
+    caller's next value. An exception that escapes ``target`` is sent in
+    place of a value."""
+    callers_end.close()  # a caller that dies then reads as EOF here
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # the caller's filters decide what shows
+
+        def send(value, error=None) -> None:
+            conn.send((value, error, [(w.message, w.category, w.filename, w.lineno)
+                                      for w in caught]))
+            caught.clear()
+
+        try:
+            target(send, conn.recv, *args)
+        except Exception as exc:  # noqa: BLE001 - re-raised in the caller
+            send(None, exc)
+
+
+@contextmanager
+def forked(target: Callable, *args) -> Iterator[Helper]:
+    """Fork a helper process that runs ``target(send, recv, *args)`` (see
+    ``_helper_main``) and yield the caller's end of it (see ``Helper``).
+
+    ``target`` and ``args`` reach the helper by fork; only the values sent
+    either way are pickled. Each end of the one pipe between the two is held
+    by one process, so a helper that dies reads as EOF here. The helper is
+    terminated if still running and joined on every exit from the block."""
+    ctx = multiprocessing.get_context("fork")
+    here, there = ctx.Pipe()
+    process = ctx.Process(target=_helper_main, args=(there, here, target, args),
+                          daemon=True)
+    process.start()
+    there.close()
     try:
-        yield collect
+        yield Helper(process, here)
     finally:
-        receiver.close()
-        helper.terminate()  # a no-op once it has been joined
-        helper.join()
+        here.close()
+        process.terminate()  # a no-op once it has exited
+        process.join()
+
+
+def _train_aside(send, recv, base, stream, config, seed, task_ids, keep_runs) -> None:
+    """``run_stream``'s helper: train each task of ``task_ids`` alone and send
+    task id -> solo run, or its accuracy unless ``keep_runs``."""
+    runs: dict = {}
+    for tid in task_ids:
+        run = _train_solo(base, stream, tid, config, seed)
+        runs[tid] = run if keep_runs else run.accuracy
+    send(runs)
 
 
 @one_blas_thread()
@@ -381,11 +427,11 @@ def run_stream(
     use. The returned arrays are the caller's to modify.
 
     The solo training of ``order[0]`` comes first, then the stream trainings.
-    The missing solo runs of ``order[1:]`` are trained meanwhile in a forked
-    helper process where ``_helper_has_a_core``, else after the stream. The
-    helper's warnings are re-issued here, its exception re-raised here, and it
-    never outlives the call: a helper that dies without sending its runs raises
-    ``StateError``, and an exception here terminates it.
+    The missing solo runs of ``order[1:]`` are trained meanwhile in a helper
+    process (see ``forked``) where ``second_core_free``, else after the
+    stream. The helper's warnings are re-issued here, its exception re-raised
+    here, and it never outlives the call: a helper that dies without sending
+    its runs raises ``StateError``, and an exception here terminates it.
 
     A stream that is not the config's (not ``config.n_tasks`` long) or an
     ``order`` that is not a permutation raises ``ConfigError`` before training.
@@ -402,12 +448,10 @@ def run_stream(
         raise ConfigError(f"order {order} is not a permutation of the {len(stream)} task ids")
     hasher = hashlib.sha256()
 
-    base = build_model(config.vocab_size, config.d_model, config.n_heads,
-                       config.n_blocks, config.seq_len, stream.num_classes,
-                       seed=seed)
+    base = _base_model(stream, config, seed)
     aside = [tid for tid in order[1:] if isolated is None or tid not in isolated]
-    helper = (_solo_helper(base, stream, config, seed, aside, keep_runs=isolated is not None)
-              if aside and _helper_has_a_core() else nullcontext(dict))
+    helper = (forked(_train_aside, base, stream, config, seed, aside, isolated is not None)
+              if aside and second_core_free() else nullcontext())
     matrix = AccuracyMatrix(len(stream))
     logs: list[TaskLog] = []
 
@@ -426,7 +470,7 @@ def run_stream(
         for lid in sorted(task_log.merged):
             hasher.update(task_log.merged[lid].tobytes())
 
-    with helper as collect:
+    with helper as aside_helper:
         model = base.clone()
         past = ({lid: np.zeros(base.layer_shape(lid), dtype=np.float32)
                  for lid in base.adapted_layers} if penalized else None)
@@ -441,7 +485,8 @@ def run_stream(
             for j in range(pos + 1):
                 matrix.set(pos + 1, j, evaluate(model, stream, order[j]))
         del model  # freed before the solo runs left, which need only ``base``
-        aside_runs = collect()  # task id -> solo run, or its accuracy without a dict
+        # task id -> solo run, or its accuracy without a dict
+        aside_runs = aside_helper.recv() if aside_helper else {}
     if isolated is not None:
         isolated.update(aside_runs)
     for pos in range(1, len(order)):

@@ -74,16 +74,19 @@ def records_hold_no_tensor(monkeypatch):
 
 @pytest.fixture
 def serial_solo_runs(monkeypatch):
-    """Train every solo run in this process, after the stream: for tests that
-    watch calls or objects in-process (the helper's happen in a forked one)."""
-    monkeypatch.setattr(harness, "_helper_has_a_core", lambda: False)
+    """Fork no helper: ``run_stream`` trains every solo run in this process,
+    after the stream, and ``loragate run`` runs a seed's orders here, one
+    after another. For tests that watch calls or objects in-process (a
+    helper's happen in a forked one)."""
+    monkeypatch.setattr(harness, "second_core_free", lambda: False)
 
 
 @pytest.fixture
 def helper_solo_runs(monkeypatch):
-    """Train the solo runs of ``order[1:]`` in a forked helper, whatever the
-    CPU count of the machine."""
-    monkeypatch.setattr(harness, "_helper_has_a_core", lambda: True)
+    """Fork a helper whatever the CPU count of the machine: ``run_stream``
+    trains the solo runs of ``order[1:]`` in one, and ``loragate run`` splits
+    a seed of several orders with one."""
+    monkeypatch.setattr(harness, "second_core_free", lambda: True)
 
 
 @contextmanager

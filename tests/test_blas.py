@@ -1,11 +1,12 @@
 """A run holds OpenBLAS to one thread and gives the caller's count back."""
 
 import inspect
+import os
 
 import pytest
 
 import loragate.harness as harness
-from loragate import blas
+from loragate import blas, cli
 from loragate.config import ExperimentConfig, Method
 from loragate.data import generate_task_stream
 from loragate.errors import StateError
@@ -52,6 +53,48 @@ def test_one_thread_inside_run_stream(threads, monkeypatch, tmp_path):
     seen = [int(line) for line in log.read_text().split()]
     # 2 stream trainings, 3 evaluations, 1 isolated training and its evaluation
     assert seen == [1] * 7
+
+
+GRID = """\
+vocab_size = 24
+d_model = 16
+n_heads = 2
+n_blocks = 2
+n_tasks = 3
+classes_per_task = 2
+samples_per_class = 32
+seq_len = 8
+batch_size = 16
+method = jump-inclora
+n_orders = 2
+seeds = 42
+output_dir = {out}
+"""
+
+
+def test_one_thread_in_every_training_of_a_grid(threads, monkeypatch, tmp_path,
+                                                helper_solo_runs):
+    # a split seed trains its solo runs outside run_stream, in this process
+    # and in its helper; written to a file, which both append to
+    _, getter = threads
+    log = tmp_path / "threads.log"
+    train_task = harness.train_task
+
+    def observed(*args, **kwargs):
+        with log.open("a") as f:
+            f.write(f"{os.getpid()} {getter()}\n")
+        return train_task(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train_task", observed)
+    config = tmp_path / "grid.cfg"
+    config.write_text(GRID.format(out=tmp_path / "out"))
+    assert cli.cmd_run(str(config)) == 0
+    calls = [line.split() for line in log.read_text().splitlines()]
+    # 3 tasks alone, then positions 1 and 2 of each of the 2 orders
+    assert len(calls) == 3 + 2 * 2
+    assert len({pid for pid, _ in calls}) == 2
+    assert {threads for _, threads in calls} == {"1"}
+    assert getter() == 2
 
 
 def test_caller_count_restored_after_return(threads):

@@ -235,29 +235,46 @@ class TestRun:
         assert sizes == [2]  # one run needs no pool
 
     def test_failed_run_reported_alike_at_any_job_count(self, tmp_path, monkeypatch):
-        run_stream = cli.run_stream
+        run_stream, train_solo = cli.run_stream, harness._train_solo
 
         def fail_seed_43(stream, config, seed, **kwargs):
             if seed == 43:
                 raise StateError("injected failure")
             return run_stream(stream, config, seed, **kwargs)
 
-        # pool workers fork from this process, so they see the patch too
-        monkeypatch.setattr(cli, "run_stream", fail_seed_43)
-        text = TINY.replace("seeds = 42", "seeds = 42,43")
-        outs = []
-        for jobs in (1, 2):
-            out = tmp_path / f"jobs{jobs}"
-            cfg = tmp_path / f"jobs{jobs}.cfg"
-            cfg.write_text(text.format(out=out))
-            assert cmd_run(str(cfg), jobs=jobs) == 1
-            outs.append(out)
-        for name in ("report.txt", "metrics.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        report = (outs[0] / "report.txt").read_text()
-        assert "order 0 seed 42: OA=" in report
-        assert "INCOMPLETE: some runs failed" in report
-        assert "order 0 seed 43: StateError('injected failure')" in report
+        def fail_solo_43(base, stream, task_id, config, seed):
+            if seed == 43:
+                raise StateError("injected failure")
+            return train_solo(base, stream, task_id, config, seed)
+
+        # a 2-CPU host's answer whatever this host's count: at --jobs 1 the
+        # 2-order grid splits each seed with a helper, at --jobs 2 it does not
+        monkeypatch.setattr(harness, "second_core_free",
+                            lambda: multiprocessing.parent_process() is None)
+        # pool workers and helpers fork from this process, so they see the
+        # patches too
+        cases = ((cli, "run_stream", fail_seed_43, 1),
+                 (harness, "_train_solo", fail_solo_43, 2))
+        for owner, name, failing, n_orders in cases:
+            text = TINY.replace("seeds = 42", f"seeds = 42,43\nn_orders = {n_orders}")
+            outs = []
+            with monkeypatch.context() as patched:
+                patched.setattr(owner, name, failing)
+                for jobs in (1, 2):
+                    out = tmp_path / f"{name}{jobs}"
+                    cfg = tmp_path / f"{name}{jobs}.cfg"
+                    cfg.write_text(text.format(out=out))
+                    assert cmd_run(str(cfg), jobs=jobs) == 1
+                    outs.append(out)
+            for file in ("report.txt", "metrics.csv"):
+                assert (outs[0] / file).read_bytes() == (outs[1] / file).read_bytes()
+            report = (outs[0] / "report.txt").read_text()
+            failed = report.splitlines()[report.splitlines().index(
+                "INCOMPLETE: some runs failed") + 1:]
+            for o in range(n_orders):
+                assert f"order {o} seed 42: OA=" in report
+            assert failed == [f"  order {o} seed 43: StateError('injected failure')"
+                              for o in range(n_orders)]
 
     @staticmethod
     def mark_received(monkeypatch, marks: Path) -> None:
@@ -372,13 +389,13 @@ class TestRun:
             assert (out / name).read_bytes() == (ref / name).read_bytes()
 
     @staticmethod
-    def grid_outputs(tmp_path, monkeypatch, name, jobs) -> dict:
-        """Every artifact of a 2-seed x 2-order run of TINY, by relative path;
-        only the working directory differs by ``name``, so config.txt compares
-        too."""
+    def grid_outputs(tmp_path, monkeypatch, name, jobs, text=None) -> dict:
+        """Every artifact of a run of ``text``, by default a 2-seed x 2-order
+        run of TINY, by relative path; only the working directory differs by
+        ``name``, so config.txt compares too."""
         (tmp_path / name).mkdir()
         monkeypatch.chdir(tmp_path / name)
-        text = TINY.replace("seeds = 42", "seeds = 42,43\nn_orders = 2")
+        text = text or TINY.replace("seeds = 42", "seeds = 42,43\nn_orders = 2")
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(text.format(out="grid"))
         assert cmd_run(str(cfg), jobs=jobs) == 0
@@ -432,6 +449,117 @@ class TestRun:
         assert [len(c) for c in calls] == [8, 8]
         assert str(os.getpid()) not in calls[1]  # the pool workers trained
         assert outputs[0] == outputs[1]
+
+
+
+class TestSplitSeed:
+    """A seed of several orders at --jobs 1 split with one forked helper."""
+
+    @pytest.mark.parametrize("grid", ["partly-kept", "floor"])
+    def test_writes_and_warns_what_a_serial_seed_does(self, tmp_path, monkeypatch, grid):
+        # every gate of the floor grid warns as it starts at the floor
+        text = {"partly-kept": PARTLY_KEPT_GRID, "floor": FLOOR_GRID}[grid].replace(
+            "n_orders = 2", "n_orders = 3")
+        outputs, warned = {}, {}
+        for split in (False, True):
+            monkeypatch.setattr(harness, "second_core_free", lambda split=split: split)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                outputs[split] = TestRun.grid_outputs(tmp_path, monkeypatch, f"split{split}",
+                                                      jobs=1, text=text)
+            warned[split] = sorted((str(w.message), w.category.__name__, w.filename, w.lineno)
+                                   for w in caught)
+        assert warned[True] == warned[False]
+        assert (len(warned[False]) > 0) == (grid == "floor")
+        names = sorted(outputs[False])
+        assert sorted(outputs[True]) == names
+        assert {"report.txt", "metrics.csv", "accuracy_o2_s43.csv",
+                "isolation_o2_s43.csv", "masks/o2_s43/task2/manifest.json"} <= set(names)
+        assert sum(name.endswith(".npy") for name in names) == 3 * 2 * 3 * 4
+        for name in names:
+            assert outputs[True][name] == outputs[False][name], name
+
+    def test_each_solo_run_trained_once_after_one_fork(self, tmp_path, monkeypatch,
+                                                       helper_solo_runs):
+        # one log for both processes: the fork, each solo run, each training
+        log = tmp_path / "events.log"
+        forked, train_solo, train_task = harness.forked, harness._train_solo, harness.train_task
+
+        def write(line):
+            with log.open("a") as f:
+                f.write(f"{line}\n")
+
+        def logging_forked(*args):
+            write("fork")
+            return forked(*args)
+
+        def logging_train_solo(base, stream, task_id, config, seed):
+            write(f"solo {seed} {task_id} {os.getpid()}")
+            return train_solo(base, stream, task_id, config, seed)
+
+        def logging_train_task(*args, **kwargs):
+            write("train")
+            return train_task(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "forked", logging_forked)
+        monkeypatch.setattr(harness, "_train_solo", logging_train_solo)
+        monkeypatch.setattr(harness, "train_task", logging_train_task)
+        text = FLOOR_GRID.replace("n_orders = 2", "n_orders = 3")
+        assert cmd_run(str(write_config(tmp_path, text=text, out=tmp_path / "out"))) == 0
+        events = log.read_text().splitlines()
+        # per seed: one fork, then 3 tasks alone and positions 1 and 2 of 3
+        # orders, each solo run logged just before its training
+        per_seed = 1 + 2 * 3 + 3 * 2
+        assert len(events) == 2 * per_seed
+        for seed, block in ((42, events[:per_seed]), (43, events[per_seed:])):
+            assert block[0] == "fork" and "fork" not in block[1:]
+            assert block[1] != "train"
+            solo = [line.split()[1:] for line in block if line.startswith("solo")]
+            assert sorted(tid for s, tid, _ in solo) == ["0", "1", "2"]
+            assert {s for s, _, _ in solo} == {str(seed)}
+            assert len({pid for _, _, pid in solo}) == 2  # half in each process
+
+    @pytest.mark.parametrize("phase", ["solo", "orders"])
+    def test_dead_helper_loses_only_its_own_orders(self, tmp_path, monkeypatch,
+                                                   helper_solo_runs, phase):
+        # seed 43's helper dies while it trains its solo runs, which loses
+        # every order of the seed, or while it runs its one order of three
+        caller, train_solo, run_single = os.getpid(), harness._train_solo, cli._run_single
+
+        def dying_in_solo_phase(base, stream, task_id, config, seed):
+            if seed == 43 and os.getpid() != caller:
+                os._exit(1)
+            return train_solo(base, stream, task_id, config, seed)
+
+        def dying_in_order_phase(payload):
+            if payload[2] == 43 and os.getpid() != caller:
+                os._exit(1)
+            return run_single(payload)
+
+        if phase == "solo":
+            monkeypatch.setattr(harness, "_train_solo", dying_in_solo_phase)
+            lost = [0, 1, 2]
+        else:
+            monkeypatch.setattr(cli, "_run_single", dying_in_order_phase)
+            lost = [1]
+        out = tmp_path / "artifacts"
+        text = FLOOR_GRID.replace("n_orders = 2", "n_orders = 3")
+        with time_limit(60):
+            assert cmd_run(str(write_config(tmp_path, text=text, out=out))) == 1
+        assert multiprocessing.active_children() == []
+        kept = [(o, 42) for o in range(3)] + [(o, 43) for o in range(3) if o not in lost]
+        report = (out / "report.txt").read_text().splitlines()
+        assert [line.split(":")[0] for line in report if line.startswith("order ")] == [
+            f"order {o} seed {s}" for o, s in sorted(kept)]
+        failed = report[report.index("INCOMPLETE: some runs failed") + 1:]
+        assert [line.split(":")[0] for line in failed] == [
+            f"  order {o} seed 43" for o in lost]
+        assert all("exited with code 1" in line for line in failed)
+        for o, s in kept:
+            assert (out / f"accuracy_o{o}_s{s}.csv").is_file()
+            assert (out / f"isolation_o{o}_s{s}.csv").is_file()
+            assert sorted(p.name for p in (out / "masks" / f"o{o}_s{s}").iterdir()) == [
+                "task0", "task1", "task2"]
 
 
 class TestMallocThresholds:

@@ -527,17 +527,18 @@ class TestRunStream:
 
 class TestSoloHelper:
     """The solo runs of ``order[1:]`` trained in a forked helper: it fails
-    loudly, sends its warnings, and never outlives ``run_stream``."""
+    loudly, sends its warnings, and never outlives ``run_stream``; and the
+    fork primitive under it."""
 
     def test_forked_only_with_a_free_core(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert not harness._helper_has_a_core()
+        assert not harness.second_core_free()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert harness._helper_has_a_core() == (
+        assert harness.second_core_free() == (
             "fork" in multiprocessing.get_all_start_methods())
         # a --jobs worker already has a core of its own
         monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
-        assert not harness._helper_has_a_core()
+        assert not harness.second_core_free()
 
     def test_not_forked_when_every_solo_run_is_shared(self, monkeypatch,
                                                       helper_solo_runs):
@@ -545,7 +546,7 @@ class TestSoloHelper:
         stream = stream_for(cfg)
         isolated = {}
         run_stream(stream, cfg, seed=42, order=[0, 1], isolated=isolated)
-        monkeypatch.setattr(harness, "_solo_helper", no_training)
+        monkeypatch.setattr(harness, "forked", no_training)
         run_stream(stream, cfg, seed=42, order=[1, 0], isolated=isolated)
         assert sorted(isolated) == [0, 1]
 
@@ -593,13 +594,33 @@ class TestSoloHelper:
             run_stream(stream_for(cfg), cfg, seed=42)
         assert multiprocessing.active_children() == []
 
+    def test_forked_helper_exchanges_values_and_warnings(self):
+        # each value arrives after the warnings issued before it was sent
+        def add_one(send, recv, first):
+            warnings.warn("before the first value")
+            send(first)
+            value = recv()
+            warnings.warn("before the second value")
+            send(value + 1)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with time_limit(60), harness.forked(add_one, 41) as helper:
+                assert helper.recv() == 41
+                assert [str(w.message) for w in caught] == ["before the first value"]
+                helper.send(1)
+                assert helper.recv() == 2
+        assert [str(w.message) for w in caught] == ["before the first value",
+                                                    "before the second value"]
+        assert multiprocessing.active_children() == []
+
     def test_helper_warnings_reach_the_caller(self, monkeypatch):
         # start_frac 1 puts every gated task's threshold init past its epoch:
         # 3 trainings warn, and the helper makes one of them
         cfg = tiny_config(start_frac=1.0, end_frac=1.0)
         seen = {}
         for helper in (False, True):
-            monkeypatch.setattr(harness, "_helper_has_a_core", lambda helper=helper: helper)
+            monkeypatch.setattr(harness, "second_core_free", lambda helper=helper: helper)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 run_stream(stream_for(cfg), cfg, seed=42)
@@ -723,7 +744,7 @@ def test_helper_trains_as_the_serial_path(name, monkeypatch, tmp_path):
     monkeypatch.setattr(harness, "train_task", logging_train_task)
     results, dicts = [], []
     for helper, shared in ((False, True), (True, True), (True, False)):
-        monkeypatch.setattr(harness, "_helper_has_a_core", lambda helper=helper: helper)
+        monkeypatch.setattr(harness, "second_core_free", lambda helper=helper: helper)
         dicts.append({} if shared else None)
         results.append(run_stream(stream, cfg, seed=42, isolated=dicts[-1]))
 
