@@ -4,5 +4,5 @@ import sys
 
 from .cli import main
 
-if __name__ == "__main__":  # not when a spawned pool worker imports it
+if __name__ == "__main__":  # not when another module imports it
     sys.exit(main())

@@ -2,17 +2,12 @@
 
 A training step multiplies 512x64 by 64x64 matrices, which is past the size
 at which OpenBLAS splits a product across its threads.
-Between the many small products of a step the helper threads busy-wait: on
+Between the many small products of a step its extra threads busy-wait: on
 two cores a run then takes twice the CPU time for about the same wall time,
-and two ``--jobs`` workers, each with a spinning helper, run slower together
+and two ``--jobs`` workers, each with a spinning thread, run slower together
 than one worker alone. With one BLAS thread per run, processes are the only
-parallelism. A run forks its solo-run helper from inside ``one_blas_thread``,
-so the helper inherits the single thread, and a run with its helper uses two
-cores. ``loragate run`` splits a seed of several orders with a helper forked
-before any run; the solo runs that each process trains before the orders run
-outside ``run_stream``, so ``harness.train_solo_runs`` enters
-``one_blas_thread`` itself, and the seed uses two cores throughout.
-``--jobs`` workers fork no helper: N >= 2 workers use N cores.
+parallelism (see ``harness``): ``run_stream`` and ``harness.train_solo_runs``
+each enter ``one_blas_thread``, in whichever process they run.
 
 The thread count is set through the OpenBLAS library numpy has already loaded,
 found by path in ``/proc/self/maps`` on first use, never at import. The setting

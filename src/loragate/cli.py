@@ -6,19 +6,14 @@ those masks; ``metrics.csv`` and ``report.txt`` then summarise the grid. It
 first deletes every artifact of the names in ``ARTIFACTS``, so a smaller rerun
 into the same directory leaves nothing stale. It generates the task stream
 once and hands out one seed at a time: a seed's orders share its solo runs, so
-each is trained once at any --jobs. With one worker, a seed uses a second core
-where ``harness.second_core_free``: a seed of several orders is split with one
-helper process, forked before any training, that trains half its solo runs,
-swaps them for the other half, then runs half its orders (see ``_run_seed``);
-a seed of one order has ``run_stream`` train its solo runs beside the stream.
-Two or more workers each stay on one core. A worker that dies breaks its whole
-pool, so every seed the pool still held runs again, alone in a fresh
-one-worker pool; a seed whose worker dies there too fails every one of its
-orders in ``report.txt``, as does a seed whose helper dies before its solo
-runs are swapped; a helper that dies later fails only its own orders.
+each is trained once at any --jobs. ``--jobs N`` >= 2 runs each seed in a
+helper process of its own (``_run_pool``); one worker splits a seed of several
+orders with one helper (``_run_seed``). ``harness``'s docstring sets out the
+process model. A run that raises, or a helper that dies, fails only the
+orders whose outcome it held, in ``report.txt``.
 
 ``loragate run`` pins two glibc malloc thresholds for its process, which its
-pool workers inherit: arrays below 64 MiB come from the heap rather than from
+helpers inherit: arrays below 64 MiB come from the heap rather than from
 fresh mappings, and the heap top is returned to the system only once 256 MiB
 of it are free. A training step allocates and frees arrays of a few hundred
 KiB each, so without the pin their pages are faulted in anew on many steps.
@@ -34,10 +29,10 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import multiprocessing
 import shutil
 import sys
 import traceback
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -187,35 +182,27 @@ def _run_seed(unit) -> list:
     return [outcomes[o] for o in indices]
 
 
+def _seed_worker(send, recv, unit) -> None:
+    """A ``--jobs`` worker: send the outcomes of one seed."""
+    send(_run_seed(unit))
+
+
 def _run_pool(units, workers: int) -> list:
-    """``_run_seed`` of each unit in a pool of ``workers`` forked processes,
-    or for a seed whose worker raised or died, a failure of each of its orders.
-
-    A worker that dies breaks the pool, and the pool then fails every seed it
-    still held with ``BrokenProcessPool``, the dead worker's and the others'
-    alike. Each of those seeds runs again, one at a time, alone in a fresh
-    one-worker pool, so only a seed whose worker dies there too is lost."""
-    # imported here: the executor's modules add ~1.3 MiB of RSS to every
-    # process that imports this one, and only a pool needs them
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-        futures = [pool.submit(_run_seed, unit) for unit in units]
+    """``_run_seed`` of each unit, each in a ``_seed_worker`` helper of its
+    own, ``workers`` at a time (seeds do equal work), or for a seed whose
+    helper died, a failure of each of its orders."""
     per_seed = []
-    for unit, future in zip(units, futures):
-        _, _, orders, seed, _ = unit
-        if isinstance(future.exception(), BrokenProcessPool):
-            print(f"seed {seed}: {future.exception()!r}; running it again alone",
-                  file=sys.stderr)
-            with ProcessPoolExecutor(1, mp_context=fork) as alone:
-                future = alone.submit(_run_seed, unit)
-        try:
-            per_seed.append(future.result())
-        except Exception as exc:  # noqa: BLE001 - one lost seed must not lose the grid
-            traceback.print_exc()
-            per_seed.append([(o, seed, repr(exc)) for o in range(len(orders))])
+    for lo in range(0, len(units), workers):
+        batch = units[lo:lo + workers]
+        with ExitStack() as stack:
+            helpers = [stack.enter_context(harness.forked(_seed_worker, unit))
+                       for unit in batch]
+            for (_, _, orders, seed, _), helper in zip(batch, helpers):
+                try:
+                    per_seed.append(helper.recv())
+                except Exception as exc:  # noqa: BLE001 - one lost seed must not lose the grid
+                    traceback.print_exc()
+                    per_seed.append([(o, seed, repr(exc)) for o in range(len(orders))])
     return per_seed
 
 
@@ -297,14 +284,11 @@ def main(argv=None) -> int:
                                        "isolation tables and summaries")
     p_run.add_argument("--config", required=True, help="path to a key = value config file")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes, each running one seed "
-                            "(all its orders) at a time, at most one per seed, "
-                            "on one BLAS thread; a single worker uses a second "
-                            "core, which trains half of a seed's solo runs and "
-                            "then runs half its orders, or for a seed of one "
-                            "order its solo runs beside the stream; two or more "
-                            "workers stay one core each; a failed run or a dead "
-                            "worker or helper is reported in report.txt")
+                       help="worker processes, each running one seed (all its "
+                            "orders) at a time on one core, at most one per "
+                            "seed; a single worker uses a second core where one "
+                            "is free; a failed run or a dead worker is reported "
+                            "in report.txt")
 
     sub.add_parser("gradcheck", help="finite-difference and kernel gradient checks")
 

@@ -25,15 +25,26 @@ training in the stream: recording a copy of the stored log merges its updates
 into a clone of the base model and adds them to the past, which leaves the
 model, the past and the trace as training there would have.
 
-The other solo runs need only the base model, so where a second core is free
-(``second_core_free``) ``run_stream`` trains them in a helper process, forked
-by ``forked``, while it trains the stream. ``loragate run`` splits a seed of
-several orders over the same primitive: its helper trains half the solo runs
-through ``train_solo_runs`` while the caller trains the other half, the two
-swap them, and each then runs half the orders. That solo phase runs outside
-``run_stream``, so ``train_solo_runs`` holds OpenBLAS to one thread itself.
-Each run is the same computation in either process, so the results,
-``trace_hash`` included, are those of a serial run.
+Processes: ``forked`` is the only way the package starts one. It forks a
+helper that runs a function and swaps pickled values with its caller over one
+pipe (see ``Helper``). Three callers use it:
+
+- ``run_stream`` trains the missing solo runs of ``order[1:]`` in a helper,
+  through ``train_solo_runs``, while it trains the stream;
+- ``loragate run`` with one worker splits a seed of several orders: its helper
+  trains half the solo runs while the caller trains the other half, the two
+  swap them, and each then runs half the orders;
+- ``loragate run --jobs N`` (N >= 2) runs each seed in a helper of its own, at
+  most N at once.
+
+The first two fork only where ``second_core_free``, which a helper never is,
+so N workers use N cores and a split seed two. Each run is the same
+computation in either process, so the results, ``trace_hash`` included, are
+those of a serial run. A helper's warnings are re-issued in the caller and its
+exception is re-raised there. A helper that dies makes the caller's next
+``send`` or ``recv`` raise ``StateError("helper process exited with code N
+...")``, so only the work that helper held is lost, and no helper outlives the
+block that forked it.
 """
 
 from __future__ import annotations
@@ -300,9 +311,7 @@ def train_solo_runs(stream: TaskStream, config: ExperimentConfig, seed: int,
 def second_core_free() -> bool:
     """Whether a run forks a helper to train beside it: only where the fork
     start method exists, the process may run on two or more CPUs, and it is
-    not itself a multiprocessing child. A ``loragate run --jobs`` worker is
-    such a child, so N >= 2 workers still use one core each; so is a helper,
-    which forks none of its own."""
+    not itself a helper, so a helper forks none of its own."""
     return ("fork" in multiprocessing.get_all_start_methods()
             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
             and multiprocessing.parent_process() is None)
@@ -328,9 +337,18 @@ class Helper:
     def __init__(self, process, conn):
         self._process, self._conn = process, conn
 
+    def _exited(self) -> StateError:
+        self._process.join()
+        return StateError(f"helper process exited with code {self._process.exitcode} "
+                          "before sending its results")
+
     def send(self, value) -> None:
-        """Pass ``value`` to the helper's next ``recv``."""
-        self._conn.send(value)
+        """Pass ``value`` to the helper's next ``recv``. A helper that has
+        exited raises ``StateError`` with its exit code."""
+        try:
+            self._conn.send(value)
+        except OSError:  # a broken pipe: the helper's end is closed
+            raise self._exited() from None
 
     def recv(self):
         """The helper's next value. The warnings it issued since its last one
@@ -340,9 +358,7 @@ class Helper:
         try:
             value, error, caught = self._conn.recv()
         except (EOFError, OSError):  # OSError: EOF inside a message
-            self._process.join()
-            raise StateError(f"helper process exited with code {self._process.exitcode} "
-                             "before sending its results") from None
+            raise self._exited() from None
         _reissue(caught)
         if error is not None:
             raise error
@@ -376,9 +392,11 @@ def forked(target: Callable, *args) -> Iterator[Helper]:
     ``_helper_main``) and yield the caller's end of it (see ``Helper``).
 
     ``target`` and ``args`` reach the helper by fork; only the values sent
-    either way are pickled. Each end of the one pipe between the two is held
-    by one process, so a helper that dies reads as EOF here. The helper is
-    terminated if still running and joined on every exit from the block."""
+    either way are pickled. The helper's end of the one pipe between the two
+    is held by the helper alone, so a helper that dies reads as EOF here (the
+    caller's end is also held by any helper forked later while this one
+    lives). The helper is terminated if still running and joined on every
+    exit from the block."""
     ctx = multiprocessing.get_context("fork")
     here, there = ctx.Pipe()
     process = ctx.Process(target=_helper_main, args=(there, here, target, args),
@@ -391,16 +409,6 @@ def forked(target: Callable, *args) -> Iterator[Helper]:
         here.close()
         process.terminate()  # a no-op once it has exited
         process.join()
-
-
-def _train_aside(send, recv, base, stream, config, seed, task_ids, keep_runs) -> None:
-    """``run_stream``'s helper: train each task of ``task_ids`` alone and send
-    task id -> solo run, or its accuracy unless ``keep_runs``."""
-    runs: dict = {}
-    for tid in task_ids:
-        run = _train_solo(base, stream, tid, config, seed)
-        runs[tid] = run if keep_runs else run.accuracy
-    send(runs)
 
 
 @one_blas_thread()
@@ -423,15 +431,15 @@ def run_stream(
     Position 0 records a copy of the solo run of ``order[0]`` and takes its
     accuracy; every later position records what ``train_task`` returns. By the
     invariants in the module docstring, the results are the same as when
-    position 0 trains in the stream. Without a dict, no solo run outlives its
-    use. The returned arrays are the caller's to modify.
+    position 0 trains in the stream. Without a dict, no solo run outlives the
+    call, and none trained here outlives its use. The returned arrays are the
+    caller's to modify.
 
     The solo training of ``order[0]`` comes first, then the stream trainings.
     The missing solo runs of ``order[1:]`` are trained meanwhile in a helper
-    process (see ``forked``) where ``second_core_free``, else after the
-    stream. The helper's warnings are re-issued here, its exception re-raised
-    here, and it never outlives the call: a helper that dies without sending
-    its runs raises ``StateError``, and an exception here terminates it.
+    (see the module docstring) where ``second_core_free``, else after the
+    stream. A helper that dies raises ``StateError``, and an exception here
+    terminates it.
 
     A stream that is not the config's (not ``config.n_tasks`` long) or an
     ``order`` that is not a permutation raises ``ConfigError`` before training.
@@ -448,16 +456,16 @@ def run_stream(
         raise ConfigError(f"order {order} is not a permutation of the {len(stream)} task ids")
     hasher = hashlib.sha256()
 
-    base = _base_model(stream, config, seed)
     aside = [tid for tid in order[1:] if isolated is None or tid not in isolated]
-    helper = (forked(_train_aside, base, stream, config, seed, aside, isolated is not None)
+    helper = (forked(lambda send, recv: send(train_solo_runs(stream, config, seed, aside)))
               if aside and second_core_free() else nullcontext())
+    runs = {} if isolated is None else isolated  # task id -> solo run at hand
     matrix = AccuracyMatrix(len(stream))
     logs: list[TaskLog] = []
 
     def solo(tid: int) -> SoloRun:
-        if isolated is not None and tid in isolated:
-            return isolated[tid]
+        if tid in runs:
+            return runs[tid]
         run = _train_solo(base, stream, tid, config, seed)
         if isolated is not None:
             isolated[tid] = run
@@ -471,6 +479,7 @@ def run_stream(
             hasher.update(task_log.merged[lid].tobytes())
 
     with helper as aside_helper:
+        base = _base_model(stream, config, seed)
         model = base.clone()
         past = ({lid: np.zeros(base.layer_shape(lid), dtype=np.float32)
                  for lid in base.adapted_layers} if penalized else None)
@@ -485,16 +494,10 @@ def run_stream(
             for j in range(pos + 1):
                 matrix.set(pos + 1, j, evaluate(model, stream, order[j]))
         del model  # freed before the solo runs left, which need only ``base``
-        # task id -> solo run, or its accuracy without a dict
-        aside_runs = aside_helper.recv() if aside_helper else {}
-    if isolated is not None:
-        isolated.update(aside_runs)
+        if aside_helper:
+            runs.update(aside_helper.recv())
     for pos in range(1, len(order)):
-        tid = order[pos]
-        if isolated is None and tid in aside_runs:
-            matrix.set_isolated(pos, aside_runs[tid])
-        else:
-            matrix.set_isolated(pos, solo(tid).accuracy)
+        matrix.set_isolated(pos, solo(order[pos]).accuracy)
 
     hasher.update(matrix.grid.tobytes())
     return RunResult(matrix=matrix, logs=logs, trace_hash=hasher.hexdigest())

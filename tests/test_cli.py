@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import fnmatch
 import json
@@ -6,9 +5,9 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import time
 import types
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +47,10 @@ FLOOR_GRID = TINY.replace("n_tasks = 2", "n_tasks = 3").replace(
 PARTLY_KEPT_GRID = FLOOR_GRID.replace(
     "method = jump-inclora", "method = jump-inclora\nrank = 2\nlearning_rate = 0.05"
 ).replace("samples_per_class = 32", "samples_per_class = 128")
+
+
+# report.txt's message for each order of a seed whose worker exited with code 1
+DEAD_WORKER = "StateError('helper process exited with code 1 before sending its results')"
 
 
 def write_config(tmp_path, text=None, **fmt):
@@ -176,10 +179,13 @@ class TestRun:
             warnings.simplefilter("always")
             assert cmd_run(str(cfg)) == 0
         assert sum(floor in str(w.message) for w in seen) > 1  # many gates hit the floor
-        done = subprocess.run([sys.executable, "-m", "loragate", "run", "--config", str(cfg)],
-                              env=module_env(), capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stderr.count(f"UserWarning: {floor}") == 1
+        # the warnings of forked seed workers are shown here, once in all
+        for jobs in ("1", "2"):
+            done = subprocess.run([sys.executable, "-m", "loragate", "run", "--config",
+                                   str(cfg), "--jobs", jobs],
+                                  env=module_env(), capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            assert done.stderr.count(f"UserWarning: {floor}") == 1, jobs
 
     def test_invalid_config_nonzero_exit(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -203,14 +209,16 @@ class TestRun:
         assert not out.exists()
 
     def test_parallel_jobs_match_serial(self, tmp_path):
-        serial_out = tmp_path / "serial"
-        par_out = tmp_path / "parallel"
-        text = TINY.replace("seeds = 42", "seeds = 42,43")
-        cmd_run(str(write_config(tmp_path, text=text, out=serial_out)))
-        (tmp_path / "exp.cfg").unlink()
-        cmd_run(str(write_config(tmp_path, text=text, out=par_out)), jobs=2)
-        for name in ("metrics.csv", "accuracy_o0_s42.csv", "accuracy_o0_s43.csv"):
-            assert (serial_out / name).read_bytes() == (par_out / name).read_bytes()
+        # as many seeds as workers, then more
+        for seeds in ([42, 43], [42, 43, 44]):
+            serial_out = tmp_path / f"serial{len(seeds)}"
+            par_out = tmp_path / f"parallel{len(seeds)}"
+            text = TINY.replace("seeds = 42", "seeds = " + ",".join(map(str, seeds)))
+            assert cmd_run(str(write_config(tmp_path, text=text, out=serial_out))) == 0
+            assert cmd_run(str(write_config(tmp_path, text=text, out=par_out)), jobs=2) == 0
+            names = ["metrics.csv", *(f"accuracy_o0_s{s}.csv" for s in seeds)]
+            for name in names:
+                assert (serial_out / name).read_bytes() == (par_out / name).read_bytes()
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_nonpositive_jobs_rejected(self, tmp_path, capsys, jobs):
@@ -220,19 +228,29 @@ class TestRun:
         assert not out.exists()
 
     def test_pool_no_larger_than_the_grid(self, tmp_path, monkeypatch):
-        sizes = []
-        pool = concurrent.futures.ProcessPoolExecutor
+        # the most seed workers alive at once is min(jobs, seeds), and a
+        # one-seed grid runs in this process, with no worker
+        live, counts, forked = [0], [], harness.forked
 
-        def recording_pool(max_workers, **kwargs):
-            sizes.append(max_workers)
-            return pool(max_workers, **kwargs)
+        @contextmanager
+        def counting(target, *args):
+            worker = target is cli._seed_worker
+            live[0] += worker
+            counts.append(live[0])
+            try:
+                with forked(target, *args) as helper:
+                    yield helper
+            finally:
+                live[0] -= worker
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
-        two_runs = TINY.replace("seeds = 42", "seeds = 42,43")
-        assert cmd_run(str(write_config(tmp_path, text=two_runs,
-                                        out=tmp_path / "two")), jobs=8) == 0
-        assert cmd_run(str(write_config(tmp_path, out=tmp_path / "one")), jobs=4) == 0
-        assert sizes == [2]  # one run needs no pool
+        monkeypatch.setattr(harness, "forked", counting)
+        for seeds, jobs, most in (("42,43", 8, 2), ("42,43,44", 2, 2), ("42", 4, 0)):
+            counts.clear()
+            text = TINY.replace("seeds = 42", f"seeds = {seeds}")
+            out = tmp_path / f"jobs{jobs}"
+            assert cmd_run(str(write_config(tmp_path, text=text, out=out)), jobs=jobs) == 0
+            assert max(counts, default=0) == most
+            assert live == [0]
 
     def test_failed_run_reported_alike_at_any_job_count(self, tmp_path, monkeypatch):
         run_stream, train_solo = cli.run_stream, harness._train_solo
@@ -251,7 +269,7 @@ class TestRun:
         # 2-order grid splits each seed with a helper, at --jobs 2 it does not
         monkeypatch.setattr(harness, "second_core_free",
                             lambda: multiprocessing.parent_process() is None)
-        # pool workers and helpers fork from this process, so they see the
+        # seed workers and helpers fork from this process, so they see the
         # patches too
         cases = ((cli, "run_stream", fail_seed_43, 1),
                  (harness, "_train_solo", fail_solo_43, 2))
@@ -276,26 +294,9 @@ class TestRun:
             assert failed == [f"  order {o} seed 43: StateError('injected failure')"
                               for o in range(n_orders)]
 
-    @staticmethod
-    def mark_received(monkeypatch, marks: Path) -> None:
-        """Have every pool touch ``marks/seed<N>`` once this process holds
-        the outcomes of seed N's worker."""
-        pool = concurrent.futures.ProcessPoolExecutor
-
-        class MarkingPool(pool):
-            def submit(self, fn, unit):
-                future = super().submit(fn, unit)
-                future.add_done_callback(
-                    lambda f: f.exception() or (marks / f"seed{unit[3]}").touch())
-                return future
-
-        marks.mkdir()
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", MarkingPool)
-
     def test_dead_worker_fails_its_seed_in_bounded_time(self, tmp_path, monkeypatch):
-        # a worker that dies without raising, in the pool and again alone,
-        # fails every order of its seed, and the grid still ends; pool workers
-        # fork no solo-run helper
+        # a worker that dies without raising fails every order of its seed,
+        # and the grid still ends; seed workers fork no helper of their own
         out = tmp_path / "artifacts"
         log = tmp_path / "train_task.log"
         train_task, run_stream = harness.train_task, cli.run_stream
@@ -307,16 +308,9 @@ class TestRun:
 
         def dying_seed_43(stream, config, seed, **kwargs):
             if seed == 43:
-                # once this process holds seed 42's outcomes, so that seed 42
-                # is not run again and all its training is logged
-                deadline = time.monotonic() + 30
-                while (not (tmp_path / "received" / "seed42").exists()
-                       and time.monotonic() < deadline):
-                    time.sleep(0.05)
                 os._exit(1)
             return run_stream(stream, config, seed, **kwargs)
 
-        self.mark_received(monkeypatch, tmp_path / "received")
         monkeypatch.setattr(harness, "train_task", logging_train_task)
         monkeypatch.setattr(cli, "run_stream", dying_seed_43)
         text = TINY.replace("seeds = 42", "seeds = 42,43\nn_orders = 2")
@@ -326,7 +320,7 @@ class TestRun:
         report = (out / "report.txt").read_text()
         assert "INCOMPLETE: some runs failed" in report
         for o in (0, 1):
-            assert f"order {o} seed 43: BrokenProcessPool" in report
+            assert f"order {o} seed 43: {DEAD_WORKER}" in report
             assert (out / f"accuracy_o{o}_s42.csv").is_file()
         # seed 42: each task once alone, then position 1 of each order, all in
         # a worker of this process and none in a helper of a worker
@@ -335,8 +329,7 @@ class TestRun:
         assert {ppid for _, ppid in calls} == {str(os.getpid())}
 
     def test_dead_worker_loses_no_other_seed(self, tmp_path, monkeypatch):
-        # seed 43's worker dies at once, which breaks the pool while seed 42
-        # still runs; seed 42 runs again alone, and seed 43 dies again alone
+        # seed 43's worker dies at once, while seed 42's still runs
         out = tmp_path / "artifacts"
         run_stream = cli.run_stream
 
@@ -361,7 +354,7 @@ class TestRun:
         failed = report[report.index("INCOMPLETE: some runs failed") + 1:]
         assert [line.split(":")[0] for line in failed] == [
             "  order 0 seed 43", "  order 1 seed 43"]
-        assert all("BrokenProcessPool" in line for line in failed)
+        assert all(line.endswith(f": {DEAD_WORKER}") for line in failed)
 
     def test_isolated_runs_trained_once_per_grid(self, tmp_path, monkeypatch):
         text = TINY.replace("seeds = 42", "seeds = 42\nn_orders = 2")
@@ -406,7 +399,7 @@ class TestRun:
     @staticmethod
     def count_calls(monkeypatch, owner, name, log: Path) -> None:
         """Append a line to ``log`` on each call of ``owner.name``, in this
-        process or in a pool worker or solo-run helper forked from it."""
+        process or in a helper forked from it."""
         original = getattr(owner, name)
 
         def counting(*args, **kwargs):
@@ -447,7 +440,7 @@ class TestRun:
             monkeypatch.undo()
         # per seed: each of the 2 tasks once alone, then position 1 of each order
         assert [len(c) for c in calls] == [8, 8]
-        assert str(os.getpid()) not in calls[1]  # the pool workers trained
+        assert str(os.getpid()) not in calls[1]  # the seed workers trained
         assert outputs[0] == outputs[1]
 
 

@@ -580,6 +580,18 @@ class TestSoloHelper:
             run_stream(stream_for(cfg), cfg, seed=42)
         assert multiprocessing.active_children() == []
 
+    def test_send_to_a_dead_helper_raises_with_its_exit_code(self):
+        # the helper exits before it takes a value too large for the pipe
+        def dying_after_sending(send, recv):
+            send(None)
+            os._exit(3)
+
+        with time_limit(60), harness.forked(dying_after_sending) as helper:
+            helper.recv()
+            with pytest.raises(StateError, match="exited with code 3"):
+                helper.send(np.zeros(1 << 20))  # 8 MiB
+        assert multiprocessing.active_children() == []
+
     def test_exception_here_ends_the_helper(self, monkeypatch, helper_solo_runs):
         caller = os.getpid()
 

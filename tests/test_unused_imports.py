@@ -1,10 +1,12 @@
-"""Every imported name in the package and the tests is used, and every
-top-level function and class of the package has a caller outside the tests.
+"""Every imported name in the package and the tests is used, every
+top-level function and class of the package has a caller outside the tests,
+and only ``harness`` imports a module that starts processes.
 
 No linter ships with the project, so this walks each module's syntax tree:
-a name bound by an import must be read somewhere else in the module, and a
-name the package defines at top level must be read somewhere in the package
-or the benchmark outside its own definition.
+a name bound by an import must be read somewhere else in the module, a name
+the package defines at top level must be read somewhere in the package or the
+benchmark outside its own definition, and ``multiprocessing`` or
+``concurrent`` may be imported only where ``harness.forked`` is defined.
 """
 
 import ast
@@ -102,3 +104,30 @@ def test_every_package_definition_has_a_reader():
         return {p.relative_to(ROOT).as_posix(): p.read_text() for p in paths}
 
     assert unreferenced_definitions(sources(PACKAGE), sources(BENCHMARK)) == []
+
+
+def process_imports(source: str) -> list[str]:
+    """The ``multiprocessing`` and ``concurrent`` modules that the source
+    imports, by absolute name."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [n for n in names if n.split(".")[0] in ("multiprocessing", "concurrent")]
+
+
+def test_process_import_checker_flags_both_forms():
+    source = ("import os, multiprocessing.pool as mp\n"
+              "from concurrent.futures import ProcessPoolExecutor\n"
+              "from .harness import forked\n"
+              "def f():\n    import concurrent\n")
+    assert process_imports(source) == ["multiprocessing.pool", "concurrent.futures",
+                                       "concurrent"]
+
+
+def test_only_harness_imports_a_process_module():
+    found = {p.name: process_imports(p.read_text()) for p in PACKAGE}
+    assert found.pop("harness.py") == ["multiprocessing"]
+    assert {name: mods for name, mods in found.items() if mods} == {}
