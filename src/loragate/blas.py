@@ -6,8 +6,9 @@ Between the many small products of a step its extra threads busy-wait: on
 two cores a run then takes twice the CPU time for about the same wall time,
 and two ``--jobs`` workers, each with a spinning thread, run slower together
 than one worker alone. With one BLAS thread per run, processes are the only
-parallelism (see ``harness``): ``run_stream`` and ``harness.train_solo_runs``
-each enter ``one_blas_thread``, in whichever process they run.
+parallelism (see ``harness``): ``run_stream`` and the solo training of
+``harness.SoloRuns`` each enter ``one_blas_thread``, in whichever process
+they run.
 
 The thread count is set through the OpenBLAS library numpy has already loaded,
 found by path in ``/proc/self/maps`` on first use, never at import. The setting

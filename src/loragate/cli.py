@@ -5,10 +5,9 @@ mask of every stream position and layer, and the isolation table scored from
 those masks; ``metrics.csv`` and ``report.txt`` then summarise the grid. It
 first deletes every artifact of the names in ``ARTIFACTS``, so a smaller rerun
 into the same directory leaves nothing stale. It generates the task stream
-once and hands out one seed at a time: a seed's orders share its solo runs, so
-each is trained once at any --jobs. ``--jobs N`` >= 2 runs each seed in a
-helper process of its own (``_run_pool``); one worker splits a seed of several
-orders with one helper (``_run_seed``). ``harness``'s docstring sets out the
+once and hands out one seed at a time to ``harness.run_seed``, which schedules
+its orders and their shared solo runs. ``--jobs N`` >= 2 runs each seed in a
+helper process of its own (``_run_pool``). ``harness``'s docstring sets out the
 process model. A run that raises, or a helper that dies, fails only the
 orders whose outcome it held, in ``report.txt``.
 
@@ -42,7 +41,7 @@ from .config import format_config, load_config
 from .data import generate_task_stream
 from .errors import ConfigError
 from .gradcheck import run_gradcheck
-from .harness import SoloRun, resolve_orders, run_stream
+from .harness import resolve_orders, run_stream
 from .metrics import MaskOverlap, backward_transfer, forward_transfer, overall_accuracy
 
 # glibc's mallopt parameters (malloc.h) and the values ``cmd_run`` pins
@@ -136,50 +135,23 @@ def _run_grid_point(payload):
         return (payload[1], payload[2], repr(exc))
 
 
-def _seed_helper(send, recv, unit, task_ids, order_indices) -> None:
-    """The helper of a split seed (see ``_run_seed``): train the solo runs of
-    ``task_ids`` and send them, add the caller's, then send the outcome of
-    each order of ``order_indices``, by order index."""
-    cfg, stream, orders, seed, out = unit
-    isolated = harness.train_solo_runs(stream, cfg, seed, task_ids)
-    send(isolated)
-    isolated.update(recv())
-    send({o: _run_grid_point(((cfg, stream, orders, isolated), o, seed, out))
-          for o in order_indices})
-
-
 def _run_seed(unit) -> list:
-    """Every order of one seed, in order, through ``_run_grid_point``; never
-    raises. The orders share the seed's solo runs, so each task is trained
-    alone once.
-
-    Where the seed has two or more orders and ``harness.second_core_free``,
-    one helper is forked before any training (see ``harness.forked``). It
-    trains every other solo run while this process trains the rest, each
-    process from its own base model; the two swap their runs, and the helper
-    then runs every other order while this process runs the rest. Each run is
-    the computation a serial seed makes, so every artifact is the same. An
-    exception here, a dead helper included, fails every order whose outcome
-    this process does not yet hold as (order, seed, repr(exc))."""
+    """Every order of one seed, in order, through ``_run_grid_point`` on
+    ``harness.run_seed``'s schedule; never raises. An exception, a dead helper
+    included, fails every order whose outcome this process does not yet hold
+    as (order, seed, repr(exc))."""
     cfg, stream, orders, seed, out = unit
-    if len(orders) < 2 or not harness.second_core_free():
-        isolated: dict[int, SoloRun] = {}
-        return [_run_grid_point(((cfg, stream, orders, isolated), o, seed, out))
-                for o in range(len(orders))]
-    tasks, indices = range(cfg.n_tasks), range(len(orders))
-    outcomes: dict = {}
+    held: dict = {}
+
+    def each(o, isolated):
+        held[o] = _run_grid_point(((cfg, stream, orders, isolated), o, seed, out))
+        return held[o]
+
     try:
-        with harness.forked(_seed_helper, unit, tasks[1::2], indices[1::2]) as helper:
-            mine = harness.train_solo_runs(stream, cfg, seed, tasks[::2])
-            isolated = {**mine, **helper.recv()}
-            helper.send(mine)
-            for o in indices[::2]:
-                outcomes[o] = _run_grid_point(((cfg, stream, orders, isolated), o, seed, out))
-            outcomes.update(helper.recv())
+        return harness.run_seed(stream, cfg, seed, orders, each)
     except Exception as exc:  # noqa: BLE001 - one lost seed must not lose the grid
         traceback.print_exc()
-        outcomes = {o: outcomes.get(o, (o, seed, repr(exc))) for o in indices}
-    return [outcomes[o] for o in indices]
+        return [held.get(o, (o, seed, repr(exc))) for o in range(len(orders))]
 
 
 def _seed_worker(send, recv, unit) -> None:
@@ -285,10 +257,10 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True, help="path to a key = value config file")
     p_run.add_argument("--jobs", type=int, default=1,
                        help="worker processes, each running one seed (all its "
-                            "orders) at a time on one core, at most one per "
-                            "seed; a single worker uses a second core where one "
-                            "is free; a failed run or a dead worker is reported "
-                            "in report.txt")
+                            "orders) at a time, at most one per seed; a single "
+                            "worker schedules a seed as harness.run_seed does; "
+                            "a failed run or a dead worker is reported in "
+                            "report.txt")
 
     sub.add_parser("gradcheck", help="finite-difference and kernel gradient checks")
 

@@ -24,6 +24,7 @@ with no positive weight after it would train its unpenalised twin bit for bit.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -191,6 +192,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("at least one seed is required")
     if len(set(cfg.seeds)) != len(cfg.seeds):
         raise ConfigError(f"seeds must be distinct, got {cfg.seeds}")
+    # seeds feed numpy's SeedSequence, which takes no negative entropy
+    if min(cfg.seeds) < 0:
+        raise ConfigError(f"seeds must be >= 0, got {cfg.seeds}")
+    if cfg.data_seed < 0:
+        raise ConfigError(f"data_seed must be >= 0, got {cfg.data_seed}")
+    if not 1 <= cfg.n_orders <= math.factorial(cfg.n_tasks):
+        raise ConfigError(f"n_orders must lie in [1, {cfg.n_tasks}!], got {cfg.n_orders}")
     if not (0.0 <= cfg.difficulty <= 1.0):
         raise ConfigError(f"difficulty must lie in [0, 1], got {cfg.difficulty}")
     if any(w < 0 for w in cfg.ella_lambda):

@@ -8,43 +8,43 @@ per layer, hard-thresholded for gated methods; the adapters die with it.
 overlap penalty reads, and hashes it. Isolated single-task runs fill the
 reference row of the accuracy matrix.
 
-An isolated run depends only on (config, stream, seed, task id), so a caller
-that runs several orders of one stream can pass ``run_stream`` one dict of
-solo runs and have each task trained alone at most once. Two invariants make
-that exact:
+An isolated run depends only on (config, stream, seed, task id), so every
+order of a seed can share one ``SoloRuns``, which trains each task alone at
+most once, on first read. Two invariants make that exact:
 
 - the isolated run of a task trains the same adapters (seeded from the run seed
-  and task id) on the same shuffle from a clone of the same base model,
-  whichever order asked for it;
+  and task id) on the same shuffle from the same base model, whichever order
+  asked for it;
 - stream position 0 is such a run: an all-zero past never adds the overlap
   penalty, so its log, final updates included, and its accuracy are the
   isolated run's.
 
 Together they let position 0 always replay its task's solo run instead of
 training in the stream: recording a copy of the stored log merges its updates
-into a clone of the base model and adds them to the past, which leaves the
+into the stream's fresh base model and adds them to the past, which leaves the
 model, the past and the trace as training there would have.
 
 Processes: ``forked`` is the only way the package starts one. It forks a
 helper that runs a function and swaps pickled values with its caller over one
 pipe (see ``Helper``). Three callers use it:
 
-- ``run_stream`` trains the missing solo runs of ``order[1:]`` in a helper,
-  through ``train_solo_runs``, while it trains the stream;
-- ``loragate run`` with one worker splits a seed of several orders: its helper
-  trains half the solo runs while the caller trains the other half, the two
-  swap them, and each then runs half the orders;
+- ``run_stream`` reads the missing solo runs of ``order[1:]`` in a helper while
+  it trains the stream;
+- ``run_seed`` splits a seed of several orders: its helper trains half the solo
+  runs while the caller trains the other half, the two swap them, and each
+  then runs half the orders;
 - ``loragate run --jobs N`` (N >= 2) runs each seed in a helper of its own, at
   most N at once.
 
 The first two fork only where ``second_core_free``, which a helper never is,
 so N workers use N cores and a split seed two. Each run is the same
 computation in either process, so the results, ``trace_hash`` included, are
-those of a serial run. A helper's warnings are re-issued in the caller and its
-exception is re-raised there. A helper that dies makes the caller's next
-``send`` or ``recv`` raise ``StateError("helper process exited with code N
-...")``, so only the work that helper held is lost, and no helper outlives the
-block that forked it.
+those of a serial run. Solo runs cross the pipe in plain dicts; a ``SoloRuns``
+holds the stream and is never pickled. A helper's warnings are re-issued in
+the caller and its exception is re-raised there. A helper that dies makes the
+caller's next ``send`` or ``recv`` raise ``StateError("helper process exited
+with code N ...")``, so only the work that helper held is lost, and no helper
+outlives the block that forked it.
 """
 
 from __future__ import annotations
@@ -289,23 +289,24 @@ def _base_model(stream: TaskStream, config: ExperimentConfig, seed: int) -> Tiny
                        config.n_blocks, config.seq_len, stream.num_classes, seed=seed)
 
 
-def _train_solo(base, stream, task_id, config, seed) -> SoloRun:
-    """Train one task alone on a clone of ``base``; the stored arrays are
-    made read-only."""
-    model = base.clone()
-    task_log = train_task(model, stream, task_id, config, run_seed=seed)
-    _merge_updates(model, task_log.merged, config, None)
-    _freeze(task_log)
-    return SoloRun(task_log, evaluate(model, stream, task_id))
+class SoloRuns(dict):
+    """The solo runs of one (stream, config, seed), by task id (see
+    ``SoloRun``). Reading a missing task id trains its run on one BLAS thread,
+    from a base model of its own, and keeps it with its arrays read-only."""
 
+    def __init__(self, stream: TaskStream, config: ExperimentConfig, seed: int):
+        super().__init__()
+        self.stream, self.config, self.seed = stream, config, seed
 
-@one_blas_thread()
-def train_solo_runs(stream: TaskStream, config: ExperimentConfig, seed: int,
-                    task_ids) -> dict[int, SoloRun]:
-    """The solo runs of ``task_ids`` under this config, stream and seed, as
-    ``run_stream`` trains them (see ``SoloRun``), on one BLAS thread."""
-    base = _base_model(stream, config, seed)
-    return {tid: _train_solo(base, stream, tid, config, seed) for tid in task_ids}
+    @one_blas_thread()
+    def __missing__(self, task_id: int) -> SoloRun:
+        stream, config, seed = self.stream, self.config, self.seed
+        model = _base_model(stream, config, seed)
+        task_log = train_task(model, stream, task_id, config, run_seed=seed)
+        _merge_updates(model, task_log.merged, config, None)
+        _freeze(task_log)
+        run = self[task_id] = SoloRun(task_log, evaluate(model, stream, task_id))
+        return run
 
 
 def second_core_free() -> bool:
@@ -417,23 +418,21 @@ def run_stream(
     config: ExperimentConfig,
     seed: int,
     order: Optional[list[int]] = None,
-    isolated: Optional[dict[int, SoloRun]] = None,
+    isolated: Optional[SoloRuns] = None,
 ) -> RunResult:
     """Full stream pass plus per-task isolated runs.
 
-    ``isolated`` maps task id to that task's run alone under this config,
-    stream and seed (see ``SoloRun``); the caller owns it and may pass the same
-    dict to runs of other orders. A solo run missing from it is trained from
-    the base model and written to it, read-only.
+    ``isolated`` holds the solo runs of this stream, config and seed (see
+    ``SoloRuns``); the caller owns it and may pass it to runs of other orders.
+    Without it the run reads a ``SoloRuns`` of its own, dropped on return.
 
     Every stream position goes through one record step: merge the task log's
     final updates into the stream model and the past, keep the log, hash it.
     Position 0 records a copy of the solo run of ``order[0]`` and takes its
     accuracy; every later position records what ``train_task`` returns. By the
     invariants in the module docstring, the results are the same as when
-    position 0 trains in the stream. Without a dict, no solo run outlives the
-    call, and none trained here outlives its use. The returned arrays are the
-    caller's to modify.
+    position 0 trains in the stream. The returned arrays are the caller's to
+    modify.
 
     The solo training of ``order[0]`` comes first, then the stream trainings.
     The missing solo runs of ``order[1:]`` are trained meanwhile in a helper
@@ -456,20 +455,12 @@ def run_stream(
         raise ConfigError(f"order {order} is not a permutation of the {len(stream)} task ids")
     hasher = hashlib.sha256()
 
-    aside = [tid for tid in order[1:] if isolated is None or tid not in isolated]
-    helper = (forked(lambda send, recv: send(train_solo_runs(stream, config, seed, aside)))
+    runs = SoloRuns(stream, config, seed) if isolated is None else isolated
+    aside = [tid for tid in order[1:] if tid not in runs]
+    helper = (forked(lambda send, recv: send({tid: runs[tid] for tid in aside}))
               if aside and second_core_free() else nullcontext())
-    runs = {} if isolated is None else isolated  # task id -> solo run at hand
     matrix = AccuracyMatrix(len(stream))
     logs: list[TaskLog] = []
-
-    def solo(tid: int) -> SoloRun:
-        if tid in runs:
-            return runs[tid]
-        run = _train_solo(base, stream, tid, config, seed)
-        if isolated is not None:
-            isolated[tid] = run
-        return run
 
     def record(task_log: TaskLog) -> None:
         _merge_updates(model, task_log.merged, config, past)
@@ -479,25 +470,56 @@ def run_stream(
             hasher.update(task_log.merged[lid].tobytes())
 
     with helper as aside_helper:
-        base = _base_model(stream, config, seed)
-        model = base.clone()
-        past = ({lid: np.zeros(base.layer_shape(lid), dtype=np.float32)
-                 for lid in base.adapted_layers} if penalized else None)
-        first = solo(order[0])
+        first = runs[order[0]]
+        model = _base_model(stream, config, seed)
+        past = ({lid: np.zeros(model.layer_shape(lid), dtype=np.float32)
+                 for lid in model.adapted_layers} if penalized else None)
         record(copy.deepcopy(first.log))  # writable arrays of the caller's own
         matrix.set(1, 0, first.accuracy)
         matrix.set_isolated(0, first.accuracy)
-        del first  # frees the run's updates unless ``isolated`` keeps it
         for pos in range(1, len(order)):
             record(train_task(model, stream, order[pos], config,
                               penalty_weight=penalty_weights[pos], past=past, run_seed=seed))
             for j in range(pos + 1):
                 matrix.set(pos + 1, j, evaluate(model, stream, order[j]))
-        del model  # freed before the solo runs left, which need only ``base``
+        del model  # freed before the solo runs left, which build models of their own
         if aside_helper:
             runs.update(aside_helper.recv())
     for pos in range(1, len(order)):
-        matrix.set_isolated(pos, solo(order[pos]).accuracy)
+        matrix.set_isolated(pos, runs[order[pos]].accuracy)
 
     hasher.update(matrix.grid.tobytes())
     return RunResult(matrix=matrix, logs=logs, trace_hash=hasher.hexdigest())
+
+
+def run_seed(stream: TaskStream, config: ExperimentConfig, seed: int,
+             orders: list[list[int]], each: Callable[[int, SoloRuns], object]) -> list:
+    """``each(k, runs)`` for every index k of ``orders``, and what it returned,
+    by index. ``runs`` is the seed's ``SoloRuns``, which every order shares, so
+    each task is trained alone once.
+
+    Where the seed has two or more orders and ``second_core_free``, one helper
+    is forked before any training. It trains the solo runs of the odd task ids
+    while this process trains the even ones; the two swap their runs once, and
+    the helper then calls ``each`` for the odd indices while this process calls
+    it for the even ones. Every call finds the runs a serial seed's would, so
+    it makes the same computation. An exception in either process, a dead
+    helper included, is raised here."""
+    runs = SoloRuns(stream, config, seed)
+    indices = range(len(orders))
+    if len(orders) < 2 or not second_core_free():
+        return [each(k, runs) for k in indices]
+    tasks = range(config.n_tasks)
+
+    def helper_half(send, recv) -> None:
+        send({tid: runs[tid] for tid in tasks[1::2]})
+        runs.update(recv())
+        send({k: each(k, runs) for k in indices[1::2]})
+
+    with forked(helper_half) as helper:
+        mine = {tid: runs[tid] for tid in tasks[::2]}
+        runs.update(helper.recv())
+        helper.send(mine)
+        done = {k: each(k, runs) for k in indices[::2]}
+        done.update(helper.recv())
+    return [done[k] for k in indices]

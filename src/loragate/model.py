@@ -63,10 +63,6 @@ class TinyTransformer:
     def layer_shape(self, layer_id: str) -> tuple:
         return self.params[layer_id].shape
 
-    def clone(self) -> "TinyTransformer":
-        params = {k: Tensor(v.data.copy()) for k, v in self.params.items()}
-        return TinyTransformer(self.n_heads, self.n_blocks, params)
-
     def forward(
         self,
         tokens: np.ndarray,

@@ -74,18 +74,18 @@ def records_hold_no_tensor(monkeypatch):
 
 @pytest.fixture
 def serial_solo_runs(monkeypatch):
-    """Fork no helper: ``run_stream`` trains every solo run in this process,
-    after the stream, and ``loragate run`` runs a seed's orders here, one
-    after another. For tests that watch calls or objects in-process (a
-    helper's happen in a forked one)."""
+    """Fork no helper: ``run_stream`` reads every solo run in this process, the
+    missing ones of ``order[1:]`` after the stream, and ``harness.run_seed``
+    runs a seed's orders here, one after another. For tests that watch calls
+    or objects in-process (a helper's happen in a forked one)."""
     monkeypatch.setattr(harness, "second_core_free", lambda: False)
 
 
 @pytest.fixture
 def helper_solo_runs(monkeypatch):
     """Fork a helper whatever the CPU count of the machine: ``run_stream``
-    trains the solo runs of ``order[1:]`` in one, and ``loragate run`` splits
-    a seed of several orders with one."""
+    trains the missing solo runs of ``order[1:]`` in one, and
+    ``harness.run_seed`` splits a seed of several orders with one."""
     monkeypatch.setattr(harness, "second_core_free", lambda: True)
 
 

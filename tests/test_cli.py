@@ -198,6 +198,7 @@ class TestRun:
         "n_tasks = 0", "classes_per_task = 0",
         "samples_per_class = 0", "seq_len = 1", "seeds = 42,42",
         "n_orders = 3",  # more than the 2! orders of 2 tasks
+        "n_orders = 0", "data_seed = -1", "seeds = -5",
         "n_tasks = 8"])  # 8 tasks x 2 classes do not fit in 24 tokens
     def test_degenerate_config_rejected_before_any_artifact(self, tmp_path, capsys, line):
         key = line.split(" = ")[0]
@@ -253,17 +254,17 @@ class TestRun:
             assert live == [0]
 
     def test_failed_run_reported_alike_at_any_job_count(self, tmp_path, monkeypatch):
-        run_stream, train_solo = cli.run_stream, harness._train_solo
+        run_stream, train_solo = cli.run_stream, harness.SoloRuns.__missing__
 
         def fail_seed_43(stream, config, seed, **kwargs):
             if seed == 43:
                 raise StateError("injected failure")
             return run_stream(stream, config, seed, **kwargs)
 
-        def fail_solo_43(base, stream, task_id, config, seed):
-            if seed == 43:
+        def fail_solo_43(runs, task_id):
+            if runs.seed == 43:
                 raise StateError("injected failure")
-            return train_solo(base, stream, task_id, config, seed)
+            return train_solo(runs, task_id)
 
         # a 2-CPU host's answer whatever this host's count: at --jobs 1 the
         # 2-order grid splits each seed with a helper, at --jobs 2 it does not
@@ -272,7 +273,7 @@ class TestRun:
         # seed workers and helpers fork from this process, so they see the
         # patches too
         cases = ((cli, "run_stream", fail_seed_43, 1),
-                 (harness, "_train_solo", fail_solo_43, 2))
+                 (harness.SoloRuns, "__missing__", fail_solo_43, 2))
         for owner, name, failing, n_orders in cases:
             text = TINY.replace("seeds = 42", f"seeds = 42,43\nn_orders = {n_orders}")
             outs = []
@@ -476,7 +477,8 @@ class TestSplitSeed:
                                                        helper_solo_runs):
         # one log for both processes: the fork, each solo run, each training
         log = tmp_path / "events.log"
-        forked, train_solo, train_task = harness.forked, harness._train_solo, harness.train_task
+        forked, train_task = harness.forked, harness.train_task
+        train_solo = harness.SoloRuns.__missing__
 
         def write(line):
             with log.open("a") as f:
@@ -486,16 +488,16 @@ class TestSplitSeed:
             write("fork")
             return forked(*args)
 
-        def logging_train_solo(base, stream, task_id, config, seed):
-            write(f"solo {seed} {task_id} {os.getpid()}")
-            return train_solo(base, stream, task_id, config, seed)
+        def logging_train_solo(runs, task_id):
+            write(f"solo {runs.seed} {task_id} {os.getpid()}")
+            return train_solo(runs, task_id)
 
         def logging_train_task(*args, **kwargs):
             write("train")
             return train_task(*args, **kwargs)
 
         monkeypatch.setattr(harness, "forked", logging_forked)
-        monkeypatch.setattr(harness, "_train_solo", logging_train_solo)
+        monkeypatch.setattr(harness.SoloRuns, "__missing__", logging_train_solo)
         monkeypatch.setattr(harness, "train_task", logging_train_task)
         text = FLOOR_GRID.replace("n_orders = 2", "n_orders = 3")
         assert cmd_run(str(write_config(tmp_path, text=text, out=tmp_path / "out"))) == 0
@@ -517,12 +519,13 @@ class TestSplitSeed:
                                                    helper_solo_runs, phase):
         # seed 43's helper dies while it trains its solo runs, which loses
         # every order of the seed, or while it runs its one order of three
-        caller, train_solo, run_single = os.getpid(), harness._train_solo, cli._run_single
+        caller, run_single = os.getpid(), cli._run_single
+        train_solo = harness.SoloRuns.__missing__
 
-        def dying_in_solo_phase(base, stream, task_id, config, seed):
-            if seed == 43 and os.getpid() != caller:
+        def dying_in_solo_phase(runs, task_id):
+            if runs.seed == 43 and os.getpid() != caller:
                 os._exit(1)
-            return train_solo(base, stream, task_id, config, seed)
+            return train_solo(runs, task_id)
 
         def dying_in_order_phase(payload):
             if payload[2] == 43 and os.getpid() != caller:
@@ -530,7 +533,7 @@ class TestSplitSeed:
             return run_single(payload)
 
         if phase == "solo":
-            monkeypatch.setattr(harness, "_train_solo", dying_in_solo_phase)
+            monkeypatch.setattr(harness.SoloRuns, "__missing__", dying_in_solo_phase)
             lost = [0, 1, 2]
         else:
             monkeypatch.setattr(cli, "_run_single", dying_in_order_phase)

@@ -150,9 +150,10 @@ class TestValidation:
                     parse_config_text(text + line + "\n")
                 assert str(err.value) == f"{name} only applies to {methods}, got {method.value}"
 
-    # the rules that the gate, the ramp and the penalty rely on without
-    # re-checking: a positive bandwidth, ordered fractions in [0, 1], a
-    # nonnegative weight, and a positive batch (so an epoch has a step)
+    # the rules that the gate, the ramp, the penalty and the run rely on
+    # without re-checking: a positive bandwidth, ordered fractions in [0, 1],
+    # a nonnegative weight, a positive batch (so an epoch has a step), seeds
+    # that numpy's SeedSequence takes, and as many orders as the tasks have
     @pytest.mark.parametrize("key, value, match", [
         ("bandwidth", 0.0, "bandwidth must be positive"),
         ("bandwidth", -1.0, "bandwidth must be positive"),
@@ -160,6 +161,10 @@ class TestValidation:
         ("end_frac", 1.1, "fractions must satisfy"),
         ("ella_lambda", [-1.0], "ella_lambda values must be nonnegative"),
         ("batch_size", 0, "batch_size >= 1"),
+        ("data_seed", -1, "data_seed must be >= 0"),
+        ("seeds", [-5], r"seeds must be >= 0, got \[-5\]"),
+        ("n_orders", 0, r"n_orders must lie in \[1, 4!\], got 0"),
+        ("n_orders", 25, r"n_orders must lie in \[1, 4!\], got 25"),  # past 4! = 24
     ])
     def test_rule_holds_in_code_and_in_text(self, key, value, match):
         method = Method.ELLA if key == "ella_lambda" else Method.JUMP_INCLORA

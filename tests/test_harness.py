@@ -19,7 +19,7 @@ from loragate.data import generate_task_stream
 from loragate.errors import ConfigError, StateError
 from loragate.harness import TaskLog, evaluate, resolve_orders, run_stream, train_task
 from loragate.metrics import backward_transfer
-from loragate.model import build_model
+from loragate.model import TinyTransformer, build_model
 
 
 def tiny_config(**overrides):
@@ -406,9 +406,9 @@ class TestRunStream:
         alone = [run_stream(stream_for(cfg), cfg, seed=42, order=order)
                  for order in ([0, 1, 2], [2, 0, 1])]
         monkeypatch.setattr(harness, "train_task", counting_train_task)
-        isolated = {}
-        shared = [run_stream(stream_for(cfg), cfg, seed=42, order=order,
-                             isolated=isolated)
+        stream = stream_for(cfg)
+        isolated = harness.SoloRuns(stream, cfg, 42)
+        shared = [run_stream(stream, cfg, seed=42, order=order, isolated=isolated)
                   for order in ([0, 1, 2], [2, 0, 1])]
         # the first order trains tasks 1 and 2 alone; the second replays task 2
         # at position 0 and trains no task alone
@@ -418,36 +418,34 @@ class TestRunStream:
             np.testing.assert_array_equal(a.matrix.grid, b.matrix.grid)
             assert a.trace_hash == b.trace_hash
 
-    def test_unshared_solo_runs_are_freed_once_replayed(self, monkeypatch,
-                                                         serial_solo_runs):
-        # without a caller's dict no solo run outlives its use: order[0]'s is
-        # gone once position 0 has replayed it, every other one once trained
-        runs, alive_at_training = [], []
-        train_solo, train_task = harness._train_solo, harness.train_task
+    def test_stream_training_holds_one_model(self, monkeypatch, serial_solo_runs):
+        # the stream trains the one model it builds, after the solo run of
+        # order[0] has dropped its own, and a later solo run's model is built
+        # once the stream's is gone: no training overlaps a second model
+        models, alive_at_training = [], []
+        init, train_task = TinyTransformer.__init__, harness.train_task
 
-        def tracked_train_solo(*args):
-            run = train_solo(*args)
-            runs.append(weakref.ref(run))
-            return run
+        def tracked_init(model, *args, **kwargs):
+            init(model, *args, **kwargs)
+            models.append(weakref.ref(model))
 
         def counting_train_task(*args, **kwargs):
-            alive_at_training.append(sum(ref() is not None for ref in runs))
+            alive_at_training.append(sum(ref() is not None for ref in models))
             return train_task(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "_train_solo", tracked_train_solo)
+        monkeypatch.setattr(TinyTransformer, "__init__", tracked_init)
         monkeypatch.setattr(harness, "train_task", counting_train_task)
         cfg = tiny_config(n_tasks=3)
         result = run_stream(stream_for(cfg), cfg, seed=42, order=[2, 0, 1])
         # order[0] alone, stream positions 1 and 2, then tasks 0 and 1 alone
-        assert alive_at_training == [0, 0, 0, 0, 0]
-        assert len(runs) == 3 and all(ref() is None for ref in runs)
+        assert alive_at_training == [1, 1, 1, 1, 1]
         assert not np.isnan(result.matrix.grid[0]).any()
 
     def test_replayed_first_position_equals_trained(self, monkeypatch):
         cfg = tiny_config(method=Method.JUMP_ELLA, ella_lambda=[800.0])
         stream = stream_for(cfg)
         order = [1, 0]
-        isolated = {}
+        isolated = harness.SoloRuns(stream, cfg, 42)
         run_stream(stream, cfg, seed=42, order=[0, 1], isolated=isolated)
         merges = record_merges(monkeypatch)
         shared = run_stream(stream, cfg, seed=42, order=order, isolated=isolated)
@@ -544,7 +542,7 @@ class TestSoloHelper:
                                                       helper_solo_runs):
         cfg = tiny_config()
         stream = stream_for(cfg)
-        isolated = {}
+        isolated = harness.SoloRuns(stream, cfg, 42)
         run_stream(stream, cfg, seed=42, order=[0, 1], isolated=isolated)
         monkeypatch.setattr(harness, "forked", no_training)
         run_stream(stream, cfg, seed=42, order=[1, 0], isolated=isolated)
@@ -567,14 +565,14 @@ class TestSoloHelper:
 
     def test_helper_that_dies_raises_with_its_exit_code(self, monkeypatch,
                                                         helper_solo_runs):
-        caller, train_solo = os.getpid(), harness._train_solo
+        caller, train_solo = os.getpid(), harness.SoloRuns.__missing__
 
         def dying_in_helper(*args):
             if os.getpid() != caller:
                 os._exit(3)
             return train_solo(*args)
 
-        monkeypatch.setattr(harness, "_train_solo", dying_in_helper)
+        monkeypatch.setattr(harness.SoloRuns, "__missing__", dying_in_helper)
         cfg = tiny_config()
         with time_limit(60), pytest.raises(StateError, match="exited with code 3"):
             run_stream(stream_for(cfg), cfg, seed=42)
@@ -757,7 +755,7 @@ def test_helper_trains_as_the_serial_path(name, monkeypatch, tmp_path):
     results, dicts = [], []
     for helper, shared in ((False, True), (True, True), (True, False)):
         monkeypatch.setattr(harness, "second_core_free", lambda helper=helper: helper)
-        dicts.append({} if shared else None)
+        dicts.append(harness.SoloRuns(stream, cfg, 42) if shared else None)
         results.append(run_stream(stream, cfg, seed=42, isolated=dicts[-1]))
 
     serial = results[0]

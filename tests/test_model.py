@@ -120,14 +120,6 @@ class TestForward:
         assert out.shape == (3, 4)
 
 
-class TestCloneAndMerge:
-    def test_clone_is_independent(self, rng):
-        model = small_model(2)
-        copy = model.clone()
-        copy.params["head"].data[:] = 0.0
-        assert model.params["head"].data.any()
-
-
 class TestTrainingInvariants:
     def stream_and_config(self):
         cfg = ExperimentConfig(vocab_size=24, d_model=16, n_heads=2, n_blocks=2,

@@ -28,7 +28,9 @@ def load_instrument():
     return module
 
 
-def tiny_run(**kwargs):
+def tiny_run(shared=False, **kwargs):
+    """A tiny run; ``shared`` passes it a ``SoloRuns`` of the caller's, as
+    ``loragate run`` does."""
     cfg = ExperimentConfig(vocab_size=24, d_model=16, n_heads=2, n_blocks=2,
                            n_tasks=2, classes_per_task=2,
                            samples_per_class=32, seq_len=8, batch_size=16,
@@ -36,6 +38,8 @@ def tiny_run(**kwargs):
     stream = generate_task_stream(cfg.data_seed, cfg.n_tasks, cfg.samples_per_class,
                                   cfg.difficulty, cfg.classes_per_task,
                                   cfg.seq_len, cfg.vocab_size)
+    if shared:
+        kwargs["isolated"] = harness.SoloRuns(stream, cfg, 42)
     # looked up at call time, so the hooks' binding is the one called
     return harness.run_stream(stream, cfg, 42, **kwargs)
 
@@ -57,7 +61,7 @@ def test_hooks_keep_trace_hash_and_uninstall_restores_bindings(serial_solo_runs)
     probe = instrument.Probe().install()
     tracer = instrument.Tracer().install()
     try:
-        hooked = tiny_run(order=[1, 0], isolated={})
+        hooked = tiny_run(shared=True, order=[1, 0])
     finally:
         tracer.uninstall()
         probe.uninstall()

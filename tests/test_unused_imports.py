@@ -1,12 +1,16 @@
 """Every imported name in the package and the tests is used, every
 top-level function and class of the package has a caller outside the tests,
-and only ``harness`` imports a module that starts processes.
+only ``harness`` imports a module that starts processes, and only ``harness``
+names its solo runs and its second-core test.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere else in the module, a name
 the package defines at top level must be read somewhere in the package or the
-benchmark outside its own definition, and ``multiprocessing`` or
-``concurrent`` may be imported only where ``harness.forked`` is defined.
+benchmark outside its own definition, ``multiprocessing`` or
+``concurrent`` may be imported only where ``harness.forked`` is defined, and
+no other module of the package may name ``SoloRun``, ``SoloRuns`` or
+``second_core_free``: ``harness.run_seed`` and ``harness.run_stream`` own the
+schedule of a seed's solo runs.
 """
 
 import ast
@@ -131,3 +135,42 @@ def test_only_harness_imports_a_process_module():
     found = {p.name: process_imports(p.read_text()) for p in PACKAGE}
     assert found.pop("harness.py") == ["multiprocessing"]
     assert {name: mods for name, mods in found.items() if mods} == {}
+
+
+HARNESS_ONLY = {"SoloRun", "SoloRuns", "second_core_free"}
+
+
+def harness_only_names(source: str) -> list[str]:
+    """The names of ``HARNESS_ONLY`` that the source imports, reads or
+    defines, in order of appearance."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            continue
+        found += [(node.lineno, node.col_offset, n) for n in names if n in HARNESS_ONLY]
+    return [n for _, _, n in sorted(found)]
+
+
+def test_harness_only_checker_flags_each_form():
+    source = ("from .harness import SoloRun, resolve_orders\n"
+              "from . import harness\n"
+              "def f():\n"
+              "    return harness.second_core_free()\n"
+              "class SoloRuns(dict):\n"
+              "    pass\n"
+              "'SoloRuns in a string is no name'\n")
+    assert harness_only_names(source) == ["SoloRun", "second_core_free", "SoloRuns"]
+
+
+def test_only_harness_names_the_solo_runs():
+    found = {p.name: harness_only_names(p.read_text()) for p in PACKAGE
+             if p.name != "harness.py"}
+    assert {name: names for name, names in found.items() if names} == {}
