@@ -5,11 +5,11 @@ mask of every stream position and layer, and the isolation table scored from
 those masks; ``metrics.csv`` and ``report.txt`` then summarise the grid. It
 first deletes every artifact of the names in ``ARTIFACTS``, so a smaller rerun
 into the same directory leaves nothing stale. It generates the task stream
-once and hands out one seed at a time to ``harness.run_seed``, which schedules
-its orders and their shared solo runs. ``--jobs N`` >= 2 runs each seed in a
-helper process of its own (``_run_pool``). ``harness``'s docstring sets out the
-process model. A run that raises, or a helper that dies, fails only the
-orders whose outcome it held, in ``report.txt``.
+once and hands each seed to ``harness.run_seed``, which splits it over two
+cores with one helper where a second core is free; ``--jobs N`` >= 2 runs each
+seed in a helper of its own instead (``_run_pool``). ``harness``'s docstring
+sets out the process model. A run that raises, or a helper that dies, fails
+only the orders whose outcome it held, in ``report.txt``.
 
 ``loragate run`` pins two glibc malloc thresholds for its process, which its
 helpers inherit: arrays below 64 MiB come from the heap rather than from
@@ -185,7 +185,7 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
     _pin_malloc_thresholds()
     try:
         cfg = load_config(config_path)
-        orders = resolve_orders(cfg.n_tasks, cfg.n_orders, cfg.data_seed)
+        orders = resolve_orders(cfg)
         stream = generate_task_stream(cfg.data_seed, cfg.n_tasks, cfg.samples_per_class,
                                       cfg.difficulty, cfg.classes_per_task,
                                       cfg.seq_len, cfg.vocab_size)
@@ -257,10 +257,10 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True, help="path to a key = value config file")
     p_run.add_argument("--jobs", type=int, default=1,
                        help="worker processes, each running one seed (all its "
-                            "orders) at a time, at most one per seed; a single "
-                            "worker schedules a seed as harness.run_seed does; "
-                            "a failed run or a dead worker is reported in "
-                            "report.txt")
+                            "orders) at a time, at most one per seed; at 1, "
+                            "each seed also uses a second core where one is "
+                            "free; a failed run or a dead worker is reported "
+                            "in report.txt")
 
     sub.add_parser("gradcheck", help="finite-difference and kernel gradient checks")
 

@@ -26,25 +26,18 @@ model, the past and the trace as training there would have.
 
 Processes: ``forked`` is the only way the package starts one. It forks a
 helper that runs a function and swaps pickled values with its caller over one
-pipe (see ``Helper``). Three callers use it:
-
-- ``run_stream`` reads the missing solo runs of ``order[1:]`` in a helper while
-  it trains the stream;
-- ``run_seed`` splits a seed of several orders: its helper trains half the solo
-  runs while the caller trains the other half, the two swap them, and each
-  then runs half the orders;
-- ``loragate run --jobs N`` (N >= 2) runs each seed in a helper of its own, at
-  most N at once.
-
-The first two fork only where ``second_core_free``, which a helper never is,
-so N workers use N cores and a split seed two. Each run is the same
-computation in either process, so the results, ``trace_hash`` included, are
-those of a serial run. Solo runs cross the pipe in plain dicts; a ``SoloRuns``
-holds the stream and is never pickled. A helper's warnings are re-issued in
-the caller and its exception is re-raised there. A helper that dies makes the
-caller's next ``send`` or ``recv`` raise ``StateError("helper process exited
-with code N ...")``, so only the work that helper held is lost, and no helper
-outlives the block that forked it.
+pipe (see ``Helper``). It has two callers: ``run_seed`` splits a seed's solo
+runs and orders with one helper, and ``loragate run --jobs N`` (N >= 2) runs
+each seed in a helper of its own, at most N at once. ``run_seed`` forks only
+where ``second_core_free``, which a helper never is, so N workers use N cores
+and a split seed two. Each run is the same computation in either process, so
+the results, ``trace_hash`` included, are those of a serial run. Solo runs
+cross the pipe in plain dicts; a ``SoloRuns`` holds the stream and is never
+pickled. A helper's warnings are re-issued in the caller and its exception is
+re-raised there. A helper that dies makes the caller's next ``send`` or
+``recv`` raise ``StateError("helper process exited with code N ...")``, so
+only the work that helper held is lost, and no helper outlives the block that
+forked it.
 """
 
 from __future__ import annotations
@@ -56,7 +49,7 @@ import multiprocessing
 import os
 import sys
 import warnings
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -253,16 +246,14 @@ def evaluate(model: TinyTransformer, stream: TaskStream, task_id: int) -> float:
     return correct / len(labels)
 
 
-def resolve_orders(n_tasks: int, n_orders: int, data_seed: int) -> list[list[int]]:
-    """``n_orders`` distinct task orders: order 0 is natural, order k a
-    permutation from the data seed, redrawn while it repeats an earlier one.
-
-    ``n_orders`` outside ``[1, n_tasks!]`` raises ``ConfigError``."""
-    if not 1 <= n_orders <= math.factorial(n_tasks):
-        raise ConfigError(f"n_orders must lie in [1, {n_tasks}!], got {n_orders}")
+def resolve_orders(config: ExperimentConfig) -> list[list[int]]:
+    """The config's ``n_orders`` distinct task orders: order 0 is natural,
+    order k a permutation from the data seed, redrawn while it repeats an
+    earlier one. A config holds at most ``n_tasks!`` orders, so this ends."""
+    n_tasks = config.n_tasks
     orders = [list(range(n_tasks))]
-    for k in range(1, n_orders):
-        rng = named_rng(data_seed, f"order/{k}")
+    for k in range(1, config.n_orders):
+        rng = named_rng(config.data_seed, f"order/{k}")
         order = rng.permutation(n_tasks).tolist()
         while order in orders:
             order = rng.permutation(n_tasks).tolist()
@@ -413,18 +404,16 @@ def forked(target: Callable, *args) -> Iterator[Helper]:
 
 
 @one_blas_thread()
-def run_stream(
-    stream: TaskStream,
-    config: ExperimentConfig,
-    seed: int,
-    order: Optional[list[int]] = None,
-    isolated: Optional[SoloRuns] = None,
-) -> RunResult:
+def run_stream(stream: TaskStream, config: ExperimentConfig, seed: int,
+               order: Optional[list[int]] = None,
+               isolated: Optional[SoloRuns] = None) -> RunResult:
     """Full stream pass plus per-task isolated runs.
 
     ``isolated`` holds the solo runs of this stream, config and seed (see
     ``SoloRuns``); the caller owns it and may pass it to runs of other orders.
-    Without it the run reads a ``SoloRuns`` of its own, dropped on return.
+    With it the run is serial and reads the solo runs of ``order[1:]``, for its
+    isolated row, after the stream; without it the run is ``run_seed`` of this
+    one order, whose helper trains them while the stream trains.
 
     Every stream position goes through one record step: merge the task log's
     final updates into the stream model and the past, keep the log, hash it.
@@ -434,31 +423,20 @@ def run_stream(
     position 0 trains in the stream. The returned arrays are the caller's to
     modify.
 
-    The solo training of ``order[0]`` comes first, then the stream trainings.
-    The missing solo runs of ``order[1:]`` are trained meanwhile in a helper
-    (see the module docstring) where ``second_core_free``, else after the
-    stream. A helper that dies raises ``StateError``, and an exception here
-    terminates it.
-
     A stream that is not the config's (not ``config.n_tasks`` long) or an
     ``order`` that is not a permutation raises ``ConfigError`` before training.
-
-    The run uses one BLAS thread, and so does its helper; the caller's count
-    is restored on return (see ``blas``).
+    The run uses one BLAS thread and restores the caller's count (see ``blas``).
     """
     if len(stream) != config.n_tasks:
         raise ConfigError(f"stream has {len(stream)} tasks, config n_tasks={config.n_tasks}")
-    penalized = config.method.penalized
-    penalty_weights = config.penalty_weights() if penalized else [0.0] * len(stream)
     order = list(range(len(stream))) if order is None else list(order)
     if sorted(order) != list(range(len(stream))):
         raise ConfigError(f"order {order} is not a permutation of the {len(stream)} task ids")
+    if isolated is None:
+        return run_seed(stream, config, seed, [order],
+                        lambda k, runs: run_stream(stream, config, seed, order, runs))[0]
+    penalty_weights = config.penalty_weights()  # read only where there is a past
     hasher = hashlib.sha256()
-
-    runs = SoloRuns(stream, config, seed) if isolated is None else isolated
-    aside = [tid for tid in order[1:] if tid not in runs]
-    helper = (forked(lambda send, recv: send({tid: runs[tid] for tid in aside}))
-              if aside and second_core_free() else nullcontext())
     matrix = AccuracyMatrix(len(stream))
     logs: list[TaskLog] = []
 
@@ -469,27 +447,36 @@ def run_stream(
         for lid in sorted(task_log.merged):
             hasher.update(task_log.merged[lid].tobytes())
 
-    with helper as aside_helper:
-        first = runs[order[0]]
-        model = _base_model(stream, config, seed)
-        past = ({lid: np.zeros(model.layer_shape(lid), dtype=np.float32)
-                 for lid in model.adapted_layers} if penalized else None)
-        record(copy.deepcopy(first.log))  # writable arrays of the caller's own
-        matrix.set(1, 0, first.accuracy)
-        matrix.set_isolated(0, first.accuracy)
-        for pos in range(1, len(order)):
-            record(train_task(model, stream, order[pos], config,
-                              penalty_weight=penalty_weights[pos], past=past, run_seed=seed))
-            for j in range(pos + 1):
-                matrix.set(pos + 1, j, evaluate(model, stream, order[j]))
-        del model  # freed before the solo runs left, which build models of their own
-        if aside_helper:
-            runs.update(aside_helper.recv())
+    first = isolated[order[0]]
+    model = _base_model(stream, config, seed)
+    past = ({lid: np.zeros(model.layer_shape(lid), dtype=np.float32)
+             for lid in model.adapted_layers} if config.method.penalized else None)
+    record(copy.deepcopy(first.log))  # writable arrays of the caller's own
+    matrix.set(1, 0, first.accuracy)
+    matrix.set_isolated(0, first.accuracy)
     for pos in range(1, len(order)):
-        matrix.set_isolated(pos, runs[order[pos]].accuracy)
+        record(train_task(model, stream, order[pos], config,
+                          penalty_weight=penalty_weights[pos], past=past, run_seed=seed))
+        for j in range(pos + 1):
+            matrix.set(pos + 1, j, evaluate(model, stream, order[j]))
+    del model  # freed before the solo runs left, which build models of their own
+    for pos in range(1, len(order)):
+        matrix.set_isolated(pos, isolated[order[pos]].accuracy)
 
     hasher.update(matrix.grid.tobytes())
     return RunResult(matrix=matrix, logs=logs, trace_hash=hasher.hexdigest())
+
+
+class _SwapOnMiss(SoloRuns):
+    """A ``SoloRuns`` whose miss first calls ``swap``, if set, to add the
+    runs another process trained; a run still missing is trained here."""
+
+    swap: Optional[Callable[[], None]] = None
+
+    def __missing__(self, task_id: int) -> SoloRun:
+        if self.swap:
+            self.swap()
+        return self.get(task_id) or super().__missing__(task_id)
 
 
 def run_seed(stream: TaskStream, config: ExperimentConfig, seed: int,
@@ -498,28 +485,40 @@ def run_seed(stream: TaskStream, config: ExperimentConfig, seed: int,
     by index. ``runs`` is the seed's ``SoloRuns``, which every order shares, so
     each task is trained alone once.
 
-    Where the seed has two or more orders and ``second_core_free``, one helper
-    is forked before any training. It trains the solo runs of the odd task ids
-    while this process trains the even ones; the two swap their runs once, and
-    the helper then calls ``each`` for the odd indices while this process calls
-    it for the even ones. Every call finds the runs a serial seed's would, so
-    it makes the same computation. An exception in either process, a dead
-    helper included, is raised here."""
-    runs = SoloRuns(stream, config, seed)
+    Where ``second_core_free``, one helper is forked before any training; it
+    calls ``each`` for the odd indices and this process for the even ones. At
+    an even count of orders, this process trains the solo runs of the even
+    positions of ``orders[0]`` and the helper the rest, and the two swap them
+    before any order. At an odd count, this process trains only the run of
+    ``orders[0][0]`` and starts order 0 at once; it takes the helper's runs at
+    its first miss, order 0's isolated row, then sends its own. Every call
+    finds the runs a serial seed's would, so it makes the same computation.
+    An exception in either process, a dead helper included, is raised here;
+    a miss after a failed swap trains the run here."""
+    runs = _SwapOnMiss(stream, config, seed)
     indices = range(len(orders))
-    if len(orders) < 2 or not second_core_free():
+    if not second_core_free():
         return [each(k, runs) for k in indices]
-    tasks = range(config.n_tasks)
+    lead = orders[0]
+    mine, theirs = (lead[:1], lead[1:]) if len(orders) % 2 else (lead[::2], lead[1::2])
 
     def helper_half(send, recv) -> None:
-        send({tid: runs[tid] for tid in tasks[1::2]})
+        send({tid: runs[tid] for tid in theirs})
         runs.update(recv())
         send({k: each(k, runs) for k in indices[1::2]})
 
     with forked(helper_half) as helper:
-        mine = {tid: runs[tid] for tid in tasks[::2]}
-        runs.update(helper.recv())
-        helper.send(mine)
+        def swap() -> None:
+            runs.swap = None  # once, even if the helper has died
+            runs.update(helper.recv())
+            helper.send(sent)
+
+        sent = {tid: runs[tid] for tid in mine}
+        runs.swap = swap
+        if len(orders) % 2 == 0:
+            swap()
         done = {k: each(k, runs) for k in indices[::2]}
+        if runs.swap:  # no order missed a run
+            swap()
         done.update(helper.recv())
     return [done[k] for k in indices]

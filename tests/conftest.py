@@ -74,18 +74,18 @@ def records_hold_no_tensor(monkeypatch):
 
 @pytest.fixture
 def serial_solo_runs(monkeypatch):
-    """Fork no helper: ``run_stream`` reads every solo run in this process, the
-    missing ones of ``order[1:]`` after the stream, and ``harness.run_seed``
-    runs a seed's orders here, one after another. For tests that watch calls
-    or objects in-process (a helper's happen in a forked one)."""
+    """Fork no helper: ``harness.run_seed`` runs a seed's orders here, one
+    after another, and ``run_stream`` without a caller's ``SoloRuns`` reads
+    the solo runs of ``order[1:]`` here, after the stream. For tests that
+    watch calls or objects in-process (a helper's happen in a forked one)."""
     monkeypatch.setattr(harness, "second_core_free", lambda: False)
 
 
 @pytest.fixture
 def helper_solo_runs(monkeypatch):
-    """Fork a helper whatever the CPU count of the machine: ``run_stream``
-    trains the missing solo runs of ``order[1:]`` in one, and
-    ``harness.run_seed`` splits a seed of several orders with one."""
+    """Fork a helper whatever the CPU count of the machine: ``harness.run_seed``
+    splits every seed with one, so ``run_stream`` without a caller's
+    ``SoloRuns`` trains the solo runs of ``order[1:]`` in one."""
     monkeypatch.setattr(harness, "second_core_free", lambda: True)
 
 

@@ -473,12 +473,14 @@ class TestSplitSeed:
         for name in names:
             assert outputs[True][name] == outputs[False][name], name
 
+    @pytest.mark.parametrize("n_orders", [3, 4])
     def test_each_solo_run_trained_once_after_one_fork(self, tmp_path, monkeypatch,
-                                                       helper_solo_runs):
-        # one log for both processes: the fork, each solo run, each training
+                                                       helper_solo_runs, n_orders):
+        # one log for both processes: the fork, each solo run, each training,
+        # each value this process receives from the helper
         log = tmp_path / "events.log"
         forked, train_task = harness.forked, harness.train_task
-        train_solo = harness.SoloRuns.__missing__
+        train_solo, recv = harness.SoloRuns.__missing__, harness.Helper.recv
 
         def write(line):
             with log.open("a") as f:
@@ -493,32 +495,50 @@ class TestSplitSeed:
             return train_solo(runs, task_id)
 
         def logging_train_task(*args, **kwargs):
-            write("train")
+            write(f"train {os.getpid()}")
             return train_task(*args, **kwargs)
+
+        def logging_recv(helper):
+            write(f"recv {os.getpid()}")
+            return recv(helper)
 
         monkeypatch.setattr(harness, "forked", logging_forked)
         monkeypatch.setattr(harness.SoloRuns, "__missing__", logging_train_solo)
         monkeypatch.setattr(harness, "train_task", logging_train_task)
-        text = FLOOR_GRID.replace("n_orders = 2", "n_orders = 3")
+        monkeypatch.setattr(harness.Helper, "recv", logging_recv)
+        text = FLOOR_GRID.replace("n_orders = 2", f"n_orders = {n_orders}")
         assert cmd_run(str(write_config(tmp_path, text=text, out=tmp_path / "out"))) == 0
         events = log.read_text().splitlines()
-        # per seed: one fork, then 3 tasks alone and positions 1 and 2 of 3
-        # orders, each solo run logged just before its training
-        per_seed = 1 + 2 * 3 + 3 * 2
+        # per seed: one fork, 3 tasks alone, positions 1 and 2 of each order,
+        # each solo run logged just before its training, and two values
+        # received here: the helper's solo runs, then its orders' outcomes
+        per_seed = 1 + 2 * 3 + n_orders * 2 + 2
         assert len(events) == 2 * per_seed
+        here = str(os.getpid())
         for seed, block in ((42, events[:per_seed]), (43, events[per_seed:])):
             assert block[0] == "fork" and "fork" not in block[1:]
-            assert block[1] != "train"
+            assert not block[1].startswith("train")
             solo = [line.split()[1:] for line in block if line.startswith("solo")]
             assert sorted(tid for s, tid, _ in solo) == ["0", "1", "2"]
             assert {s for s, _, _ in solo} == {str(seed)}
-            assert len({pid for _, _, pid in solo}) == 2  # half in each process
+            assert len({pid for _, _, pid in solo}) == 2  # some in each process
+            mine = [line.split()[0] for line in block if line.split()[-1] == here]
+            if n_orders % 2:
+                # only order 0's first task alone, then order 0's stream, and
+                # the helper's runs only at the isolated row
+                assert [tid for _, tid, pid in solo if pid == here] == ["0"]
+                assert mine[:5] == ["solo", "train", "train", "train", "recv"]
+            else:
+                # half the runs in each process, swapped before any order
+                assert [tid for _, tid, pid in solo if pid == here] == ["0", "2"]
+                assert mine[:5] == ["solo", "train", "solo", "train", "recv"]
 
     @pytest.mark.parametrize("phase", ["solo", "orders"])
     def test_dead_helper_loses_only_its_own_orders(self, tmp_path, monkeypatch,
                                                    helper_solo_runs, phase):
         # seed 43's helper dies while it trains its solo runs, which loses
-        # every order of the seed, or while it runs its one order of three
+        # order 0, whose isolated row waits on them, and the helper's order 1
+        # (order 2 trains them here), or while it runs its one order of three
         caller, run_single = os.getpid(), cli._run_single
         train_solo = harness.SoloRuns.__missing__
 
@@ -534,7 +554,7 @@ class TestSplitSeed:
 
         if phase == "solo":
             monkeypatch.setattr(harness.SoloRuns, "__missing__", dying_in_solo_phase)
-            lost = [0, 1, 2]
+            lost = [0, 1]
         else:
             monkeypatch.setattr(cli, "_run_single", dying_in_order_phase)
             lost = [1]

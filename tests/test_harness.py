@@ -677,33 +677,38 @@ class TestDegenerateModes:
         assert np.abs(l_inc - l_jump).max() > 1e-5  # well above rounding
 
 
+def orders_of(n_tasks, n_orders):
+    return resolve_orders(ExperimentConfig(n_tasks=n_tasks, n_orders=n_orders, data_seed=7))
+
+
 class TestOrders:
     def test_identity_order(self):
-        assert resolve_orders(4, 1, 7) == [[0, 1, 2, 3]]
+        assert orders_of(4, 1) == [[0, 1, 2, 3]]
 
     def test_permuted_orders_deterministic(self):
-        o1 = resolve_orders(5, 3, 7)
-        o2 = resolve_orders(5, 3, 7)
+        o1 = orders_of(5, 3)
+        o2 = orders_of(5, 3)
         assert o1 == o2
         assert all(sorted(o) == [0, 1, 2, 3, 4] for o in o1)
 
     def test_orders_are_distinct(self):
         # drawn independently, orders 1..5 of three tasks repeat two permutations
-        orders = resolve_orders(3, 6, 7)
+        orders = orders_of(3, 6)
         assert orders[0] == [0, 1, 2]
         assert sorted(map(tuple, orders)) == sorted(itertools.permutations(range(3)))
 
     @pytest.mark.parametrize("n_tasks,n_orders", [(2, 3), (3, 7), (3, 0)])
     def test_orders_outside_the_permutation_count_rejected(self, n_tasks, n_orders):
-        # 3 orders of 2 tasks once redrew forever
-        with pytest.raises(ConfigError, match="n_orders"):
-            resolve_orders(n_tasks, n_orders, 7)
+        # no config holds more orders than its tasks have, so resolve_orders,
+        # where 3 orders of 2 tasks once redrew forever, never sees one
+        with pytest.raises(ConfigError,
+                           match=rf"n_orders must lie in \[1, {n_tasks}!\], got {n_orders}"):
+            ExperimentConfig(n_tasks=n_tasks, n_orders=n_orders)
 
     def test_distinct_draws_keep_their_order(self):
         # a prefix of orders that were already distinct is unchanged
-        assert resolve_orders(4, 4, 7) == [[0, 1, 2, 3], [3, 1, 2, 0],
-                                           [2, 0, 1, 3], [1, 0, 2, 3]]
-        assert resolve_orders(3, 2, 7) == resolve_orders(3, 6, 7)[:2]
+        assert orders_of(4, 4) == [[0, 1, 2, 3], [3, 1, 2, 0], [2, 0, 1, 3], [1, 0, 2, 3]]
+        assert orders_of(3, 2) == orders_of(3, 6)[:2]
 
     def test_run_with_permuted_order(self):
         cfg = tiny_config()
@@ -738,11 +743,13 @@ def test_pinned_trace_hash(name):
 
 @pytest.mark.parametrize("name", list(PINNED_HASHES))
 def test_helper_trains_as_the_serial_path(name, monkeypatch, tmp_path):
-    # the solo runs of order[1:] after the stream, then in a forked helper,
-    # with a dict and without: the same pinned hash, matrix, logs and solo runs
+    # the solo runs of order[1:] after the stream with a dict, then in a
+    # forked helper, through run_stream without a dict and through run_seed
+    # of the one order: the same pinned hash, matrix, logs and solo runs
     overrides, expected = PINNED_HASHES[name]
     cfg = ExperimentConfig(samples_per_class=64, **overrides)
     stream = stream_for(cfg)
+    order = list(range(cfg.n_tasks))
     found = blas.openblas_threads()
     log, train = tmp_path / "train_task.log", harness.train_task
 
@@ -751,12 +758,17 @@ def test_helper_trains_as_the_serial_path(name, monkeypatch, tmp_path):
             f.write(f"{os.getpid()} {found[1]() if found else 1}\n")
         return train(*args, **kwargs)
 
+    def keeping_runs(k, runs):
+        dicts.append(runs)
+        return run_stream(stream, cfg, 42, order, runs)
+
     monkeypatch.setattr(harness, "train_task", logging_train_task)
-    results, dicts = [], []
-    for helper, shared in ((False, True), (True, True), (True, False)):
-        monkeypatch.setattr(harness, "second_core_free", lambda helper=helper: helper)
-        dicts.append(harness.SoloRuns(stream, cfg, 42) if shared else None)
-        results.append(run_stream(stream, cfg, seed=42, isolated=dicts[-1]))
+    monkeypatch.setattr(harness, "second_core_free", lambda: False)
+    dicts = [harness.SoloRuns(stream, cfg, 42)]
+    results = [run_stream(stream, cfg, seed=42, isolated=dicts[0])]
+    monkeypatch.setattr(harness, "second_core_free", lambda: True)
+    results.append(run_stream(stream, cfg, seed=42))
+    results += harness.run_seed(stream, cfg, 42, [order], keeping_runs)
 
     serial = results[0]
     for result in results:
@@ -765,7 +777,7 @@ def test_helper_trains_as_the_serial_path(name, monkeypatch, tmp_path):
         assert len(result.logs) == len(serial.logs)
         for got, want in zip(result.logs, serial.logs):
             assert_same_log(got, want)
-    assert sorted(dicts[1]) == sorted(dicts[0]) == list(range(cfg.n_tasks))
+    assert sorted(dicts[1]) == sorted(dicts[0]) == order
     for tid, want in dicts[0].items():
         got = dicts[1][tid]
         assert got.accuracy == want.accuracy

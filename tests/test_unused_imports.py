@@ -1,7 +1,8 @@
 """Every imported name in the package and the tests is used, every
 top-level function and class of the package has a caller outside the tests,
-only ``harness`` imports a module that starts processes, and only ``harness``
-names its solo runs and its second-core test.
+only ``harness`` imports a module that starts processes, only ``harness``
+names its solo runs and its second-core test, and only ``harness.run_seed``
+and ``cli._run_pool`` fork.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere else in the module, a name
@@ -9,15 +10,23 @@ the package defines at top level must be read somewhere in the package or the
 benchmark outside its own definition, ``multiprocessing`` or
 ``concurrent`` may be imported only where ``harness.forked`` is defined, and
 no other module of the package may name ``SoloRun``, ``SoloRuns`` or
-``second_core_free``: ``harness.run_seed`` and ``harness.run_stream`` own the
-schedule of a seed's solo runs.
+``second_core_free``: ``harness.run_seed`` owns the schedule of a seed's solo
+runs. It is the one caller of ``forked`` besides the ``--jobs`` pool, and
+``run_stream`` holds no process code. One run checks that schedule where no
+order ever misses a solo run.
 """
 
 import ast
+import multiprocessing
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import time_limit
+
+import loragate.harness as harness
+from loragate.config import ExperimentConfig
+from loragate.data import generate_task_stream
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "loragate").glob("*.py"))
@@ -174,3 +183,59 @@ def test_only_harness_names_the_solo_runs():
     found = {p.name: harness_only_names(p.read_text()) for p in PACKAGE
              if p.name != "harness.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def forked_calls(source: str) -> list[str]:
+    """The top-level function around each call of ``forked``, by name or as
+    an attribute, in order of appearance."""
+    return [func.name for func in ast.parse(source).body
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "forked"]
+
+
+def test_forked_call_checker_flags_each_form():
+    source = ("def run(stream):\n"
+              "    with forked(lambda send, recv: send(1)) as helper:\n"
+              "        return helper.recv()\n"
+              "def pool(units):\n"
+              "    return [harness.forked(work, u) for u in units]\n"
+              "def aside():\n"
+              "    return forked\n")
+    assert forked_calls(source) == ["run", "pool"]
+
+
+def test_only_the_seed_schedule_and_the_pool_fork():
+    found = {p.name: forked_calls(p.read_text()) for p in PACKAGE}
+    assert {name: calls for name, calls in found.items() if calls} == {
+        "cli.py": ["_run_pool"], "harness.py": ["run_seed"]}
+    harness_tree = ast.parse((ROOT / "src" / "loragate" / "harness.py").read_text())
+    (run_stream,) = [node for node in harness_tree.body
+                     if getattr(node, "name", None) == "run_stream"]
+    assert {"forked", "second_core_free", "Helper"} & set(names_read(run_stream)) == set()
+
+
+def test_a_seed_that_misses_no_solo_run_still_swaps(monkeypatch, helper_solo_runs):
+    # one task: order 0 reads only the run this process trains, so no miss
+    # ever swaps the runs; they must still cross at the end, once, and no
+    # helper may be left
+    cfg = ExperimentConfig(vocab_size=24, d_model=16, n_heads=2, n_blocks=1, n_tasks=1,
+                           classes_per_task=2, samples_per_class=16, seq_len=8,
+                           batch_size=8)
+    stream = generate_task_stream(cfg.data_seed, cfg.n_tasks, cfg.samples_per_class,
+                                  cfg.difficulty, cfg.classes_per_task, cfg.seq_len,
+                                  cfg.vocab_size)
+    sent, send = [], harness.Helper.send
+
+    def counting_send(helper, value):
+        sent.append(value)
+        send(helper, value)
+
+    monkeypatch.setattr(harness.Helper, "send", counting_send)
+    with time_limit(60):
+        result = harness.run_stream(stream, cfg, 42)
+    assert multiprocessing.active_children() == []
+    assert [sorted(value) for value in sent] == [[0]]
+    serial = harness.run_stream(stream, cfg, 42, isolated=harness.SoloRuns(stream, cfg, 42))
+    assert result.trace_hash == serial.trace_hash
