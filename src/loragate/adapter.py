@@ -3,9 +3,9 @@
 An adapter is a pair of factors (down: [d_in, r], up: [r, d_out]) whose
 product is the weight update for one base matrix. A gated task has one jump
 gate over all of its adapters: one learnable threshold that zeroes every
-update entry whose magnitude falls below it. The interpolation factor
-``gamma`` ramps the update from the dense product to the gated one over a
-window of steps.
+update entry whose magnitude falls below it. A gate exists only once
+``init_gate`` has set its threshold. The interpolation factor ``gamma`` ramps
+the update from the dense product to the gated one over a window of steps.
 """
 
 from __future__ import annotations
@@ -36,13 +36,6 @@ class Adapter:
 class JumpGate:
     threshold: Tensor  # scalar, learnable
     bandwidth: float
-    initialized: bool = False
-
-
-def make_gate(bandwidth: float, dtype=np.float32) -> JumpGate:
-    """An uninitialised gate; ``bandwidth`` comes from a validated config."""
-    threshold = Tensor(np.zeros((), dtype=dtype), requires_grad=True)
-    return JumpGate(threshold=threshold, bandwidth=bandwidth)
 
 
 def init_adapter(
@@ -84,8 +77,6 @@ def jump_update(dw: Tensor, gate: JumpGate) -> Tensor:
     keeps every entry. Gradient reaches the factors through active entries
     and the threshold through the straight-through kernel at +/-threshold.
     """
-    if not gate.initialized:
-        raise StateError("jump gate used before its threshold was initialized")
     return jumprelu(dw, gate.threshold, gate.bandwidth)
 
 
@@ -144,22 +135,23 @@ def init_threshold(updates, budget: int) -> float:
     return max(order_stat, THRESHOLD_FLOOR)
 
 
-def init_gate(gate: JumpGate, adapters: dict[str, Adapter]) -> None:
-    """Set the gate's threshold from the current updates of every adapter,
-    pooled in the dict's order, with their summed factor budget, and mark the
-    gate initialised."""
+def init_gate(threshold: Tensor, bandwidth: float, adapters: dict[str, Adapter]) -> JumpGate:
+    """The gate over ``adapters``: ``threshold``, set in place from the current
+    updates of every adapter, pooled in the dict's order, with their summed
+    factor budget, and ``bandwidth`` from a validated config."""
     scope = list(adapters.values())
-    threshold = init_threshold([a.down.data @ a.up.data for a in scope],
-                               sum(a.budget() for a in scope))
-    gate.threshold.data = np.asarray(threshold, dtype=gate.threshold.dtype)
-    gate.initialized = True
+    value = init_threshold([a.down.data @ a.up.data for a in scope],
+                           sum(a.budget() for a in scope))
+    threshold.data = np.asarray(value, dtype=threshold.dtype)
+    return JumpGate(threshold=threshold, bandwidth=bandwidth)
 
 
-def final_sparse_update(adapter: Adapter, gate: JumpGate) -> np.ndarray:
-    """Hard-thresholded factor product, outside the autodiff graph."""
-    if not gate.initialized:
-        raise StateError("jump gate used before its threshold was initialized")
+def final_sparse_update(adapter: Adapter, gate: JumpGate | None) -> np.ndarray:
+    """A task's final update, outside the autodiff graph: the factor product,
+    hard-thresholded at the gate's threshold where there is a gate."""
     dw = adapter.down.data @ adapter.up.data
+    if gate is None:
+        return dw
     t = float(gate.threshold.data.reshape(()))
     return dw * (np.abs(dw) > t)
 

@@ -1,9 +1,9 @@
 """Continual-learning driver: per-task adapter lifecycle over a task stream.
 
-``train_task`` is the whole per-task unit: it injects fresh adapters (and, for
-a gated method, one jump gate over all of them), trains one epoch with the
-gated update interpolation, and returns the task's log with its final update
-per layer, hard-thresholded for gated methods; the adapters die with it.
+``train_task`` is the whole per-task unit: it injects fresh adapters, makes a
+gated method's one jump gate over them at the ramp start, trains one epoch
+with the gated update interpolation, and returns the task's log with its final
+update per layer, hard-thresholded for gated methods; the adapters die with it.
 ``run_stream`` merges that update into the model, adds it to the past that the
 overlap penalty reads, and hashes it. Isolated single-task runs fill the
 reference row of the accuracy matrix.
@@ -35,9 +35,9 @@ the results, ``trace_hash`` included, are those of a serial run. Solo runs
 cross the pipe in plain dicts; a ``SoloRuns`` holds the stream and is never
 pickled. A helper's warnings are re-issued in the caller and its exception is
 re-raised there. A helper that dies makes the caller's next ``send`` or
-``recv`` raise ``StateError("helper process exited with code N ...")``, so
-only the work that helper held is lost, and no helper outlives the block that
-forked it.
+``recv`` raise ``StateError("helper process exited with code N ...")``, which
+``run_seed`` raises only after this process's orders, so only the helper's
+work is lost, and no helper outlives the block that forked it.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ import numpy as np
 
 from .adapter import (
     Adapter,
-    JumpGate,
     THRESHOLD_FLOOR,
     dense_update,
     final_sparse_update,
@@ -66,11 +65,10 @@ from .adapter import (
     init_gate,
     interpolate_update,
     jump_update,
-    make_gate,
     merge,
     ramp,
 )
-from .autodiff import Tape, add, cross_entropy
+from .autodiff import Tape, Tensor, add, cross_entropy
 from .blas import one_blas_thread
 from .config import ExperimentConfig
 from .data import TaskStream
@@ -122,9 +120,9 @@ def inject_adapters(
     config: ExperimentConfig,
     run_seed: int,
     task_id: int,
-) -> tuple[dict[str, Adapter], Optional[JumpGate]]:
-    """Fresh adapters for every adapted layer, in ``adapted_layers`` order,
-    plus one gate over all of them when the configured method is gated.
+) -> dict[str, Adapter]:
+    """Fresh adapters for every adapted layer, in ``adapted_layers`` order.
+    A gated task's gate over them comes later, from ``init_gate``.
 
     Adapter seeds are derived from (run seed, task id, layer id), so the same
     task gets bit-identical initialization in stream and isolated runs.
@@ -136,7 +134,7 @@ def inject_adapters(
             d_in, d_out, config.rank,
             seed=named_seed(run_seed, f"adapter/task{task_id}/{lid}"),
         )
-    return adapters, make_gate(config.bandwidth) if config.method.gated else None
+    return adapters
 
 
 def train_task(
@@ -153,28 +151,29 @@ def train_task(
     update, dense / gated / interpolated updates, forward, loss plus optional
     overlap penalty, and an optimizer step over the factors and the threshold.
 
-    From the step that initialises the gate's threshold on, the forward uses
-    the interpolated update and the penalty the sparse one; before that step
-    both use the dense update.
+    From the ramp start, where ``init_gate`` makes a gated method's gate, the
+    forward uses the interpolated update and the penalty the sparse one. Before
+    it both use the dense update, and the threshold, in the optimizer from the
+    start, has no gradient, so Adam skips it.
 
-    ``model`` is not changed. The log's ``merged`` holds each layer's final
-    update: the hard-thresholded factor product for gated methods, the plain
-    product otherwise; its ``threshold`` is the gate's final one, or None.
+    ``model`` is not changed. The log's ``merged`` holds each layer's
+    ``final_sparse_update``; its ``threshold`` is the gate's final one, or None.
 
     A non-finite loss raises ``StateError`` naming the task and the step."""
     tokens, labels = stream.fetch(task_id, "train")
     n = len(labels)
     if n == 0:
         raise ConfigError(f"task {task_id} has no training data")
-    adapters, gate = inject_adapters(model, config, run_seed, task_id)
+    adapters = inject_adapters(model, config, run_seed, task_id)
     batch = config.batch_size
     total_steps = math.ceil(n / batch)
     start, final = ramp(total_steps, config.start_frac, config.end_frac)
     scaling = config.alpha / config.rank
 
     params = [t for a in adapters.values() for t in (a.down, a.up)]
-    if gate is not None:
-        params.append(gate.threshold)
+    if config.method.gated:
+        threshold = Tensor(np.zeros((), dtype=np.float32), requires_grad=True)
+        params.append(threshold)
     opt = AdamW(params, lr=config.learning_rate, warmup_steps=config.warmup_steps)
 
     # the past is fixed within a task, so the layers it penalises are too
@@ -184,13 +183,12 @@ def train_task(
     perm = named_rng(run_seed, f"shuffle/task{task_id}").permutation(n)
     losses = np.zeros(total_steps, dtype=np.float32)
     gammas: list[float] = []
-    init_step = None
+    gate, init_step = None, None
 
     for s in range(total_steps):
-        if gate is not None and s == start:
-            init_gate(gate, adapters)
-            init_step = s
-        g = gamma(s, start, final) if gate is not None else 0.0
+        if config.method.gated and s == start:
+            gate, init_step = init_gate(threshold, config.bandwidth, adapters), s
+        g = 0.0 if gate is None else gamma(s, start, final)
         gammas.append(g)
         idx = perm[s * batch:(s + 1) * batch]
         bt, bl = tokens[idx], labels[idx]
@@ -200,7 +198,7 @@ def train_task(
             penalty_updates: dict[str, object] = {}
             for lid in model.adapted_layers:
                 dw = dense_update(adapters[lid])
-                if init_step is None:
+                if gate is None:
                     updates[lid] = penalty_updates[lid] = dw
                 else:
                     penalty_updates[lid] = dj = jump_update(dw, gate)
@@ -216,22 +214,15 @@ def train_task(
         opt.step()
         opt.zero_grad()
         if gate is not None:
-            th = gate.threshold
-            th.data = np.maximum(th.data, np.asarray(THRESHOLD_FLOOR, th.dtype))
+            threshold.data = np.maximum(threshold.data,
+                                        np.asarray(THRESHOLD_FLOOR, threshold.dtype))
 
-    if gate is None:
-        threshold = None
-        merged = {lid: a.down.data @ a.up.data for lid, a in adapters.items()}
-    else:
-        if init_step is None:
-            # the ramp never reached its start inside this epoch
-            warnings.warn("threshold init fell past the epoch; initializing at the end")
-            init_gate(gate, adapters)
-            init_step = total_steps
-        threshold = float(gate.threshold.data.reshape(()))
-        merged = {lid: final_sparse_update(a, gate) for lid, a in adapters.items()}
+    if config.method.gated and gate is None:  # the ramp started past the epoch
+        warnings.warn("threshold init fell past the epoch; initializing at the end")
+        gate, init_step = init_gate(threshold, config.bandwidth, adapters), total_steps
+    merged = {lid: final_sparse_update(a, gate) for lid, a in adapters.items()}
     return TaskLog(losses=losses, gammas=gammas, threshold_init_step=init_step,
-                   threshold=threshold, merged=merged)
+                   threshold=None if gate is None else float(threshold.data), merged=merged)
 
 
 def evaluate(model: TinyTransformer, stream: TaskStream, task_id: int) -> float:
@@ -493,14 +484,16 @@ def run_seed(stream: TaskStream, config: ExperimentConfig, seed: int,
     ``orders[0][0]`` and starts order 0 at once; it takes the helper's runs at
     its first miss, order 0's isolated row, then sends its own. Every call
     finds the runs a serial seed's would, so it makes the same computation.
-    An exception in either process, a dead helper included, is raised here;
-    a miss after a failed swap trains the run here."""
+    An exception in either process, a dead helper included, is raised here.
+    One from the swap is raised only after this process's orders, which train
+    the runs it missed, so a failed helper loses only the helper's orders."""
     runs = _SwapOnMiss(stream, config, seed)
     indices = range(len(orders))
     if not second_core_free():
         return [each(k, runs) for k in indices]
     lead = orders[0]
     mine, theirs = (lead[:1], lead[1:]) if len(orders) % 2 else (lead[::2], lead[1::2])
+    failed = []  # the swap's exception, raised after this process's orders
 
     def helper_half(send, recv) -> None:
         send({tid: runs[tid] for tid in theirs})
@@ -510,8 +503,11 @@ def run_seed(stream: TaskStream, config: ExperimentConfig, seed: int,
     with forked(helper_half) as helper:
         def swap() -> None:
             runs.swap = None  # once, even if the helper has died
-            runs.update(helper.recv())
-            helper.send(sent)
+            try:
+                runs.update(helper.recv())
+                helper.send(sent)
+            except Exception as exc:  # noqa: BLE001 - raised below
+                failed.append(exc)
 
         sent = {tid: runs[tid] for tid in mine}
         runs.swap = swap
@@ -520,5 +516,7 @@ def run_seed(stream: TaskStream, config: ExperimentConfig, seed: int,
         done = {k: each(k, runs) for k in indices[::2]}
         if runs.swap:  # no order missed a run
             swap()
+        if failed:
+            raise failed[0]
         done.update(helper.recv())
     return [done[k] for k in indices]

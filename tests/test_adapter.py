@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from loragate.adapter import (
     Adapter,
+    JumpGate,
     THRESHOLD_FLOOR,
     dense_update,
     final_sparse_update,
@@ -15,7 +16,6 @@ from loragate.adapter import (
     init_threshold,
     interpolate_update,
     jump_update,
-    make_gate,
     merge,
     ramp,
 )
@@ -29,10 +29,7 @@ UPDATES = arrays(np.float32, st.tuples(st.integers(1, 6), st.integers(1, 6)),
 
 
 def gate_with(tau, bandwidth=1e-3, dtype=np.float32):
-    g = make_gate(bandwidth, dtype=dtype)
-    g.threshold.data = np.asarray(tau, dtype=dtype)
-    g.initialized = True
-    return g
+    return JumpGate(Tensor(np.asarray(tau, dtype=dtype), requires_grad=True), bandwidth)
 
 
 def composite_gate(x, tau, bandwidth, c):
@@ -178,11 +175,6 @@ class TestJumpUpdate:
             jump_update(x, gate_with(0.5))
             assert len(tape) == 1
 
-    def test_uninitialized_gate_rejected(self):
-        gate = make_gate(1e-3)
-        with pytest.raises(StateError):
-            jump_update(Tensor(np.ones((2, 2))), gate)
-
     def test_gradient_reaches_factors_and_threshold(self, rng):
         ad = init_adapter(6, 6, 2, seed=4)
         ad.up.data = rng.normal(scale=0.5, size=(2, 6)).astype(np.float32)
@@ -281,17 +273,16 @@ class TestInitGate:
         adapters = {lid: init_adapter(4, 6, 2, seed=i) for i, lid in enumerate("abc")}
         for ad in adapters.values():
             ad.up.data = rng.normal(size=(2, 6)).astype(np.float32)
-        gate = make_gate(1e-3)
-        init_gate(gate, adapters)
+        threshold = Tensor(np.zeros((), dtype=np.float32), requires_grad=True)
+        gate = init_gate(threshold, 1e-3, adapters)
         scope = [ad.down.data @ ad.up.data for ad in adapters.values()]
-        assert gate.initialized
+        assert gate.threshold is threshold and gate.bandwidth == 1e-3
         assert gate.threshold.dtype == np.float32
         assert gate.threshold.data == np.float32(init_threshold(scope, 3 * (2 * (4 + 6))))
 
     def test_all_zero_scope_falls_back_to_floor(self):
         adapters = {"a": init_adapter(4, 6, 2, seed=0)}  # up starts at zero
-        gate = make_gate(1e-3)
-        init_gate(gate, adapters)
+        gate = init_gate(Tensor(np.zeros((), dtype=np.float32)), 1e-3, adapters)
         assert gate.threshold.data == np.float32(THRESHOLD_FLOOR)
 
 
@@ -304,6 +295,11 @@ class TestFinalUpdateAndMerge:
         gate = gate_with(tau)
         np.testing.assert_array_equal(final_sparse_update(ad, gate),
                                       jump_update(dw, gate).data)
+
+    def test_no_gate_gives_the_factor_product(self, rng):
+        ad = init_adapter(6, 5, 2, seed=9)
+        ad.up.data = rng.normal(size=(2, 5)).astype(np.float32)
+        np.testing.assert_array_equal(final_sparse_update(ad, None), dense_update(ad).data)
 
     def test_huge_threshold_gives_zero(self, rng):
         ad = init_adapter(6, 6, 2, seed=9)

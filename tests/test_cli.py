@@ -533,12 +533,15 @@ class TestSplitSeed:
                 assert [tid for _, tid, pid in solo if pid == here] == ["0", "2"]
                 assert mine[:5] == ["solo", "train", "solo", "train", "recv"]
 
-    @pytest.mark.parametrize("phase", ["solo", "orders"])
+    # the ids without a count are at 3 orders
+    @pytest.mark.parametrize("phase, n_orders", [
+        pytest.param("solo", 3, id="solo"), pytest.param("orders", 3, id="orders"),
+        pytest.param("solo", 4, id="solo-4"), pytest.param("orders", 4, id="orders-4")])
     def test_dead_helper_loses_only_its_own_orders(self, tmp_path, monkeypatch,
-                                                   helper_solo_runs, phase):
-        # seed 43's helper dies while it trains its solo runs, which loses
-        # order 0, whose isolated row waits on them, and the helper's order 1
-        # (order 2 trains them here), or while it runs its one order of three
+                                                   helper_solo_runs, phase, n_orders):
+        # seed 43's helper dies while it trains its solo runs or while it runs
+        # its first order; either way this process trains the runs it misses
+        # and runs its own orders, so only the helper's orders are lost
         caller, run_single = os.getpid(), cli._run_single
         train_solo = harness.SoloRuns.__missing__
 
@@ -554,16 +557,16 @@ class TestSplitSeed:
 
         if phase == "solo":
             monkeypatch.setattr(harness.SoloRuns, "__missing__", dying_in_solo_phase)
-            lost = [0, 1]
         else:
             monkeypatch.setattr(cli, "_run_single", dying_in_order_phase)
-            lost = [1]
+        lost = [1] if n_orders == 3 else [1, 3]  # the helper's orders
         out = tmp_path / "artifacts"
-        text = FLOOR_GRID.replace("n_orders = 2", "n_orders = 3")
+        text = FLOOR_GRID.replace("n_orders = 2", f"n_orders = {n_orders}")
         with time_limit(60):
             assert cmd_run(str(write_config(tmp_path, text=text, out=out))) == 1
         assert multiprocessing.active_children() == []
-        kept = [(o, 42) for o in range(3)] + [(o, 43) for o in range(3) if o not in lost]
+        kept = ([(o, 42) for o in range(n_orders)]
+                + [(o, 43) for o in range(n_orders) if o not in lost])
         report = (out / "report.txt").read_text().splitlines()
         assert [line.split(":")[0] for line in report if line.startswith("order ")] == [
             f"order {o} seed {s}" for o, s in sorted(kept)]

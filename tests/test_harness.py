@@ -314,23 +314,30 @@ class TestRunStream:
         assert result.matrix.grid.shape == (3, 2)
         assert not np.isnan(result.matrix.final_row()).any()
 
-    def test_mask_equals_final_update_support(self, monkeypatch):
-        cfg = tiny_config()
+    @pytest.mark.parametrize("method", [Method.JUMP_INCLORA, Method.INCLORA],
+                             ids=lambda m: m.value)
+    def test_mask_equals_final_update_support(self, monkeypatch, method):
+        cfg = tiny_config(method=method)
         stream = stream_for(cfg)
         result = run_stream(stream, cfg, seed=42)
         # reconstruct task 0 exactly: same model seed, adapter seeds, data
-        # order; keep the adapters and gates that train_task injects
-        injected = []
-        inject = harness.inject_adapters
+        # order; keep the adapters that train_task injects and the gate it
+        # initialises, if any
+        injected, gates = [], []
+        inject, init_gate = harness.inject_adapters, harness.init_gate
 
-        def keeping(*args):
-            injected.append(inject(*args))
-            return injected[-1]
+        def keeping(kept, make):
+            def wrapper(*args):
+                kept.append(make(*args))
+                return kept[-1]
+            return wrapper
 
-        monkeypatch.setattr(harness, "inject_adapters", keeping)
+        monkeypatch.setattr(harness, "inject_adapters", keeping(injected, inject))
+        monkeypatch.setattr(harness, "init_gate", keeping(gates, init_gate))
         model = fresh_model(cfg, stream, 42)
         log = train_task(model, stream, 0, cfg, run_seed=42)
-        ((adapters, gate),) = injected
+        (adapters,) = injected
+        (gate,) = gates if method.gated else [None]
         for lid in model.adapted_layers:
             dwf = final_sparse_update(adapters[lid], gate)
             np.testing.assert_array_equal(log.merged[lid], dwf)
@@ -537,16 +544,6 @@ class TestSoloHelper:
         # a --jobs worker already has a core of its own
         monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
         assert not harness.second_core_free()
-
-    def test_not_forked_when_every_solo_run_is_shared(self, monkeypatch,
-                                                      helper_solo_runs):
-        cfg = tiny_config()
-        stream = stream_for(cfg)
-        isolated = harness.SoloRuns(stream, cfg, 42)
-        run_stream(stream, cfg, seed=42, order=[0, 1], isolated=isolated)
-        monkeypatch.setattr(harness, "forked", no_training)
-        run_stream(stream, cfg, seed=42, order=[1, 0], isolated=isolated)
-        assert sorted(isolated) == [0, 1]
 
     def test_exception_in_the_helper_is_raised_here(self, monkeypatch, helper_solo_runs):
         caller, train = os.getpid(), harness.train_task

@@ -7,11 +7,11 @@ import pytest
 from loragate import autodiff, harness
 from loragate.adapter import (
     JumpGate,
+    THRESHOLD_FLOOR,
     dense_update,
     init_adapter,
     interpolate_update,
     jump_update,
-    make_gate,
 )
 from loragate.autodiff import (
     Tape,
@@ -140,18 +140,34 @@ class TestTrainingInvariants:
         for k in model.params:
             np.testing.assert_array_equal(model.params[k].data, before[k])
 
-    def test_one_gate_per_gated_task(self):
+    def test_one_gate_per_gated_task(self, monkeypatch):
+        # inject_adapters makes no gate; train_task makes a gated task's one
+        # gate through init_gate, and an ungated task none
         cfg, stream = self.stream_and_config()
         model = build_model(cfg.vocab_size, cfg.d_model, cfg.n_heads, cfg.n_blocks,
                             cfg.seq_len, stream.num_classes, seed=42)
-        adapters, gate = inject_adapters(model, cfg, 42, 0)
-        assert list(adapters) == model.adapted_layers
-        assert isinstance(gate, JumpGate) and not gate.initialized
-        assert gate.threshold.requires_grad and gate.bandwidth == cfg.bandwidth
+        assert list(inject_adapters(model, cfg, 42, 0)) == model.adapted_layers
+        init_gate, gates = harness.init_gate, []
 
-        cfg = dataclasses.replace(cfg, method=Method.INCLORA)
-        adapters, gate = inject_adapters(model, cfg, 42, 0)
-        assert list(adapters) == model.adapted_layers and gate is None
+        def recording(threshold, bandwidth, adapters):
+            gates.append((bandwidth, init_gate(threshold, bandwidth, adapters)))
+            return gates[-1][1]
+
+        monkeypatch.setattr(harness, "init_gate", recording)
+        for method in Method:
+            gates.clear()
+            method_cfg = dataclasses.replace(cfg, method=method, ella_lambda=[1.0])
+            log = train_task(model, stream, 0, method_cfg, run_seed=42)
+            if method.gated:
+                ((bandwidth, gate),) = gates
+                assert bandwidth == cfg.bandwidth, method
+                assert gate.threshold.requires_grad, method
+                assert isinstance(log.threshold, float), method
+                # the floor in the threshold's float32
+                assert log.threshold == float(gate.threshold.data) >= np.float32(
+                    THRESHOLD_FLOOR), method
+            else:
+                assert gates == [] and log.threshold is None, method
 
 
 def chain_forward(model, tokens, updates, scaling):
@@ -278,9 +294,7 @@ class TestGradientLifetime:
         d = SMALL["d_model"]
         tokens = rng.integers(0, SMALL["vocab_size"], size=(6, 8))
         labels = rng.integers(0, SMALL["num_classes"], size=6)
-        gate = make_gate(0.05)
-        gate.threshold.data = np.asarray(0.1, np.float32)
-        gate.initialized = True
+        gate = JumpGate(Tensor(np.asarray(0.1, np.float32), requires_grad=True), 0.05)
         adapters = {lid: init_adapter(d, d, 4, seed=i)
                     for i, lid in enumerate(model.adapted_layers)}
         for ad in adapters.values():

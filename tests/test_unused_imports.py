@@ -1,8 +1,8 @@
 """Every imported name in the package and the tests is used, every
 top-level function and class of the package has a caller outside the tests,
 only ``harness`` imports a module that starts processes, only ``harness``
-names its solo runs and its second-core test, and only ``harness.run_seed``
-and ``cli._run_pool`` fork.
+names its solo runs and its second-core test, only ``harness.run_seed``
+and ``cli._run_pool`` fork, and only ``adapter.init_gate`` makes a jump gate.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere else in the module, a name
@@ -13,7 +13,9 @@ no other module of the package may name ``SoloRun``, ``SoloRuns`` or
 ``second_core_free``: ``harness.run_seed`` owns the schedule of a seed's solo
 runs. It is the one caller of ``forked`` besides the ``--jobs`` pool, and
 ``run_stream`` holds no process code. One run checks that schedule where no
-order ever misses a solo run.
+order ever misses a solo run. ``JumpGate(...)`` is called only in
+``adapter.init_gate``, which sets the threshold first, so no gate exists
+without one.
 """
 
 import ast
@@ -185,14 +187,14 @@ def test_only_harness_names_the_solo_runs():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-def forked_calls(source: str) -> list[str]:
-    """The top-level function around each call of ``forked``, by name or as
-    an attribute, in order of appearance."""
-    return [func.name for func in ast.parse(source).body
-            if isinstance(func, ast.FunctionDef)
-            for node in ast.walk(func)
+def callers(source: str, callee: str) -> list[str]:
+    """The top-level function or class around each call of ``callee``, by
+    name or as an attribute, or ``<module>`` for a call outside both, in
+    order of appearance."""
+    return [getattr(top, "name", "<module>") for top in ast.parse(source).body
+            for node in ast.walk(top)
             if isinstance(node, ast.Call)
-            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "forked"]
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == callee]
 
 
 def test_forked_call_checker_flags_each_form():
@@ -203,17 +205,35 @@ def test_forked_call_checker_flags_each_form():
               "    return [harness.forked(work, u) for u in units]\n"
               "def aside():\n"
               "    return forked\n")
-    assert forked_calls(source) == ["run", "pool"]
+    assert callers(source, "forked") == ["run", "pool"]
 
 
 def test_only_the_seed_schedule_and_the_pool_fork():
-    found = {p.name: forked_calls(p.read_text()) for p in PACKAGE}
+    found = {p.name: callers(p.read_text(), "forked") for p in PACKAGE}
     assert {name: calls for name, calls in found.items() if calls} == {
         "cli.py": ["_run_pool"], "harness.py": ["run_seed"]}
     harness_tree = ast.parse((ROOT / "src" / "loragate" / "harness.py").read_text())
     (run_stream,) = [node for node in harness_tree.body
                      if getattr(node, "name", None) == "run_stream"]
     assert {"forked", "second_core_free", "Helper"} & set(names_read(run_stream)) == set()
+
+
+def test_gate_construction_checker_flags_each_form():
+    source = ("GATE = JumpGate(Tensor(0.0), 0.1)\n"
+              "def init_gate(threshold, bandwidth):\n"
+              "    return JumpGate(threshold=threshold, bandwidth=bandwidth)\n"
+              "def typed(gate: JumpGate) -> JumpGate:\n"
+              "    return gate\n"
+              "class Holder:\n"
+              "    def make(self, threshold):\n"
+              "        return adapter.JumpGate(threshold, 1.0)\n")
+    assert callers(source, "JumpGate") == ["<module>", "init_gate", "Holder"]
+
+
+def test_only_init_gate_makes_a_gate():
+    found = {p.name: callers(p.read_text(), "JumpGate") for p in PACKAGE}
+    assert {name: calls for name, calls in found.items() if calls} == {
+        "adapter.py": ["init_gate"]}
 
 
 def test_a_seed_that_misses_no_solo_run_still_swaps(monkeypatch, helper_solo_runs):
