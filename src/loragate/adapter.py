@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import Tensor, add, jumprelu, matmul, scale
 from .errors import ConfigError, ShapeError, StateError
 
-THRESHOLD_FLOOR = 1e-8
+THRESHOLD_FLOOR = np.float32(1e-8)  # in the gate threshold's dtype
 
 
 @dataclass
@@ -106,21 +106,17 @@ def interpolate_update(dw: Tensor, dw_jump: Tensor, gamma: float) -> Tensor:
     return add(scale(dw, 1.0 - gamma), scale(dw_jump, gamma))
 
 
-def init_threshold(updates, budget: int) -> float:
+def init_threshold(updates: list[np.ndarray], budget: int) -> float:
     """Threshold such that at most ``budget`` pooled entries exceed it.
 
-    Pools |entries| over the given updates (tensors or arrays) and returns the
+    Pools |entries| over the given update arrays and returns the
     (budget+1)-th largest magnitude, so the strictly-above count equals the
     budget in the absence of ties. Saturated budgets and all-zero pools fall
     back to the positive floor, with a warning.
     """
-    mags = []
-    for u in updates:
-        data = u.data if isinstance(u, Tensor) else np.asarray(u)
-        mags.append(np.abs(data).reshape(-1))
-    if not mags:
+    if not updates:
         raise StateError("threshold init needs at least one update in scope")
-    pooled = np.concatenate(mags)
+    pooled = np.abs(np.concatenate([u.reshape(-1) for u in updates]))
     n = pooled.size
     if n == 0:
         raise StateError("threshold init needs a non-empty update pool")

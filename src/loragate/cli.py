@@ -53,6 +53,9 @@ _TRIM_THRESHOLD = 256 << 20
 # everything ``cmd_run`` writes but config.txt, as globs in the output directory
 ARTIFACTS = ("masks", "accuracy_*.csv", "isolation_*.csv", "metrics.csv", "report.txt")
 
+# the per-run metrics of metrics.csv and report.txt, in the order both print them
+SUMMARY = ("oa", "bwt", "fwt", "mean_sparsity", "mean_pairwise_jaccard")
+
 
 # ---------------------------------------------------------------------------
 # run
@@ -126,25 +129,21 @@ def _run_single(payload) -> dict:
     }
 
 
-def _run_grid_point(payload):
-    """Summary of one (order, seed) run, or (order, seed, repr(exc)) if it raised."""
-    try:
-        return _run_single(payload)
-    except Exception as exc:  # noqa: BLE001 - one failed run must not lose the grid
-        traceback.print_exc()
-        return (payload[1], payload[2], repr(exc))
-
-
 def _run_seed(unit) -> list:
-    """Every order of one seed, in order, through ``_run_grid_point`` on
-    ``harness.run_seed``'s schedule; never raises. An exception, a dead helper
-    included, fails every order whose outcome this process does not yet hold
-    as (order, seed, repr(exc))."""
+    """Every order of one seed, in order, through ``_run_single`` on
+    ``harness.run_seed``'s schedule; never raises. A run that raises fails its
+    order, and any other exception, a dead helper included, fails every order
+    whose outcome this process does not yet hold, each as (order, seed,
+    repr(exc))."""
     cfg, stream, orders, seed, out = unit
     held: dict = {}
 
     def each(o, isolated):
-        held[o] = _run_grid_point(((cfg, stream, orders, isolated), o, seed, out))
+        try:
+            held[o] = _run_single(((cfg, stream, orders, isolated), o, seed, out))
+        except Exception as exc:  # noqa: BLE001 - one failed run must not lose the grid
+            traceback.print_exc()
+            held[o] = (o, seed, repr(exc))
         return held[o]
 
     try:
@@ -212,19 +211,15 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
                        key=lambda r: (r["order"], r["seed"]))
     metric_lines = ["metric,order,seed,value"]
     for r in summaries:
-        for name in ("oa", "bwt", "fwt", "mean_sparsity", "mean_pairwise_jaccard"):
+        for name in SUMMARY:
             metric_lines.append(f"{name},{r['order']},{r['seed']},{_fmt(r[name])}")
     (out / "metrics.csv").write_text("\n".join(metric_lines) + "\n")
 
     report = [f"runs: {len(summaries)} (orders={cfg.n_orders}, seeds={cfg.seeds})",
               f"method: {cfg.method.value}"]
     for r in summaries:
-        report.append(
-            f"order {r['order']} seed {r['seed']}: "
-            f"OA={_fmt(r['oa'])} BWT={_fmt(r['bwt'])} FWT={_fmt(r['fwt'])} "
-            f"mean_sparsity={_fmt(r['mean_sparsity'])} "
-            f"mean_pairwise_jaccard={_fmt(r['mean_pairwise_jaccard'])}"
-        )
+        report.append(f"order {r['order']} seed {r['seed']}: "
+                      + " ".join(f"{name}={_fmt(r[name])}" for name in SUMMARY))
         per_task = " ".join(_fmt(v) for v in r["per_task_sparsity"])
         report.append(f"  per-task sparsity: {per_task}")
         report.append(f"  trace: {r['trace_hash']}")
@@ -249,11 +244,11 @@ def main(argv=None) -> int:
         prog="loragate",
         description="Continual learning with threshold-gated low-rank adapters",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the configured experiment grid; write "
-                                       "its accuracy matrices, support masks, "
-                                       "isolation tables and summaries")
+    p_run = commands.add_parser("run", help="run the configured experiment grid; "
+                                            "write its accuracy matrices, support "
+                                            "masks, isolation tables and summaries")
     p_run.add_argument("--config", required=True, help="path to a key = value config file")
     p_run.add_argument("--jobs", type=int, default=1,
                        help="worker processes, each running one seed (all its "
@@ -262,7 +257,7 @@ def main(argv=None) -> int:
                             "free; a failed run or a dead worker is reported "
                             "in report.txt")
 
-    sub.add_parser("gradcheck", help="finite-difference and kernel gradient checks")
+    commands.add_parser("gradcheck", help="finite-difference and kernel gradient checks")
 
     args = parser.parse_args(argv)
     if args.command == "run":

@@ -214,8 +214,7 @@ def train_task(
         opt.step()
         opt.zero_grad()
         if gate is not None:
-            threshold.data = np.maximum(threshold.data,
-                                        np.asarray(THRESHOLD_FLOOR, threshold.dtype))
+            threshold.data = np.maximum(threshold.data, THRESHOLD_FLOOR)
 
     if config.method.gated and gate is None:  # the ramp started past the epoch
         warnings.warn("threshold init fell past the epoch; initializing at the end")
@@ -444,15 +443,14 @@ def run_stream(stream: TaskStream, config: ExperimentConfig, seed: int,
              for lid in model.adapted_layers} if config.method.penalized else None)
     record(copy.deepcopy(first.log))  # writable arrays of the caller's own
     matrix.set(1, 0, first.accuracy)
-    matrix.set_isolated(0, first.accuracy)
     for pos in range(1, len(order)):
         record(train_task(model, stream, order[pos], config,
                           penalty_weight=penalty_weights[pos], past=past, run_seed=seed))
         for j in range(pos + 1):
             matrix.set(pos + 1, j, evaluate(model, stream, order[j]))
     del model  # freed before the solo runs left, which build models of their own
-    for pos in range(1, len(order)):
-        matrix.set_isolated(pos, isolated[order[pos]].accuracy)
+    for pos, task_id in enumerate(order):
+        matrix.set_isolated(pos, isolated[task_id].accuracy)
 
     hasher.update(matrix.grid.tobytes())
     return RunResult(matrix=matrix, logs=logs, trace_hash=hasher.hexdigest())

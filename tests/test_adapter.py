@@ -206,41 +206,41 @@ class TestInterpolate:
 
 class TestInitThreshold:
     def test_sorting_oracle(self):
-        mags = Tensor(np.array([0.9, 0.7, 0.5, 0.3, 0.1], dtype=np.float32))
+        mags = np.array([0.9, 0.7, 0.5, 0.3, 0.1], dtype=np.float32)
         tau = init_threshold([mags], budget=2)
         assert tau == np.float32(0.5)
-        above = np.abs(mags.data) > tau
-        assert above.sum() == 2 and set(mags.data[above]) == {np.float32(0.9), np.float32(0.7)}
+        above = np.abs(mags) > tau
+        assert above.sum() == 2 and set(mags[above]) == {np.float32(0.9), np.float32(0.7)}
 
     def test_saturated_budget_returns_floor(self):
-        mags = Tensor(np.array([0.4, 0.2], dtype=np.float32))
+        mags = np.array([0.4, 0.2], dtype=np.float32)
         with pytest.warns(UserWarning, match="budget"):
             assert init_threshold([mags], budget=2) == THRESHOLD_FLOOR
         with pytest.warns(UserWarning, match="budget"):
             assert init_threshold([mags], budget=5) == THRESHOLD_FLOOR
 
     def test_total_tie_excludes_everything(self):
-        mags = Tensor(np.full(6, 0.25, dtype=np.float32))
+        mags = np.full(6, 0.25, dtype=np.float32)
         tau = init_threshold([mags], budget=3)
         assert tau == np.float32(0.25)
-        assert (np.abs(mags.data) > tau).sum() == 0
+        assert (np.abs(mags) > tau).sum() == 0
 
     def test_count_property_random_pools(self, rng):
         for _ in range(50):
             n = int(rng.integers(5, 200))
             vals = rng.permutation(np.linspace(0.05, 3.0, n)).astype(np.float64)
             budget = int(rng.integers(1, n + 1))
-            tau = init_threshold([Tensor(vals)], budget)
+            tau = init_threshold([vals], budget)
             assert (np.abs(vals) > tau).sum() == min(budget, n)
 
     def test_order_statistic_rule(self, rng):
         vals = rng.permutation(np.linspace(0.1, 1.0, 10))
-        tau = init_threshold([Tensor(vals)], budget=4)
+        tau = init_threshold([vals], budget=4)
         assert tau == np.sort(np.abs(vals))[::-1][4]  # the (budget+1)-th largest
 
     def test_pooling_across_scope(self):
-        a = Tensor(np.array([0.9, 0.1], dtype=np.float32))
-        b = Tensor(np.array([0.8, 0.2], dtype=np.float32))
+        a = np.array([0.9, 0.1], dtype=np.float32)
+        b = np.array([0.8, 0.2], dtype=np.float32)
         tau = init_threshold([a, b], budget=2)
         assert tau == np.float32(0.2)
 
@@ -250,14 +250,14 @@ class TestInitThreshold:
 
     def test_all_zero_pool_falls_back_to_floor(self):
         with pytest.warns(UserWarning, match="all update entries are zero"):
-            tau = init_threshold([Tensor(np.zeros(8, dtype=np.float32))], budget=2)
+            tau = init_threshold([np.zeros(8, dtype=np.float32)], budget=2)
         assert tau == THRESHOLD_FLOOR
 
     def test_between_duplicates_count_stays_at_most_budget(self):
-        vals = Tensor(np.array([0.9, 0.5, 0.5, 0.5, 0.1], dtype=np.float32))
+        vals = np.array([0.9, 0.5, 0.5, 0.5, 0.1], dtype=np.float32)
         tau = init_threshold([vals], budget=2)
         assert tau == np.float32(0.5)
-        assert (np.abs(vals.data) > tau).sum() <= 2
+        assert (np.abs(vals) > tau).sum() <= 2
 
     @PROPERTY
     @given(pool=st.lists(UPDATES, min_size=1, max_size=3), data=st.data())
@@ -283,7 +283,7 @@ class TestInitGate:
     def test_all_zero_scope_falls_back_to_floor(self):
         adapters = {"a": init_adapter(4, 6, 2, seed=0)}  # up starts at zero
         gate = init_gate(Tensor(np.zeros((), dtype=np.float32)), 1e-3, adapters)
-        assert gate.threshold.data == np.float32(THRESHOLD_FLOOR)
+        assert gate.threshold.data == THRESHOLD_FLOOR
 
 
 class TestFinalUpdateAndMerge:

@@ -138,8 +138,16 @@ class TestRun:
         cmd_run(str(write_config(tmp_path, out=out)))
         lines = (out / "metrics.csv").read_text().splitlines()
         assert lines[0] == "metric,order,seed,value"
-        names = {ln.split(",")[0] for ln in lines[1:]}
-        assert {"oa", "bwt", "fwt", "mean_sparsity", "mean_pairwise_jaccard"} <= names
+        runs = {}
+        for name, order, seed, value in (ln.split(",") for ln in lines[1:]):
+            runs.setdefault(f"order {order} seed {seed}", []).append((name, value))
+        assert runs and all([name for name, _ in metrics] == list(cli.SUMMARY)
+                            for metrics in runs.values())
+        # each run's line in report.txt prints the same metrics, in the same order
+        report = (out / "report.txt").read_text().splitlines()
+        assert dict(ln.split(": ", 1) for ln in report if ln.startswith("order ")) == {
+            run: " ".join(f"{name}={value}" for name, value in metrics)
+            for run, metrics in runs.items()}
 
     def test_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "artifacts"
@@ -291,7 +299,7 @@ class TestRun:
             failed = report.splitlines()[report.splitlines().index(
                 "INCOMPLETE: some runs failed") + 1:]
             for o in range(n_orders):
-                assert f"order {o} seed 42: OA=" in report
+                assert f"order {o} seed 42: oa=" in report
             assert failed == [f"  order {o} seed 43: StateError('injected failure')"
                               for o in range(n_orders)]
 

@@ -13,7 +13,7 @@ from conftest import time_limit
 
 import loragate.harness as harness
 from loragate import blas
-from loragate.adapter import final_sparse_update
+from loragate.adapter import THRESHOLD_FLOOR, final_sparse_update
 from loragate.config import ExperimentConfig, Method
 from loragate.data import generate_task_stream
 from loragate.errors import ConfigError, StateError
@@ -147,6 +147,14 @@ class TestTrainTask:
         assert all(g == 1.0 for g in log.gammas[final_step:])
         assert all(0.0 <= g <= 1.0 for g in log.gammas)
         assert all(b >= a for a, b in zip(log.gammas, log.gammas[1:]))
+
+    def test_a_floored_gate_reports_the_floor(self):
+        # a default-config Jump-InCLoRA task ends with its gate at the floor
+        # (ROADMAP, Baseline), which must not read below THRESHOLD_FLOOR
+        cfg = ExperimentConfig(method=Method.JUMP_INCLORA)
+        stream = stream_for(cfg)
+        log = train_task(fresh_model(cfg, stream, 42), stream, 0, cfg, run_seed=42)
+        assert log.threshold == THRESHOLD_FLOOR and log.threshold >= THRESHOLD_FLOOR
 
     def test_zero_penalty_matches_unpenalized_bitwise(self):
         assert_zero_weight_trains_twin(Method.JUMP_ELLA, Method.JUMP_INCLORA)
@@ -635,6 +643,30 @@ class TestSoloHelper:
                                   for w in caught)
         assert seen[True] == seen[False]
         assert sum("fell past the epoch" in w[0] for w in seen[True]) == 3
+
+    def test_a_seed_that_misses_no_solo_run_still_swaps(self, monkeypatch, helper_solo_runs):
+        # one task: order 0 reads only the run this process trains, so no miss
+        # ever swaps the runs; they must still cross at the end, once, and no
+        # helper may be left
+        cfg = ExperimentConfig(vocab_size=24, d_model=16, n_heads=2, n_blocks=1, n_tasks=1,
+                               classes_per_task=2, samples_per_class=16, seq_len=8,
+                               batch_size=8)
+        stream = generate_task_stream(cfg.data_seed, cfg.n_tasks, cfg.samples_per_class,
+                                      cfg.difficulty, cfg.classes_per_task, cfg.seq_len,
+                                      cfg.vocab_size)
+        sent, send = [], harness.Helper.send
+
+        def counting_send(helper, value):
+            sent.append(value)
+            send(helper, value)
+
+        monkeypatch.setattr(harness.Helper, "send", counting_send)
+        with time_limit(60):
+            result = harness.run_stream(stream, cfg, 42)
+        assert multiprocessing.active_children() == []
+        assert [sorted(value) for value in sent] == [[0]]
+        serial = harness.run_stream(stream, cfg, 42, isolated=harness.SoloRuns(stream, cfg, 42))
+        assert result.trace_hash == serial.trace_hash
 
 
 class TestDegenerateModes:

@@ -163,9 +163,7 @@ class TestTrainingInvariants:
                 assert bandwidth == cfg.bandwidth, method
                 assert gate.threshold.requires_grad, method
                 assert isinstance(log.threshold, float), method
-                # the floor in the threshold's float32
-                assert log.threshold == float(gate.threshold.data) >= np.float32(
-                    THRESHOLD_FLOOR), method
+                assert log.threshold == float(gate.threshold.data) >= THRESHOLD_FLOOR, method
             else:
                 assert gates == [] and log.threshold is None, method
 
