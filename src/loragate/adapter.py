@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, jumprelu, matmul, scale
+from .autodiff import Tensor, jump_mask, jumprelu, lerp, matmul
 from .errors import ConfigError, ShapeError, StateError
 
 THRESHOLD_FLOOR = np.float32(1e-8)  # in the gate threshold's dtype
@@ -103,7 +103,7 @@ def interpolate_update(dw: Tensor, dw_jump: Tensor, gamma: float) -> Tensor:
         return dw
     if gamma == 1.0:
         return dw_jump
-    return add(scale(dw, 1.0 - gamma), scale(dw_jump, gamma))
+    return lerp(dw, dw_jump, gamma)
 
 
 def init_threshold(updates: list[np.ndarray], budget: int) -> float:
@@ -146,10 +146,7 @@ def final_sparse_update(adapter: Adapter, gate: JumpGate | None) -> np.ndarray:
     """A task's final update, outside the autodiff graph: the factor product,
     hard-thresholded at the gate's threshold where there is a gate."""
     dw = adapter.down.data @ adapter.up.data
-    if gate is None:
-        return dw
-    t = float(gate.threshold.data.reshape(()))
-    return dw * (np.abs(dw) > t)
+    return dw if gate is None else dw * jump_mask(dw, gate.threshold.item())
 
 
 def merge(w_base: Tensor, dw_final: np.ndarray, scaling: float) -> Tensor:

@@ -44,17 +44,12 @@ __all__ = [
     "Tensor",
     "Tape",
     "add",
-    "sub",
-    "mul",
-    "scale",
+    "lerp",
     "matmul",
     "linear",
     "attention",
     "mlp",
     "reshape",
-    "permute",
-    "relu",
-    "softmax",
     "layer_norm",
     "mean",
     "embed",
@@ -237,6 +232,20 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                 _accumulate(a, g)
             if b is not None:
                 _accumulate(b, g)
+        _record(out, (a, b), rule)
+    return out
+
+
+def lerp(a: Tensor, b: Tensor, t: float) -> Tensor:
+    """``add(scale(a, 1 - t), scale(b, t))`` in one record, rounding as that chain does."""
+    _same_shape(a, b, "lerp")
+    t, s = float(t), float(1 - t)
+    out = Tensor(a.data * s + b.data * t, requires_grad=_tracked((a, b)))
+    if out.requires_grad:
+        def rule(g, a, b):
+            for slot, c in ((b, t), (a, s)):  # b first, as the chain's records ran
+                if slot is not None:
+                    _accumulate(slot, g * c)
         _record(out, (a, b), rule)
     return out
 
@@ -576,6 +585,11 @@ def threshold_pseudograd(x: np.ndarray, threshold: float, bandwidth: float) -> n
     return -(threshold / bandwidth) * (_step(u + 0.5) - _step(u - 0.5))
 
 
+def jump_mask(x: np.ndarray, threshold: float) -> np.ndarray:
+    """The jump gate's rule H(|x| - threshold), as 0/1 in ``x``'s dtype."""
+    return _step(np.abs(x) - threshold)
+
+
 def jumprelu(x: Tensor, threshold: Tensor, bandwidth: float) -> Tensor:
     """Magnitude gate at a learnable threshold: x * H(|x| - threshold).
 
@@ -586,10 +600,8 @@ def jumprelu(x: Tensor, threshold: Tensor, bandwidth: float) -> Tensor:
     """
     if bandwidth <= 0:
         raise ConfigError(f"bandwidth must be positive, got {bandwidth}")
-    if threshold.data.size != 1:
-        raise ShapeError("threshold must be a scalar tensor")
-    t = float(threshold.data.reshape(()))
-    active = _step(np.abs(x.data) - t)
+    t = threshold.item()  # a ShapeError unless the threshold is a scalar
+    active = jump_mask(x.data, t)
     out = Tensor(x.data * active, requires_grad=_tracked((x, threshold)))
     if out.requires_grad:
         mask = active if x.requires_grad else None
@@ -606,13 +618,18 @@ def jumprelu(x: Tensor, threshold: Tensor, bandwidth: float) -> Tensor:
     return out
 
 
-def frobenius_sq(x: Tensor) -> Tensor:
-    """Sum of squared entries (squared Frobenius norm)."""
-    out = Tensor(np.asarray((x.data * x.data).sum(), dtype=x.dtype),
+def frobenius_sq(x: Tensor, mask: Optional[np.ndarray] = None, weight: float = 1.0) -> Tensor:
+    """``weight * ||x * mask||_F^2`` for a same-shaped ``mask`` (none by default),
+    in one record that rounds as ``scale(frobenius_sq(mul(x, mask)), weight)`` does."""
+    if mask is not None and mask.shape != x.data.shape:
+        raise ShapeError(f"frobenius_sq: shapes {x.data.shape} and {mask.shape} differ")
+    xm = x.data if mask is None else x.data * mask
+    w = float(weight)
+    out = Tensor(np.asarray((xm * xm).sum(), dtype=xm.dtype) * w,
                  requires_grad=_tracked((x,)))
     if out.requires_grad:
-        x_data = x.data
         def rule(g, x):
-            _accumulate(x, 2.0 * x_data * g)
+            gx = (2.0 * xm) * (g * w)
+            _accumulate(x, gx if mask is None else gx * mask)
         _record(out, (x,), rule)
     return out

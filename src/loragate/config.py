@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .data import vocab_band_width
 from .errors import ConfigError
 
 
@@ -175,6 +176,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     if cfg.seq_len < 2:
         raise ConfigError(f"seq_len must be >= 2, got {cfg.seq_len}")
+    vocab_band_width(cfg.vocab_size, cfg.n_tasks, cfg.classes_per_task)
     if cfg.d_model % cfg.n_heads != 0:
         raise ConfigError(f"d_model {cfg.d_model} not divisible by n_heads {cfg.n_heads}")
     if cfg.bandwidth <= 0:

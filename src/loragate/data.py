@@ -50,6 +50,15 @@ class TaskStream:
         return task.splits[split]
 
 
+def vocab_band_width(vocab_size: int, n_tasks: int, classes_per_task: int) -> int:
+    """Width of each task's band in the vocabulary's upper half; it needs a token per class."""
+    width = (vocab_size - vocab_size // 2) // n_tasks
+    if width < classes_per_task:
+        raise ConfigError(f"vocab_size {vocab_size} too small for n_tasks {n_tasks} x "
+                          f"classes_per_task {classes_per_task}")
+    return width
+
+
 def generate_task_stream(
     seed: int,
     n_tasks: int,
@@ -76,12 +85,7 @@ def generate_task_stream(
     if samples_per_class < 1 or classes_per_task < 1 or seq_len < 2:
         raise ConfigError("samples_per_class, classes_per_task >= 1 and seq_len >= 2")
     background_size = vocab_size // 2
-    band_width = (vocab_size - background_size) // n_tasks
-    if band_width < classes_per_task:
-        raise ConfigError(
-            f"vocab_size {vocab_size} too small for n_tasks {n_tasks} x "
-            f"classes_per_task {classes_per_task}"
-        )
+    band_width = vocab_band_width(vocab_size, n_tasks, classes_per_task)
     signal_count = min(3, seq_len - 2)
     label_noise = 0.2 * difficulty
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, frobenius_sq, mul, scale
+from .autodiff import Tensor, frobenius_sq
 from .errors import ShapeError, StateError
 
 
@@ -22,7 +22,7 @@ def ella_penalty(update: Tensor, past: np.ndarray, weight: float) -> Tensor:
     method the sparse one once the gate exists. The weight comes from a
     validated config, so it is nonnegative.
     """
-    return scale(frobenius_sq(mul(update, Tensor(past))), weight)
+    return frobenius_sq(update, past, weight)
 
 
 def update_past(past: dict[str, np.ndarray], dw_final: np.ndarray, layer_id: str) -> None:

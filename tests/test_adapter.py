@@ -287,14 +287,23 @@ class TestInitGate:
 
 
 class TestFinalUpdateAndMerge:
-    def test_equals_gated_update(self, rng):
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), at=st.sampled_from(["random", "tie", 0.0,
+                                                               THRESHOLD_FLOOR]))
+    def test_equals_gated_update(self, seed, at):
+        """The same bytes, signed zeros included, at random thresholds, at a
+        tie |dw| = threshold, at 0 and at the floor."""
+        rng = np.random.default_rng(seed)
         ad = init_adapter(10, 10, 3, seed=9)
         ad.up.data = rng.normal(scale=0.3, size=(3, 10)).astype(np.float32)
+        ad.up.data[:, ::4] = 0.0  # exact zeros in the update
         dw = dense_update(ad)
-        tau = float(np.median(np.abs(dw.data)))
-        gate = gate_with(tau)
-        np.testing.assert_array_equal(final_sparse_update(ad, gate),
-                                      jump_update(dw, gate).data)
+        if at == "random":
+            at = rng.uniform(0.0, 0.5)
+        elif at == "tie":
+            at = np.abs(rng.choice(dw.data.reshape(-1)))
+        gate = gate_with(at)
+        assert final_sparse_update(ad, gate).tobytes() == jump_update(dw, gate).data.tobytes()
 
     def test_no_gate_gives_the_factor_product(self, rng):
         ad = init_adapter(6, 5, 2, seed=9)

@@ -16,6 +16,7 @@ from loragate.autodiff import (
     frobenius_sq,
     jumprelu,
     layer_norm,
+    lerp,
     linear,
     matmul,
     mean,
@@ -427,6 +428,8 @@ class TestExactKernels:
 # replace: the forward of each record, then each backward in reverse order.
 # With ``frobenius_sq`` as the loss the upstream gradient is exactly 2 * out.
 SIZES = st.integers(1, 5)
+# widths on both sides of numpy's 8-accumulator pairwise sum, 16 the default's
+WIDTHS = st.sampled_from([1, 2, 3, 5, 8, 9, 16, 17])
 NEEDS = st.tuples(st.booleans(), st.booleans(), st.booleans()).filter(any)
 
 
@@ -475,8 +478,8 @@ def attention_chain(q, k, v, batch, heads):
 
 class TestFusedKernels:
     @EXACT
-    @given(seed=SEEDS, batch=SIZES, seq=SIZES, heads=st.integers(1, 3),
-           hd=st.integers(1, 4), dtype=DTYPES, needs=NEEDS)
+    @given(seed=SEEDS, batch=SIZES, seq=WIDTHS, heads=st.integers(1, 3), hd=WIDTHS,
+           dtype=DTYPES, needs=NEEDS)
     def test_attention_matches_chain(self, seed, batch, seq, heads, hd, dtype, needs):
         shape = (batch * seq, heads * hd)
         q, k, v = (sample(seed + i, shape, dtype) for i in range(3))
@@ -526,8 +529,43 @@ class TestFusedKernels:
         assert out.dtype == dtype and np.array_equal(out, ref)
         assert_grads_equal(grads, want, needs)
 
+    @EXACT
+    @given(seed=SEEDS, shape=SHAPES, dtype=DTYPES, needs=NEEDS, t=st.floats(0.0, 1.0))
+    def test_lerp_matches_chain(self, seed, shape, dtype, needs, t):
+        """add(scale(a, 1 - t), scale(b, t))."""
+        needs = needs[:2]
+        assume(any(needs))
+        a, b = (sample(seed + i, shape, dtype) for i in range(2))
+        out, grads = backprop(lambda x, y: lerp(x, y, t), (a, b), needs)
+        ref = a * float(1 - t) + b * t
+        g = 2.0 * ref
+        assert out.dtype == dtype and np.array_equal(out, ref)
+        assert_grads_equal(grads, [g * float(1 - t), g * t], needs)
+
+    @EXACT
+    @given(seed=SEEDS, shape=SHAPES, dtype=DTYPES, masked=st.booleans(),
+           w=st.sampled_from([1.0, 0.3, 2.5, 0.0]))
+    def test_masked_frobenius_sq_matches_chain(self, seed, shape, dtype, masked, w):
+        """scale(frobenius_sq(mul(x, m)), w), or scale(frobenius_sq(x), w)."""
+        x, m = sample(seed, shape, dtype), sample(seed + 1, shape, dtype)
+        t = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = frobenius_sq(t, m if masked else None, w)
+            tape.backward(out)
+        xm = x * m if masked else x
+        ref = np.asarray((xm * xm).sum(), dtype=dtype) * w
+        g = np.ones((), dtype=dtype) * w
+        gx = 2.0 * xm * g
+        assert out.dtype == dtype and np.array_equal(out.data, ref)
+        assert t.grad.dtype == dtype
+        assert np.array_equal(t.grad, gx * m if masked else gx)
+
     def test_shapes_checked(self):
         a = Tensor(np.zeros((6, 4)))
+        with pytest.raises(ShapeError):
+            lerp(a, Tensor(np.zeros((4, 6))), 0.5)
+        with pytest.raises(ShapeError):
+            frobenius_sq(a, np.zeros((4, 6)))
         with pytest.raises(ShapeError):
             attention(a, a, Tensor(np.zeros((6, 2))), 2, 2)
         with pytest.raises(ShapeError):

@@ -153,7 +153,8 @@ class TestValidation:
     # the rules that the gate, the ramp, the penalty and the run rely on
     # without re-checking: a positive bandwidth, ordered fractions in [0, 1],
     # a nonnegative weight, a positive batch (so an epoch has a step), seeds
-    # that numpy's SeedSequence takes, and as many orders as the tasks have
+    # that numpy's SeedSequence takes, as many orders as the tasks have, and
+    # a vocabulary band per task wide enough for its classes
     @pytest.mark.parametrize("key, value, match", [
         ("bandwidth", 0.0, "bandwidth must be positive"),
         ("bandwidth", -1.0, "bandwidth must be positive"),
@@ -165,6 +166,7 @@ class TestValidation:
         ("seeds", [-5], r"seeds must be >= 0, got \[-5\]"),
         ("n_orders", 0, r"n_orders must lie in \[1, 4!\], got 0"),
         ("n_orders", 25, r"n_orders must lie in \[1, 4!\], got 25"),  # past 4! = 24
+        ("vocab_size", 16, "vocab_size 16 too small for n_tasks 4 x classes_per_task 3"),
     ])
     def test_rule_holds_in_code_and_in_text(self, key, value, match):
         method = Method.ELLA if key == "ella_lambda" else Method.JUMP_INCLORA

@@ -37,7 +37,7 @@ class TestPenalty:
         assert one >= 0.0
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="frobenius_sq"):
             ella_penalty(Tensor(np.ones((2, 2))), np.ones((2, 3)), 1.0)
 
     def test_gradient_matches_finite_differences(self, rng):
