@@ -196,26 +196,34 @@ def _accumulate(slot: GradSlot, g: np.ndarray) -> None:
     slot.grad = g if slot.grad is None else slot.grad + g
 
 
-def _row_max(v: np.ndarray) -> np.ndarray:
-    """``v.max(axis=-1, keepdims=True)`` by pairwise ``np.maximum`` over halves
-    of the last axis: the same values (a maximum is exact in any order), at
-    about half the cost of numpy's reduction over a short last axis."""
-    while v.shape[-1] > 1:
-        half = v.shape[-1] // 2
-        m = np.maximum(v[..., :half], v[..., half:2 * half])
-        if v.shape[-1] % 2:
-            np.maximum(m[..., :1], v[..., -1:], out=m[..., :1])
-        v = m
-    return v
+def _keys_first(a: np.ndarray) -> np.ndarray:
+    """A C-order copy of ``a`` with its last axis, the key axis, moved first."""
+    n = a.shape[-1]
+    out = np.empty(a.shape[-1:] + a.shape[:-1], a.dtype)
+    np.copyto(out.reshape(n, -1), a.reshape(-1, n).T)
+    return out
 
 
-def _row_mean(v: np.ndarray) -> np.ndarray:
-    """``v.mean(axis=-1, keepdims=True)`` without ``np.mean``'s wrapper: the
-    same sum, then a division in the array's own precision, which rounds as
-    ``np.mean``'s wider one does (exactly, for float32 and float64)."""
-    m = np.add.reduce(v, axis=-1, keepdims=True)
-    m /= v.shape[-1]
-    return m
+def _softmax_keys(e: np.ndarray) -> np.ndarray:
+    """Softmax over axis 0, the key axis, of ``_keys_first``'s copy, which it
+    overwrites; returns the probabilities with the key axis moved back last,
+    in a fresh C-order array. The scores are shifted by their key maximum, so
+    large ones stay finite. Both reductions run over the outer axis, one key
+    at a time and in key order, vectorised across every row at once; a lone
+    row (every other axis of size 1) gets numpy's pairwise sum instead."""
+    e -= np.maximum.reduce(e, axis=0)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=0)
+    n = e.shape[0]
+    p = np.empty(e.shape[1:] + (n,), e.dtype)
+    np.copyto(p.reshape(-1, n), e.reshape(n, -1).T)
+    return p
+
+
+def _key_dot(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``(g * p).sum(axis=-1, keepdims=True)``, summed over keys as
+    ``_softmax_keys`` sums."""
+    return np.add.reduce(_keys_first(g * p), axis=0)[..., None]
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -370,12 +378,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int) -> Tensor
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     c = 1.0 / math.sqrt(hd)
-    # the softmax in place on the fresh scores, as in ``softmax``
-    p = qh @ kh.transpose(0, 1, 3, 2)
-    p *= c
-    p -= _row_max(p)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    # the scaled scores copied once, key axis outermost, and reduced there as
+    # in ``softmax``; ``p`` comes back [batch, heads, query, key] in C order
+    pk = _keys_first(qh @ kh.transpose(0, 1, 3, 2))
+    pk *= c
+    p = _softmax_keys(pk)
+    del pk  # the product below holds p and not also the scores
     ctx = p @ vh
     out = Tensor(ctx.transpose(0, 2, 1, 3).reshape(n, d),
                  requires_grad=_tracked((q, k, v)))
@@ -393,7 +401,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int) -> Tensor
             if not scores_grad:
                 return
             gs = gc @ np.swapaxes(v_heads, -1, -2)
-            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs -= _key_dot(gs, p)
             gs *= p
             gs *= c
             if q is not None:
@@ -470,15 +478,12 @@ def relu(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    """Softmax along the last axis."""
-    # in place on fresh arrays: the same arithmetic with fewer temporaries
-    y = x.data - _row_max(x.data)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    """Softmax along the last axis, reduced key-major as in ``attention``."""
+    y = _softmax_keys(_keys_first(x.data))
     out = Tensor(y, requires_grad=_tracked((x,)))
     if out.requires_grad:
         def rule(g, x):
-            gx = g - (g * y).sum(axis=-1, keepdims=True)
+            gx = g - _key_dot(g, y)
             gx *= y
             _accumulate(x, gx)
         _record(out, (x,), rule)
@@ -486,22 +491,31 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance (no affine)."""
-    # the same arithmetic as np.var, sharing its mean and its centred copy
-    xhat = x.data - _row_mean(x.data)
-    inv = 1.0 / np.sqrt(_row_mean(xhat * xhat) + eps)
+    """Normalize the last axis to zero mean and unit variance (no affine).
+
+    The row mean and variance are BLAS products ``flat @ avg`` with a column
+    of ``1/d``, taken over the 2-D ``[rows, d]`` view whatever ``x``'s rank,
+    so a 3-D input rounds as its flattened 2-D form does. A row's statistics
+    can differ in the last bit with the row's place in the batch (the BLAS
+    kernel's blocking), not with the BLAS thread count."""
+    shape, d = x.data.shape, x.data.shape[-1]
+    avg = np.full((d, 1), 1.0 / d, dtype=x.data.dtype)
+    flat = x.data.reshape(-1, d)
+    xhat = flat - flat @ avg
+    inv = 1.0 / np.sqrt((xhat * xhat) @ avg + eps)
     xhat *= inv
-    out = Tensor(xhat, requires_grad=_tracked((x,)))
+    out = Tensor(xhat.reshape(shape), requires_grad=_tracked((x,)))
     if out.requires_grad:
         def rule(g, x):
-            m1 = _row_mean(g)
+            g = g.reshape(-1, d)
+            m1 = g @ avg
             tmp = g * xhat
-            m2 = _row_mean(tmp)
+            m2 = tmp @ avg
             np.multiply(xhat, m2, out=tmp)
             gx = g - m1
             gx -= tmp
             gx *= inv
-            _accumulate(x, gx)
+            _accumulate(x, gx.reshape(shape))
         _record(out, (x,), rule)
     return out
 

@@ -254,6 +254,36 @@ class TestJumpRelu:
                 tape.backward(mean(jumprelu(t64([xi]), th, eps)))
             assert float(th.grad) == -float(threshold_pseudograd(np.asarray(-xi), tau, eps))
 
+    @pytest.mark.parametrize("tau", [0.2, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_threshold_gradient_estimates_the_smoothed_loss(self, tau, seed):
+        # For a linear loss L(θ) = Σ w·x·H(|x| − θ), the loss smoothed over θ
+        # by the rectangular kernel has the exact gradient
+        # (L(θ + ε/2) − L(θ − ε/2)) / ε = −Σ_band w·x / ε, and the rule gives
+        # −Σ_band w·sign(x)·θ / ε. A band entry's |x| lies within ε/2 of θ, so
+        # the two differ by at most ½·Σ_band |w|.
+        eps = 0.1
+        rng = np.random.default_rng(seed)
+        # (|x| − θ) / ε: 16 entries inside the band and 16 outside, both away
+        # from its edges; every other entry negative, so both sides are hit
+        u = np.concatenate([rng.uniform(-0.45, 0.45, 16),
+                            rng.choice([-1.0, 1.0], 16) * rng.uniform(0.55, 1.5, 16)])
+        x = (tau + u * eps) * np.tile([1.0, -1.0], 16)
+        w = rng.normal(size=x.size)
+        th = t64(tau, grad=True)
+        with Tape() as tape:
+            out = jumprelu(t64(x), th, eps)
+            tape.backward(matmul(reshape(out, (1, x.size)), t64(w.reshape(-1, 1))))
+
+        def loss(t):
+            return float((w * x * (np.abs(x) > t)).sum())
+
+        smoothed = (loss(tau + eps / 2) - loss(tau - eps / 2)) / eps
+        band = np.abs(np.abs(x) - tau) <= eps / 2
+        assert band[x > 0].any() and band[x < 0].any()
+        rounding = 1e-9 * (tau / eps) * np.abs(w).sum()
+        assert abs(float(th.grad) - smoothed) <= 0.5 * np.abs(w[band]).sum() + rounding
+
     def test_backward_is_deterministic(self, rng):
         x = rng.normal(size=(6, 6))
         grads = []
@@ -401,9 +431,13 @@ class TestExactKernels:
     @EXACT
     @given(seed=SEEDS, shape=SHAPES, dtype=DTYPES)
     def test_softmax_matches_max_reduction(self, seed, shape, dtype):
+        # the last axis moved outermost in a C-order copy, reduced there: a
+        # maximum, and a sum taken one key at a time (pairwise on a lone row)
         x = sample(seed, shape, dtype)
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
-        assert np.array_equal(softmax(Tensor(x)).data, e / e.sum(axis=-1, keepdims=True))
+        xk = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+        e = np.exp(xk - np.maximum.reduce(xk, axis=0))
+        ref = np.moveaxis(e / np.add.reduce(e, axis=0), 0, -1)
+        assert np.array_equal(softmax(Tensor(x)).data, ref)
 
     @EXACT
     @given(seed=SEEDS, shape=SHAPES, dtype=DTYPES)
@@ -414,14 +448,51 @@ class TestExactKernels:
             out = layer_norm(tx)
             tape.backward(frobenius_sq(out))
 
-        mu = x.mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
-        ref = (x - mu) * inv
+        # row means as products of the flat [rows, d] view with a 1/d column
+        d = shape[-1]
+        avg = np.full((d, 1), 1.0 / d, dtype=dtype)
+        flat = x.reshape(-1, d)
+        centred = flat - flat @ avg
+        inv = 1.0 / np.sqrt((centred * centred) @ avg + 1e-5)
+        ref = centred * inv
         g = 2.0 * ref
-        m1 = g.mean(axis=-1, keepdims=True)
-        m2 = (g * ref).mean(axis=-1, keepdims=True)
-        assert np.array_equal(out.data, ref)
-        assert np.array_equal(tx.grad, (g - m1 - ref * m2) * inv)
+        m1 = g @ avg
+        m2 = (g * ref) @ avg
+        assert np.array_equal(out.data, ref.reshape(shape))
+        assert np.array_equal(tx.grad, ((g - m1 - ref * m2) * inv).reshape(shape))
+
+
+class TestLargeScores:
+    """Scores of about ±1e3 overflow an unshifted exp in float32 and in float64
+    (exp(710) is inf in both): only the shift by the key maximum keeps the
+    softmax of ``softmax`` and of ``attention`` finite."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_rows_stay_finite_and_sum_to_one(self, dtype):
+        x = np.random.default_rng(0).uniform(-1e3, 1e3, size=(3, 5, 16)).astype(dtype)
+        assert x.max() > 710 and x.min() < -710
+        tx = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            y = softmax(tx)
+            tape.backward(frobenius_sq(y))
+        assert np.isfinite(y.data).all() and np.isfinite(tx.grad).all()
+        np.testing.assert_allclose(y.data.sum(axis=-1), 1.0, rtol=16 * np.finfo(dtype).eps)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_rows_stay_finite_and_sum_to_one(self, dtype):
+        # with every value 1, each context entry is the sum of a softmax row
+        batch, seq, heads, hd = 2, 16, 2, 4
+        rng = np.random.default_rng(1)
+        q, k = (rng.normal(scale=32.0, size=(batch * seq, heads * hd)).astype(dtype)
+                for _ in range(2))
+        v = np.ones((batch * seq, heads * hd), dtype)
+        qh, kh = (a.reshape(batch, seq, heads, hd).transpose(0, 2, 1, 3) for a in (q, k))
+        scores = qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(hd)
+        assert scores.max() > 710 and scores.min() < -710
+        out, grads = backprop(lambda a, b, c: attention(a, b, c, batch, heads),
+                              (q, k, v), (True, True, True))
+        assert all(np.isfinite(a).all() for a in [out, *grads])
+        np.testing.assert_allclose(out, 1.0, rtol=16 * np.finfo(dtype).eps)
 
 
 # The fused block primitives against the numpy of the chain of records they
@@ -449,6 +520,14 @@ def assert_grads_equal(got, want, needs):
             assert g is None
 
 
+def key_by_key(op, a):
+    """``op`` folded over the last axis one key at a time, in key order."""
+    acc = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        acc = op(acc, a[..., j])
+    return acc[..., None]
+
+
 def attention_chain(q, k, v, batch, heads):
     """reshape/permute per head, q @ k^T, scale, softmax, @ v, permute, reshape."""
     n, d = q.shape
@@ -464,13 +543,13 @@ def attention_chain(q, k, v, batch, heads):
     kt = np.transpose(kh, (0, 1, 3, 2))
     c = 1.0 / math.sqrt(hd)
     scores = (qh @ kt) * c
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(scores - key_by_key(np.maximum, scores))
+    p = e / key_by_key(np.add, e)
     out = merge(p @ vh)
     gc = np.transpose((2.0 * out).reshape(batch, seq, heads, hd), (0, 2, 1, 3))
     gp = gc @ np.swapaxes(vh, -1, -2)
     gvh = np.swapaxes(p, -1, -2) @ gc
-    gscores = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * c
+    gscores = (gp - key_by_key(np.add, gp * p)) * p * c
     gqh = gscores @ np.swapaxes(kt, -1, -2)
     gkh = np.transpose(np.swapaxes(qh, -1, -2) @ gscores, (0, 1, 3, 2))
     return out, [merge(gqh), merge(gkh), merge(gvh)]

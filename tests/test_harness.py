@@ -750,16 +750,16 @@ class TestOrders:
 # to any of them is a change to the numerics, made on purpose or not at all
 PINNED_HASHES = {
     "inclora": (dict(method=Method.INCLORA),
-                "99b2ad18f1598c6633c331eb73ee7e9f154a8361c8d941329ac5cbcfc2ac35d1"),
+                "688693b65de7413ec928970cb0ba2e8d9efe3a9d58bf705ba95f10cf6b59e15a"),
     "jump-inclora": (dict(method=Method.JUMP_INCLORA),
-                     "f244c823a7ac176f631e01aeff7bc7228a8ed7be448092c17241cb94443a79d1"),
+                     "df0f50247c31ec8bf450d6b240eefe9cee58e826577c4b88cc99bce6a998087d"),
     "ella": (dict(method=Method.ELLA, ella_lambda=[1.0]),
-             "9ca15a8692f07a7ee5e5286f3892044a2b10d88736a75b7a167b13412b989d43"),
+             "b630e387993b336a95bbd823aad225082fa9a729fa7f9a516b3f9668e96901bb"),
     "jump-ella": (dict(method=Method.JUMP_ELLA, ella_lambda=[1.0]),
-                  "3bd74ed8d50a498969eff29f6ef51dd7b6f640ef98061330c21cf3076b70f174"),
+                  "16c2533b1009b377eb79847f8c24e96da809b12d8b20a4304fa11fbd1a192a7d"),
     "jump-ella-lambda16": (
         dict(method=Method.JUMP_ELLA, ella_lambda=[16.0]),
-        "783ee69f3b06d91de3f3b700d18f7f1cd60e4101bdc5028a0cb75d65562ed1b5"),
+        "959fe39a6944b0658e1653866fa55eb64751aea084b03ca226244cc975f18a90"),
 }
 
 
