@@ -1,11 +1,13 @@
 """Low-rank adapter lifecycle: init, gated update construction, merge.
 
 An adapter is a pair of factors (down: [d_in, r], up: [r, d_out]) whose
-product is the weight update for one base matrix. A gated task has one jump
-gate over all of its adapters: one learnable threshold that zeroes every
-update entry whose magnitude falls below it. A gate exists only once
-``init_gate`` has set its threshold. The interpolation factor ``gamma`` ramps
-the update from the dense product to the gated one over a window of steps.
+product is the weight update for one base matrix. A task trains a bank: its
+layers' adapters stacked on a leading axis, so every function below builds
+all their updates at once. A gated task has one jump gate over its bank: one
+learnable threshold that zeroes every update entry whose magnitude falls
+below it. A gate exists only once ``init_gate`` has set its threshold. The
+interpolation factor ``gamma`` ramps the update from the dense product to the
+gated one over a window of steps.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ THRESHOLD_FLOOR = np.float32(1e-8)  # in the gate threshold's dtype
 
 @dataclass
 class Adapter:
-    down: Tensor  # [d_in, r]
-    up: Tensor    # [r, d_out]
+    down: Tensor  # [d_in, r], or [layers, d_in, r] in a bank
+    up: Tensor    # [r, d_out], or [layers, r, d_out] in a bank
 
     def budget(self) -> int:
         """Trainable parameter count of the factor pair."""
@@ -106,17 +108,15 @@ def interpolate_update(dw: Tensor, dw_jump: Tensor, gamma: float) -> Tensor:
     return lerp(dw, dw_jump, gamma)
 
 
-def init_threshold(updates: list[np.ndarray], budget: int) -> float:
-    """Threshold such that at most ``budget`` pooled entries exceed it.
+def init_threshold(updates: np.ndarray, budget: int) -> float:
+    """Threshold such that at most ``budget`` entries of ``updates`` exceed it.
 
-    Pools |entries| over the given update arrays and returns the
-    (budget+1)-th largest magnitude, so the strictly-above count equals the
-    budget in the absence of ties. Saturated budgets and all-zero pools fall
-    back to the positive floor, with a warning.
+    Pools |entries| over the whole array, a bank's updates of every layer,
+    and returns the (budget+1)-th largest magnitude, so the strictly-above
+    count equals the budget in the absence of ties. Saturated budgets and
+    all-zero pools fall back to the positive floor, with a warning.
     """
-    if not updates:
-        raise StateError("threshold init needs at least one update in scope")
-    pooled = np.abs(np.concatenate([u.reshape(-1) for u in updates]))
+    pooled = np.abs(updates).reshape(-1)
     n = pooled.size
     if n == 0:
         raise StateError("threshold init needs a non-empty update pool")
@@ -131,20 +131,18 @@ def init_threshold(updates: list[np.ndarray], budget: int) -> float:
     return max(order_stat, THRESHOLD_FLOOR)
 
 
-def init_gate(threshold: Tensor, bandwidth: float, adapters: dict[str, Adapter]) -> JumpGate:
-    """The gate over ``adapters``: ``threshold``, set in place from the current
-    updates of every adapter, pooled in the dict's order, with their summed
-    factor budget, and ``bandwidth`` from a validated config."""
-    scope = list(adapters.values())
-    value = init_threshold([a.down.data @ a.up.data for a in scope],
-                           sum(a.budget() for a in scope))
+def init_gate(threshold: Tensor, bandwidth: float, bank: Adapter) -> JumpGate:
+    """The gate over ``bank``: ``threshold``, set in place from the bank's
+    current updates, pooled over every layer, with the bank's factor budget,
+    and ``bandwidth`` from a validated config."""
+    value = init_threshold(bank.down.data @ bank.up.data, bank.budget())
     threshold.data = np.asarray(value, dtype=threshold.dtype)
     return JumpGate(threshold=threshold, bandwidth=bandwidth)
 
 
 def final_sparse_update(adapter: Adapter, gate: JumpGate | None) -> np.ndarray:
-    """A task's final update, outside the autodiff graph: the factor product,
-    hard-thresholded at the gate's threshold where there is a gate."""
+    """A task's final updates, outside the autodiff graph: the factor product of
+    each layer, hard-thresholded at the gate's threshold where there is a gate."""
     dw = adapter.down.data @ adapter.up.data
     return dw if gate is None else dw * jump_mask(dw, gate.threshold.item())
 

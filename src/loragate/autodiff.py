@@ -50,6 +50,7 @@ __all__ = [
     "attention",
     "mlp",
     "reshape",
+    "unstack",
     "layer_norm",
     "mean",
     "embed",
@@ -455,6 +456,22 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
             _accumulate(x, g.reshape(orig))
         _record(out, (x,), rule)
     return out
+
+
+def unstack(x: Tensor) -> list[Tensor]:
+    """The slices of ``x`` along its first axis as tensors of their own, in one
+    record that stacks their gradients into ``x``'s (zeros where one got none)."""
+    outs = [Tensor(part, requires_grad=_tracked((x,))) for part in x.data]
+    if _tracked((x,)):
+        slot, parts, zero = x.slot, [t.slot for t in outs], np.zeros_like(x.data[0])
+        def backward():
+            grads = [part.grad for part in parts]
+            for part in parts:
+                part.grad = None
+            if any(g is not None for g in grads):
+                _accumulate(slot, np.stack([zero if g is None else g for g in grads]))
+        Tape.active().record(backward)
+    return outs
 
 
 def permute(x: Tensor, axes: tuple) -> Tensor:

@@ -192,14 +192,18 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(cfg.output_dir)
-    for pattern in ARTIFACTS:
-        for stale in out.glob(pattern):
-            if stale.is_dir():
-                shutil.rmtree(stale)
-            else:
-                stale.unlink()
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(format_config(cfg))
+    try:
+        for pattern in ARTIFACTS:
+            for stale in out.glob(pattern):
+                if stale.is_dir():
+                    shutil.rmtree(stale)
+                else:
+                    stale.unlink()
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config.txt").write_text(format_config(cfg))
+    except OSError as exc:
+        print(f"error: cannot write output directory {out}: {exc}", file=sys.stderr)
+        return 2
 
     units = [(cfg, stream, orders, s, out) for s in cfg.seeds]
     workers = min(jobs, len(units))

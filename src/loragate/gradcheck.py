@@ -31,6 +31,7 @@ from .autodiff import (
     matmul,
     mean,
     mlp,
+    unstack,
 )
 from .ella import ella_penalty
 from .model import build_model
@@ -172,24 +173,26 @@ def _psi_casewise_check(points: int = 10_000) -> tuple[str, float, float]:
 
 
 def _model_gradient_checks() -> list[tuple[str, float, float]]:
-    """End-to-end factor and penalty gradients on a small model."""
+    """End-to-end factor and penalty gradients through a small model's bank
+    of two adapters; the penalty reads one of its slices (``unstack``)."""
     rng = np.random.default_rng(3)
     model = build_model(vocab_size=16, d_model=16, n_heads=2, n_blocks=1,
                         seq_len=6, num_classes=3, seed=5, dtype=np.float64)
     tokens = rng.integers(0, 16, size=(4, 6))
     labels = rng.integers(0, 3, size=4)
-    factors = [init_adapter(16, 16, 2, seed=11, dtype=np.float64).down.data,
-               rng.normal(scale=0.2, size=(2, 16))]
+    factors = [np.stack([init_adapter(16, 16, 2, seed=s, dtype=np.float64).down.data
+                         for s in (11, 12)]), rng.normal(scale=0.2, size=(2, 2, 16))]
     results = []
 
     def task_loss(down, up):
-        return cross_entropy(model.forward(tokens, {"blk0.q": matmul(down, up)}, 4.0),
-                             labels)
+        updates = dict(zip(model.adapted_layers, unstack(matmul(down, up))))
+        return cross_entropy(model.forward(tokens, updates, 4.0), labels)
     _check(results, "model_down_factor", task_loss, factors, (0,))
     _check(results, "model_up_factor", task_loss, factors, (1,))
     past = rng.normal(size=(16, 16))
     _check(results, "overlap_penalty",
-           lambda down, up: ella_penalty(matmul(down, up), past, 2.0), factors, (1,))
+           lambda down, up: ella_penalty(unstack(matmul(down, up))[1], past, 2.0),
+           factors, (1,))
     return results
 
 

@@ -1,9 +1,9 @@
 """Continual-learning driver: per-task adapter lifecycle over a task stream.
 
-``train_task`` is the whole per-task unit: it injects fresh adapters, makes a
-gated method's one jump gate over them at the ramp start, trains one epoch
-with the gated update interpolation, and returns the task's log with its final
-update per layer, hard-thresholded for gated methods; the adapters die with it.
+``train_task`` is the whole per-task unit: it injects a fresh adapter bank,
+makes a gated method's one jump gate over it at the ramp start, trains one
+epoch with the gated update interpolation, and returns the task's log with its
+final update per layer, hard-thresholded for gated methods; the bank dies with it.
 ``run_stream`` merges that update into the model, adds it to the past that the
 overlap penalty reads, and hashes it. Isolated single-task runs fill the
 reference row of the accuracy matrix.
@@ -68,7 +68,7 @@ from .adapter import (
     merge,
     ramp,
 )
-from .autodiff import Tape, Tensor, add, cross_entropy
+from .autodiff import Tape, Tensor, add, cross_entropy, unstack
 from .blas import one_blas_thread
 from .config import ExperimentConfig
 from .data import TaskStream
@@ -120,21 +120,18 @@ def inject_adapters(
     config: ExperimentConfig,
     run_seed: int,
     task_id: int,
-) -> dict[str, Adapter]:
-    """Fresh adapters for every adapted layer, in ``adapted_layers`` order.
-    A gated task's gate over them comes later, from ``init_gate``.
+) -> Adapter:
+    """A fresh adapter bank: each adapted layer's ``init_adapter``, stacked in
+    ``adapted_layers`` order; a gated task's gate over it comes from ``init_gate``.
 
     Adapter seeds are derived from (run seed, task id, layer id), so the same
     task gets bit-identical initialization in stream and isolated runs.
     """
-    adapters = {}
-    for lid in model.adapted_layers:
-        d_in, d_out = model.layer_shape(lid)
-        adapters[lid] = init_adapter(
-            d_in, d_out, config.rank,
-            seed=named_seed(run_seed, f"adapter/task{task_id}/{lid}"),
-        )
-    return adapters
+    adapters = [init_adapter(*model.layer_shape(lid), config.rank,
+                             seed=named_seed(run_seed, f"adapter/task{task_id}/{lid}"))
+                for lid in model.adapted_layers]
+    return Adapter(down=Tensor(np.stack([a.down.data for a in adapters]), requires_grad=True),
+                   up=Tensor(np.stack([a.up.data for a in adapters]), requires_grad=True))
 
 
 def train_task(
@@ -146,10 +143,10 @@ def train_task(
     past: Optional[dict[str, np.ndarray]] = None,
     run_seed: int = 0,
 ) -> TaskLog:
-    """One epoch over the task's training split on fresh adapters, exactly the
-    per-step recipe: threshold init at the ramp start, interpolation factor
-    update, dense / gated / interpolated updates, forward, loss plus optional
-    overlap penalty, and an optimizer step over the factors and the threshold.
+    """One epoch over the task's training split on a fresh adapter bank: per
+    step, threshold init at the ramp start, the bank's dense / gated /
+    interpolated updates, forward on their layer slices (``unstack``), loss plus
+    optional overlap penalty, and an optimizer step over the factors and threshold.
 
     From the ramp start, where ``init_gate`` makes a gated method's gate, the
     forward uses the interpolated update and the penalty the sparse one. Before
@@ -164,20 +161,21 @@ def train_task(
     n = len(labels)
     if n == 0:
         raise ConfigError(f"task {task_id} has no training data")
-    adapters = inject_adapters(model, config, run_seed, task_id)
+    bank = inject_adapters(model, config, run_seed, task_id)
     batch = config.batch_size
     total_steps = math.ceil(n / batch)
     start, final = ramp(total_steps, config.start_frac, config.end_frac)
     scaling = config.alpha / config.rank
 
-    params = [t for a in adapters.values() for t in (a.down, a.up)]
+    params = [bank.down, bank.up]
     if config.method.gated:
         threshold = Tensor(np.zeros((), dtype=np.float32), requires_grad=True)
         params.append(threshold)
     opt = AdamW(params, lr=config.learning_rate, warmup_steps=config.warmup_steps)
 
+    layers = model.adapted_layers
     # the past is fixed within a task, so the layers it penalises are too
-    penalized = ([lid for lid in model.adapted_layers if past[lid].any()]
+    penalized = ([lid for lid in layers if past[lid].any()]
                  if penalty_weight > 0 and past is not None else [])
 
     perm = named_rng(run_seed, f"shuffle/task{task_id}").permutation(n)
@@ -187,26 +185,23 @@ def train_task(
 
     for s in range(total_steps):
         if config.method.gated and s == start:
-            gate, init_step = init_gate(threshold, config.bandwidth, adapters), s
+            gate, init_step = init_gate(threshold, config.bandwidth, bank), s
         g = 0.0 if gate is None else gamma(s, start, final)
         gammas.append(g)
         idx = perm[s * batch:(s + 1) * batch]
         bt, bl = tokens[idx], labels[idx]
 
         with Tape() as tape:
-            updates: dict[str, object] = {}
-            penalty_updates: dict[str, object] = {}
-            for lid in model.adapted_layers:
-                dw = dense_update(adapters[lid])
-                if gate is None:
-                    updates[lid] = penalty_updates[lid] = dw
-                else:
-                    penalty_updates[lid] = dj = jump_update(dw, gate)
-                    updates[lid] = interpolate_update(dw, dj, g)
-            logits = model.forward(bt, updates, scaling)
+            update = penalty_update = dense_update(bank)
+            if gate is not None:
+                penalty_update = jump_update(update, gate)
+                update = interpolate_update(update, penalty_update, g)
+            logits = model.forward(bt, dict(zip(layers, unstack(update))), scaling)
             loss = cross_entropy(logits, bl)
-            for lid in penalized:
-                loss = add(loss, ella_penalty(penalty_updates[lid], past[lid], penalty_weight))
+            if penalized:
+                parts = dict(zip(layers, unstack(penalty_update)))
+                for lid in penalized:
+                    loss = add(loss, ella_penalty(parts[lid], past[lid], penalty_weight))
             losses[s] = loss.item()
             if not np.isfinite(losses[s]):
                 raise StateError(f"task {task_id}: non-finite loss {losses[s]} at step {s}")
@@ -218,8 +213,8 @@ def train_task(
 
     if config.method.gated and gate is None:  # the ramp started past the epoch
         warnings.warn("threshold init fell past the epoch; initializing at the end")
-        gate, init_step = init_gate(threshold, config.bandwidth, adapters), total_steps
-    merged = {lid: final_sparse_update(a, gate) for lid, a in adapters.items()}
+        gate, init_step = init_gate(threshold, config.bandwidth, bank), total_steps
+    merged = dict(zip(layers, final_sparse_update(bank, gate)))
     return TaskLog(losses=losses, gammas=gammas, threshold_init_step=init_step,
                    threshold=None if gate is None else float(threshold.data), merged=merged)
 

@@ -26,6 +26,15 @@ PROPERTY = settings(max_examples=60, deadline=None)
 ENTRIES = st.floats(-4.0, 4.0, width=32)
 UPDATES = arrays(np.float32, st.tuples(st.integers(1, 6), st.integers(1, 6)),
                  elements=ENTRIES)
+# the updates of a bank of 1-3 layers
+BANKS = arrays(np.float32, st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 6)),
+               elements=ENTRIES)
+
+
+def bank_of(adapters):
+    """The adapter bank of ``adapters``: their factors stacked in order."""
+    return Adapter(down=Tensor(np.stack([a.down.data for a in adapters]), requires_grad=True),
+                   up=Tensor(np.stack([a.up.data for a in adapters]), requires_grad=True))
 
 
 def gate_with(tau, bandwidth=1e-3, dtype=np.float32):
@@ -260,29 +269,33 @@ class TestInitThreshold:
         assert (np.abs(vals) > tau).sum() <= 2
 
     @PROPERTY
-    @given(pool=st.lists(UPDATES, min_size=1, max_size=3), data=st.data())
+    @given(pool=BANKS, data=st.data())
     def test_at_most_budget_entries_above_threshold(self, pool, data):
-        # ties, zeros and several updates in one scope included
-        budget = data.draw(st.integers(0, sum(u.size for u in pool)))
+        # ties, zeros and several layers of a bank in one pool included
+        budget = data.draw(st.integers(0, pool.size))
         tau = init_threshold(pool, budget)
-        assert sum(int((np.abs(u) > tau).sum()) for u in pool) <= budget
+        assert int((np.abs(pool) > tau).sum()) <= budget
 
 
 class TestInitGate:
     def test_pools_its_scope_with_the_summed_budget(self, rng):
-        adapters = {lid: init_adapter(4, 6, 2, seed=i) for i, lid in enumerate("abc")}
-        for ad in adapters.values():
+        adapters = [init_adapter(4, 6, 2, seed=i) for i in range(3)]
+        for ad in adapters:
             ad.up.data = rng.normal(size=(2, 6)).astype(np.float32)
         threshold = Tensor(np.zeros((), dtype=np.float32), requires_grad=True)
-        gate = init_gate(threshold, 1e-3, adapters)
-        scope = [ad.down.data @ ad.up.data for ad in adapters.values()]
+        gate = init_gate(threshold, 1e-3, bank_of(adapters))
+        # every layer's product pooled, with the 3 layers' summed budget
+        pooled = np.abs(np.concatenate([(ad.down.data @ ad.up.data).reshape(-1)
+                                        for ad in adapters]))
+        budget = 3 * (2 * (4 + 6))
         assert gate.threshold is threshold and gate.bandwidth == 1e-3
         assert gate.threshold.dtype == np.float32
-        assert gate.threshold.data == np.float32(init_threshold(scope, 3 * (2 * (4 + 6))))
+        assert gate.threshold.data == np.sort(pooled)[::-1][budget]
+        assert gate.threshold.data == np.float32(init_threshold(pooled, budget))
 
     def test_all_zero_scope_falls_back_to_floor(self):
-        adapters = {"a": init_adapter(4, 6, 2, seed=0)}  # up starts at zero
-        gate = init_gate(Tensor(np.zeros((), dtype=np.float32)), 1e-3, adapters)
+        bank = bank_of([init_adapter(4, 6, 2, seed=i) for i in range(2)])  # up starts at zero
+        gate = init_gate(Tensor(np.zeros((), dtype=np.float32)), 1e-3, bank)
         assert gate.threshold.data == THRESHOLD_FLOOR
 
 

@@ -29,6 +29,7 @@ from loragate.autodiff import (
     softmax,
     sub,
     threshold_pseudograd,
+    unstack,
 )
 from loragate.errors import ConfigError, ShapeError, StateError
 
@@ -657,3 +658,56 @@ class TestFusedKernels:
             linear(a, Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 4))), 1.0)
         with pytest.raises(ShapeError):
             mlp(a, Tensor(np.zeros((4, 5))), Tensor(np.zeros((4, 4))))
+
+
+# slice shapes down to a scalar, as ``unstack`` cuts them from a 1-D array
+SLICES = st.one_of(st.just(()), SHAPES)
+
+
+class TestUnstack:
+    @EXACT
+    @given(seed=SEEDS, n=st.integers(1, 4), shape=SLICES, dtype=DTYPES,
+           used=st.lists(st.booleans(), min_size=4, max_size=4))
+    def test_slices_and_their_stacked_gradient(self, seed, n, shape, dtype, used):
+        x = sample(seed, (n, *shape), dtype)
+        tx = Tensor(x, requires_grad=True)
+        other = Tensor(sample(seed + 1, shape, dtype), requires_grad=True)
+        with Tape() as tape:
+            parts = unstack(tx)
+            assert len(tape) == 1
+            # a weight of its own per slice, so a misordered slice shows
+            loss = frobenius_sq(other)
+            for i, part in enumerate(parts):
+                if used[i]:
+                    loss = add(loss, frobenius_sq(part, weight=i + 1))
+            tape.backward(loss)
+        assert len(parts) == n
+        for i, part in enumerate(parts):
+            assert part.requires_grad and part.dtype == dtype
+            assert np.array_equal(part.data, x[i])
+            assert part.grad is None
+        # each used slice's gradient as a leaf of its own, zeros for the rest
+        want = np.zeros_like(x)
+        for i in range(n):
+            if used[i]:
+                leaf = Tensor(x[i], requires_grad=True)
+                with Tape() as tape:
+                    tape.backward(frobenius_sq(leaf, weight=i + 1))
+                want[i] = leaf.grad
+        if any(used[:n]):
+            assert tx.grad.dtype == dtype and np.array_equal(tx.grad, want)
+        else:
+            assert tx.grad is None
+
+    @EXACT
+    @given(seed=SEEDS, n=st.integers(1, 4), shape=SLICES, dtype=DTYPES)
+    def test_no_record_when_nothing_needs_a_gradient(self, seed, n, shape, dtype):
+        x = sample(seed, (n, *shape), dtype)
+        with Tape() as tape:
+            frozen = unstack(Tensor(x))
+            assert len(tape) == 0
+        untaped = unstack(Tensor(x, requires_grad=True))
+        for parts in (frozen, untaped):
+            assert len(parts) == n
+            for i, part in enumerate(parts):
+                assert not part.requires_grad and np.array_equal(part.data, x[i])

@@ -203,6 +203,26 @@ class TestRun:
         assert cmd_run(str(cfg)) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("under_a_file", [False, True], ids=["file", "under-file"])
+    def test_unwritable_output_dir_exits_2_before_training(self, tmp_path, capsys,
+                                                          monkeypatch, under_a_file):
+        # an output_dir that names a file, or a path under one, is a usage
+        # error like a missing config: no traceback, and no run starts
+        def no_run(*args, **kwargs):
+            pytest.fail("a run started")
+
+        for owner in (cli, harness):
+            monkeypatch.setattr(owner, "run_stream", no_run)
+        monkeypatch.setattr(harness, "run_seed", no_run)
+        blocker = tmp_path / "a_file"
+        blocker.write_text("kept\n")
+        out = blocker / "out" if under_a_file else blocker
+        assert cmd_run(str(write_config(tmp_path, out=out))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write output directory {out}: ")
+        assert "Traceback" not in err
+        assert blocker.read_text() == "kept\n"
+
     @pytest.mark.parametrize("line", [
         "n_heads = 0", "vocab_size = 0", "d_model = -16", "n_blocks = 0",
         "n_tasks = 0", "classes_per_task = 0",

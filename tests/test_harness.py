@@ -13,7 +13,8 @@ from conftest import time_limit
 
 import loragate.harness as harness
 from loragate import blas
-from loragate.adapter import THRESHOLD_FLOOR, final_sparse_update
+from loragate.adapter import THRESHOLD_FLOOR, Adapter, final_sparse_update
+from loragate.autodiff import Tensor
 from loragate.config import ExperimentConfig, Method
 from loragate.data import generate_task_stream
 from loragate.errors import ConfigError, StateError
@@ -212,8 +213,9 @@ class TestTrainTask:
 
     @pytest.mark.parametrize("start_frac", [0.2, 1.0])
     def test_penalty_receives_the_sparse_update_once_gated(self, monkeypatch, start_frac):
-        # the dense update before the threshold exists, then the sparse one;
-        # with start_frac = 1 it exists only after the epoch
+        # each layer's slice of the dense bank update before the threshold
+        # exists, then of the sparse one; with start_frac = 1 it exists only
+        # after the epoch
         made = {"dense": [], "jump": [], "interp": []}
         penalised = []
 
@@ -245,13 +247,18 @@ class TestTrainTask:
                          run_seed=42)
 
         # 12 steps: the init falls at step 2, or after the last step
-        assert log.threshold_init_step == (2 if start_frac < 1.0 else len(log.losses))
+        steps, before_init = len(log.losses), log.threshold_init_step
+        assert before_init == (2 if start_frac < 1.0 else steps)
         layers = len(model.adapted_layers)
-        before_init = layers * log.threshold_init_step
-        assert len(penalised) == len(made["dense"]) == layers * len(log.losses)
-        assert len(made["jump"]) == len(made["interp"]) == len(penalised) - before_init
+        # one bank update of each kind per step, and one penalty per layer
+        assert len(made["dense"]) == steps and len(penalised) == layers * steps
+        assert len(made["jump"]) == len(made["interp"]) == steps - before_init
         expected = made["dense"][:before_init] + made["jump"]
-        assert all(got is want for got, want in zip(penalised, expected, strict=True))
+        for s, want in enumerate(expected):
+            for i, got in enumerate(penalised[s * layers:(s + 1) * layers]):
+                # layer i's slice of that step's bank update, not a copy
+                assert got.data.base is want.data
+                assert np.array_equal(got.data, want.data[i])
 
 
 class TestEvaluate:
@@ -329,8 +336,8 @@ class TestRunStream:
         stream = stream_for(cfg)
         result = run_stream(stream, cfg, seed=42)
         # reconstruct task 0 exactly: same model seed, adapter seeds, data
-        # order; keep the adapters that train_task injects and the gate it
-        # initialises, if any
+        # order; keep the adapter bank that train_task injects and the gate
+        # it initialises, if any
         injected, gates = [], []
         inject, init_gate = harness.inject_adapters, harness.init_gate
 
@@ -344,10 +351,12 @@ class TestRunStream:
         monkeypatch.setattr(harness, "init_gate", keeping(gates, init_gate))
         model = fresh_model(cfg, stream, 42)
         log = train_task(model, stream, 0, cfg, run_seed=42)
-        (adapters,) = injected
+        (bank,) = injected
         (gate,) = gates if method.gated else [None]
-        for lid in model.adapted_layers:
-            dwf = final_sparse_update(adapters[lid], gate)
+        for i, lid in enumerate(model.adapted_layers):
+            # layer i's factors alone, as one adapter
+            layer = Adapter(Tensor(bank.down.data[i]), Tensor(bank.up.data[i]))
+            dwf = final_sparse_update(layer, gate)
             np.testing.assert_array_equal(log.merged[lid], dwf)
             np.testing.assert_array_equal(result.logs[0].merged[lid], dwf)
 

@@ -6,6 +6,7 @@ import pytest
 
 from loragate import autodiff, harness
 from loragate.adapter import (
+    Adapter,
     JumpGate,
     THRESHOLD_FLOOR,
     dense_update,
@@ -27,6 +28,7 @@ from loragate.autodiff import (
     reshape,
     scale,
     softmax,
+    unstack,
 )
 from loragate.config import ExperimentConfig, Method
 from loragate.data import generate_task_stream
@@ -34,6 +36,7 @@ from loragate.ella import ella_penalty
 from loragate.errors import ConfigError
 from loragate.harness import inject_adapters, train_task
 from loragate.model import POSITIONS, build_model
+from loragate.rng import named_seed
 
 SMALL = dict(vocab_size=24, d_model=16, n_heads=2, n_blocks=2, num_classes=4)
 
@@ -141,16 +144,20 @@ class TestTrainingInvariants:
             np.testing.assert_array_equal(model.params[k].data, before[k])
 
     def test_one_gate_per_gated_task(self, monkeypatch):
-        # inject_adapters makes no gate; train_task makes a gated task's one
-        # gate through init_gate, and an ungated task none
+        # inject_adapters makes a bank of every adapted layer and no gate;
+        # train_task makes a gated task's one gate through init_gate, and an
+        # ungated task none
         cfg, stream = self.stream_and_config()
         model = build_model(cfg.vocab_size, cfg.d_model, cfg.n_heads, cfg.n_blocks,
                             cfg.seq_len, stream.num_classes, seed=42)
-        assert list(inject_adapters(model, cfg, 42, 0)) == model.adapted_layers
+        bank = inject_adapters(model, cfg, 42, 0)
+        layers, d = len(model.adapted_layers), cfg.d_model
+        assert bank.down.shape == (layers, d, cfg.rank)
+        assert bank.up.shape == (layers, cfg.rank, d)
         init_gate, gates = harness.init_gate, []
 
-        def recording(threshold, bandwidth, adapters):
-            gates.append((bandwidth, init_gate(threshold, bandwidth, adapters)))
+        def recording(threshold, bandwidth, bank):
+            gates.append((bandwidth, init_gate(threshold, bandwidth, bank)))
             return gates[-1][1]
 
         monkeypatch.setattr(harness, "init_gate", recording)
@@ -257,13 +264,16 @@ class TestFusedBlock:
                                       cfg.difficulty, cfg.classes_per_task,
                                       cfg.seq_len, cfg.vocab_size)
         harness.run_stream(stream, cfg, 42)
-        # the default model's forward and loss are 43 records and each of its
-        # 8 adapted layers adds 1 for the dense update; a gated layer adds 1
-        # for the gate and, inside the ramp, 1 for the interpolation, and a
-        # penalised one 2 (the penalty and its add to the loss). Dense 51,
-        # penalised 67; gated 59, penalised 75; ramp 67, penalised 83 (115
-        # while the interpolation and the penalty were chains of small records)
-        assert sorted(set(lengths)) == [51, 59, 67, 75, 83]
+        # the default model's forward and loss are 43 records; the adapter
+        # bank adds 1 for its dense update and 1 to unstack the update the
+        # forward reads; a gated step adds 1 for the gate and, inside the
+        # ramp, 1 for the interpolation; a penalised step adds 1 to unstack
+        # the update the penalty reads and 2 per layer of the default 8 (the
+        # penalty and its add to the loss). Dense 45, penalised 62; gated 46,
+        # penalised 63; ramp 47, penalised 64 (83 while each layer had its
+        # own dense, gate and interpolation records, 115 while the
+        # interpolation and the penalty were chains of small records)
+        assert sorted(set(lengths)) == [45, 46, 47, 62, 63, 64]
 
 
 def record_outputs(monkeypatch, outputs, keep):
@@ -287,35 +297,56 @@ def record_outputs(monkeypatch, outputs, keep):
     monkeypatch.setattr(autodiff.Tape, "record", wrapper)
 
 
+def gated_penalised_step(bank):
+    """One gated, penalised training step of a small model: its loss, the
+    factor gradients and the threshold gradient. Each adapted layer has an
+    adapter of its own, and its gradients are a (down, up) pair per layer;
+    with ``bank`` the same factors are stacked into one adapter bank, whose
+    update ``unstack`` cuts into the layers' updates, as in ``train_task``,
+    and the gradients are the bank's (down, up)."""
+    model = small_model(3)
+    rng = np.random.default_rng(5)
+    d = SMALL["d_model"]
+    tokens = rng.integers(0, SMALL["vocab_size"], size=(6, 8))
+    labels = rng.integers(0, SMALL["num_classes"], size=6)
+    gate = JumpGate(Tensor(np.asarray(0.1, np.float32), requires_grad=True), 0.05)
+    adapters = {lid: init_adapter(d, d, 4, seed=i)
+                for i, lid in enumerate(model.adapted_layers)}
+    for ad in adapters.values():
+        ad.up.data = rng.normal(scale=0.1, size=ad.up.shape).astype(np.float32)
+    past = rng.normal(size=(d, d)).astype(np.float32)
+    if bank:
+        stacked = Adapter(Tensor(np.stack([ad.down.data for ad in adapters.values()]), True),
+                          Tensor(np.stack([ad.up.data for ad in adapters.values()]), True))
+        leaves = [stacked.down, stacked.up]
+    else:
+        leaves = [t for ad in adapters.values() for t in (ad.down, ad.up)]
+    with Tape() as tape:
+        if bank:
+            dense = dense_update(stacked)
+            update = interpolate_update(dense, jump_update(dense, gate), 0.5)
+            updates = dict(zip(model.adapted_layers, unstack(update)))
+        else:
+            updates = {}
+            for lid, ad in adapters.items():
+                dense = dense_update(ad)
+                updates[lid] = interpolate_update(dense, jump_update(dense, gate), 0.5)
+        loss = cross_entropy(model.forward(tokens, updates, 2.0), labels)
+        for lid in model.adapted_layers:
+            loss = add(loss, ella_penalty(updates[lid], past, 0.3))
+        tape.backward(loss)
+    return loss.data, [t.grad for t in leaves], gate.threshold.grad
+
+
 class TestGradientLifetime:
     def gated_step(self, monkeypatch, keep):
-        """One gated, penalised training step of a small model: the tensors
-        the records produced, and the factor and threshold gradients."""
-        model = small_model(3)
-        rng = np.random.default_rng(5)
-        d = SMALL["d_model"]
-        tokens = rng.integers(0, SMALL["vocab_size"], size=(6, 8))
-        labels = rng.integers(0, SMALL["num_classes"], size=6)
-        gate = JumpGate(Tensor(np.asarray(0.1, np.float32), requires_grad=True), 0.05)
-        adapters = {lid: init_adapter(d, d, 4, seed=i)
-                    for i, lid in enumerate(model.adapted_layers)}
-        for ad in adapters.values():
-            ad.up.data = rng.normal(scale=0.1, size=ad.up.shape).astype(np.float32)
-        past = rng.normal(size=(d, d)).astype(np.float32)
+        """The per-layer ``gated_penalised_step``: the tensors the records
+        produced, and the factor and threshold gradients."""
         outputs = []
-        with monkeypatch.context() as patch, Tape() as tape:
+        with monkeypatch.context() as patch:
             record_outputs(patch, outputs, keep)
-            updates, dense = {}, {}
-            for lid, ad in adapters.items():
-                dense[lid] = dense_update(ad)
-                updates[lid] = interpolate_update(dense[lid], jump_update(dense[lid], gate),
-                                                  0.5)
-            loss = cross_entropy(model.forward(tokens, updates, 2.0), labels)
-            for lid in model.adapted_layers:
-                loss = add(loss, ella_penalty(updates[lid], past, 0.3))
-            tape.backward(loss)
-        grads = [t.grad for ad in adapters.values() for t in (ad.down, ad.up)]
-        return outputs, grads + [gate.threshold.grad]
+            _, grads, threshold_grad = gated_penalised_step(bank=False)
+        return outputs, grads + [threshold_grad]
 
     def test_backward_frees_non_leaf_gradients_with_the_same_bits(self, monkeypatch):
         outputs, grads = self.gated_step(monkeypatch, keep=False)
@@ -327,7 +358,68 @@ class TestGradientLifetime:
             assert np.array_equal(got, want)
 
 
+class TestAdapterBank:
+    def test_bank_step_equals_the_per_layer_step(self):
+        loss, grads, threshold_grad = gated_penalised_step(bank=False)
+        bank_loss, (down, up), bank_threshold_grad = gated_penalised_step(bank=True)
+        assert np.array_equal(bank_loss, loss)
+        # layer i's factor gradients are slice i of the bank's
+        assert np.array_equal(down, np.stack(grads[0::2]))
+        assert np.array_equal(up, np.stack(grads[1::2]))
+        # the threshold's two sides are each one sum over the bank, not one
+        # per layer, so they round differently
+        assert bank_threshold_grad.dtype == threshold_grad.dtype == np.float32
+        np.testing.assert_allclose(bank_threshold_grad, threshold_grad, rtol=1e-5, atol=1e-6)
+
+    def test_bank_stacks_each_layers_seeded_adapter(self):
+        cfg = ExperimentConfig(vocab_size=24, d_model=16, n_heads=2, n_blocks=2, rank=4)
+        model = build_model(cfg.vocab_size, cfg.d_model, cfg.n_heads, cfg.n_blocks,
+                            seed=42)
+        bank = inject_adapters(model, cfg, 42, 3)
+        assert bank.down.requires_grad and bank.up.requires_grad
+        assert len(bank.down.data) == len(bank.up.data) == len(model.adapted_layers)
+        for i, lid in enumerate(model.adapted_layers):
+            ad = init_adapter(16, 16, 4, seed=named_seed(42, f"adapter/task3/{lid}"))
+            assert np.array_equal(bank.down.data[i], ad.down.data)
+            assert np.array_equal(bank.up.data[i], ad.up.data)
+
+    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+    def test_optimizer_steps_the_bank_and_a_gated_threshold(self, monkeypatch, method):
+        cfg = ExperimentConfig(vocab_size=24, d_model=16, n_heads=2, n_blocks=2,
+                               n_tasks=2, classes_per_task=2, samples_per_class=16,
+                               seq_len=8, method=method, ella_lambda=[1.0])
+        stream = generate_task_stream(cfg.data_seed, cfg.n_tasks, cfg.samples_per_class,
+                                      cfg.difficulty, cfg.classes_per_task,
+                                      cfg.seq_len, cfg.vocab_size)
+        model = build_model(cfg.vocab_size, cfg.d_model, cfg.n_heads, cfg.n_blocks,
+                            cfg.seq_len, stream.num_classes, seed=42)
+        banks, optimizers = [], []
+        inject, adamw = harness.inject_adapters, harness.AdamW
+
+        def injecting(*args):
+            banks.append(inject(*args))
+            return banks[-1]
+
+        def making(params, **kwargs):
+            optimizers.append(adamw(params, **kwargs))
+            return optimizers[-1]
+
+        monkeypatch.setattr(harness, "inject_adapters", injecting)
+        monkeypatch.setattr(harness, "AdamW", making)
+        train_task(model, stream, 0, cfg, run_seed=42)
+        ((bank,), (opt,)) = banks, optimizers
+        assert opt.params[:2] == [bank.down, bank.up]
+        if method.gated:
+            (threshold,) = opt.params[2:]
+            assert threshold.shape == () and threshold.requires_grad
+        else:
+            assert len(opt.params) == 2
+
+
 class TestSavedState:
     def test_records_of_a_gated_penalised_step_hold_no_tensor(
             self, records_hold_no_tensor, monkeypatch):
         TestGradientLifetime().gated_step(monkeypatch, keep=False)
+
+    def test_records_of_a_bank_step_hold_no_tensor(self, records_hold_no_tensor):
+        gated_penalised_step(bank=True)

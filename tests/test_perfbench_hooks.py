@@ -78,6 +78,20 @@ def test_hooks_keep_trace_hash_and_uninstall_restores_bindings(serial_solo_runs)
     assert len(probe.train_ce) == len(probe.step_ms) > 0
 
 
+def test_one_dense_bank_update_per_optimizer_step(serial_solo_runs):
+    # the adapter bank builds every layer's dense update in one call, so the
+    # tracer sees one per optimizer step (one per layer and step before)
+    instrument = load_instrument()
+    tracer = instrument.Tracer().install()
+    try:
+        tiny_run()
+    finally:
+        tracer.uninstall()
+    _, table = instrument.layer_metrics([tracer.state()])
+    steps = table["optim.step"][2]
+    assert steps > 0 and table["adapter.dense_update"][2] == steps
+
+
 GRID = """\
 vocab_size = 24
 d_model = 16
